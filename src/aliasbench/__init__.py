@@ -1,141 +1,21 @@
 """aliasbench: anti-aliased activations and upsamplers for audio, with a
 test-signal benchmark that quantifies aliasing via the aliasing-to-harmonic
-ratio (AHR)."""
+ratio (AHR).
+
+The package root exports only the names the README's library example uses;
+everything else is imported from its submodule."""
 
 __version__ = "0.1.0"
 
-from .activations import (
-    ActivationSpec,
-    AdaaState,
-    adaa_generic,
-    adaa_grad_bounds,
-    adaa_snakebeta,
-    adaa_snakebeta_grad,
-    apply_activation,
-    elu,
-    leaky_relu,
-    make_pair,
-    oversampled_apply,
-    relu_sine_fourier,
-    snakebeta,
-    snakebeta_antiderivative,
-)
-from .audio import AudioBuffer, NumericError
-from .bench import (
-    DEFAULT_ACTIVATIONS,
-    derive_seeds,
-    regenerate_entries,
-    run_activations,
-    run_upsamplers,
-    upsampler_table,
-)
-from .configio import ConfigError, config_hash, load_activation_configs, load_upsampler_configs
-from .filters import (
-    FilterDesignSpec,
-    FirKernel,
-    convolve,
-    design_fir,
-    downsample_filtered,
-    frequency_response,
-    interp_kernel,
-    resample_filter_spec,
-    upsample_filtered,
-    zero_interlace,
-)
-from .metrics import (
-    ActivationContext,
-    AhrReport,
-    UpsamplerContext,
-    ahr,
-    band_energy,
-    estimate_spectrum,
-    fold_frequency,
-    measure_ahr,
-    spectrogram,
-    spectrogram_export,
-)
-from .signals import (
-    TestSignalSpec,
-    build_benchmark,
-    gen_bandlimited,
-    gen_sweep,
-    harmonic_cap_hz,
-    law_k_values,
-    midi_to_freq,
-    partial_series,
-)
-from .upsamplers import (
-    UpsamplerSpec,
-    apply_upsampler,
-    conv_transpose_1d,
-    image_frequencies,
-    interp_upsample,
-    tonal_probe,
-)
-from .wavio import WavError, wav_read, wav_write
+from .activations import ActivationSpec, apply_activation
+from .metrics import ActivationContext, measure_ahr
+from .signals import TestSignalSpec, gen_bandlimited
 
 __all__ = [
     "ActivationContext",
     "ActivationSpec",
-    "AdaaState",
-    "AudioBuffer",
-    "AhrReport",
-    "ConfigError",
-    "DEFAULT_ACTIVATIONS",
-    "FilterDesignSpec",
-    "FirKernel",
-    "NumericError",
     "TestSignalSpec",
-    "UpsamplerContext",
-    "UpsamplerSpec",
-    "WavError",
-    "adaa_generic",
-    "adaa_grad_bounds",
-    "adaa_snakebeta",
-    "adaa_snakebeta_grad",
-    "ahr",
     "apply_activation",
-    "apply_upsampler",
-    "band_energy",
-    "build_benchmark",
-    "config_hash",
-    "conv_transpose_1d",
-    "convolve",
-    "derive_seeds",
-    "design_fir",
-    "downsample_filtered",
-    "elu",
-    "estimate_spectrum",
-    "fold_frequency",
-    "frequency_response",
     "gen_bandlimited",
-    "gen_sweep",
-    "harmonic_cap_hz",
-    "image_frequencies",
-    "interp_kernel",
-    "interp_upsample",
-    "law_k_values",
-    "leaky_relu",
-    "load_activation_configs",
-    "load_upsampler_configs",
-    "make_pair",
     "measure_ahr",
-    "midi_to_freq",
-    "oversampled_apply",
-    "partial_series",
-    "regenerate_entries",
-    "relu_sine_fourier",
-    "resample_filter_spec",
-    "run_activations",
-    "run_upsamplers",
-    "snakebeta",
-    "snakebeta_antiderivative",
-    "spectrogram",
-    "spectrogram_export",
-    "tonal_probe",
-    "upsample_filtered",
-    "upsampler_table",
-    "wav_read",
-    "wav_write",
-    "zero_interlace",
 ]

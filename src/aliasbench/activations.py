@@ -33,6 +33,9 @@ _TAYLOR_CUTOFF = 1e-4
 
 OVERSAMPLE_FACTORS = (1, 2, 4, 8)
 
+#: Nonlinearities with a built-in antiderivative pair (make_pair, adaa_base).
+ADAA_BASES = ("identity", "relu", "leaky_relu", "elu", "snakebeta")
+
 
 def _sinc(u: np.ndarray) -> np.ndarray:
     """Unnormalized sinc: sin(u)/u with sinc(0) = 1."""
@@ -150,6 +153,8 @@ class AntiderivativePair:
 
 def make_pair(kind: str, alpha: float = 1.0, beta: float = 1.0, slope: float = 0.1, a: float = 1.0) -> AntiderivativePair:
     """Built-in (f, F) pairs for the generic ADAA path."""
+    if kind not in ADAA_BASES:
+        raise ValueError(f"no built-in antiderivative pair for {kind!r}, expected one of {ADAA_BASES}")
     if kind == "identity":
         return AntiderivativePair("identity", lambda x: np.asarray(x, float), lambda x: x * x / 2.0)
     if kind == "relu":
@@ -174,13 +179,11 @@ def make_pair(kind: str, alpha: float = 1.0, beta: float = 1.0, slope: float = 0
                 a * (np.exp(np.minimum(np.asarray(x, float), 0.0)) - x),
             ),
         )
-    if kind == "snakebeta":
-        return AntiderivativePair(
-            "snakebeta",
-            lambda x: snakebeta(x, alpha, beta),
-            lambda x: snakebeta_antiderivative(x, alpha, beta),
-        )
-    raise ValueError(f"no built-in antiderivative pair for {kind!r}")
+    return AntiderivativePair(
+        "snakebeta",
+        lambda x: snakebeta(x, alpha, beta),
+        lambda x: snakebeta_antiderivative(x, alpha, beta),
+    )
 
 
 def adaa_generic(pair: AntiderivativePair, x_t, x_prev, tol: float = 1e-5):
@@ -247,6 +250,8 @@ class ActivationSpec:
             raise ValueError(f"oversample must be one of {OVERSAMPLE_FACTORS}, got {self.oversample}")
         if self.adaa_tol <= 0:
             raise ValueError("adaa_tol must be positive")
+        if self.adaa_base not in ADAA_BASES:
+            raise ValueError(f"unknown adaa_base {self.adaa_base!r}, expected one of {ADAA_BASES}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 

@@ -7,6 +7,7 @@ import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -14,9 +15,10 @@ import numpy as np
 
 from .activations import ActivationSpec, apply_activation
 from .audio import AudioBuffer
-from .configio import ConfigError, config_hash, write_csv
+from .configio import ConfigError, Spec, config_hash, write_csv
 from .metrics import (
     ActivationContext,
+    AhrMeasurement,
     AhrReport,
     SignalAhr,
     UpsamplerContext,
@@ -25,9 +27,6 @@ from .metrics import (
 )
 from .signals import EDGE_DISCARD, WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
-
-BENCH_RATE = 44100
-BENCH_DURATION_S = 5.0
 
 #: Activation configs evaluated by default. The four table_row entries mirror
 #: the activation comparison table; the rest are the oversampling sweep.
@@ -41,16 +40,11 @@ DEFAULT_ACTIVATIONS: tuple[ActivationSpec, ...] = (
     ActivationSpec("adaa_snakebeta", oversample=1, name="AdaaSnakeBeta_c1"),
 )
 
+#: Constant level fed to each upsampler for its tonal-line column.
+TONAL_PROBE_VALUE = 0.5
+
 #: One benchmark entry: waveform name, fundamental, signal.
 SignalEntry = tuple[str, float, AudioBuffer]
-
-
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    """Apply fn to items, preserving order regardless of thread count."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def derive_seeds(base_seed: int, count: int) -> list[int]:
@@ -59,55 +53,56 @@ def derive_seeds(base_seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(count)]
 
 
-def run_activations(
+def measure_activation(spec: ActivationSpec, entry: SignalEntry) -> AhrMeasurement:
+    """AHR of one signal through an activation: aliases are folded harmonics."""
+    _, f0, x = entry
+    return measure_ahr(apply_activation(x, spec), f0, ActivationContext(), edge_trim=EDGE_DISCARD)
+
+
+def measure_upsampler(spec: UpsamplerSpec, entry: SignalEntry) -> AhrMeasurement:
+    """AHR of one (low-rate) signal through an upsampler: aliases are the
+    images of the waveform's partials."""
+    waveform, f0, x = entry
+    y = apply_upsampler(x, spec)
+    context = UpsamplerContext(
+        factor=spec.factor,
+        input_rate=x.sample_rate,
+        alias_freqs=image_frequencies(f0, spec.factor, x.sample_rate, law_k_values(waveform)),
+    )
+    return measure_ahr(y, f0, context, edge_trim=EDGE_DISCARD)
+
+
+def evaluate(
     entries: Sequence[SignalEntry],
-    configs: Iterable[ActivationSpec],
+    specs: Iterable[Spec],
+    measure: Callable[[Spec, SignalEntry], AhrMeasurement],
     threads: int = 1,
-    edge_trim: int = EDGE_DISCARD,
 ) -> list[AhrReport]:
-    """Evaluate each activation config over all signals."""
+    """One report per spec over all signals; rows keep the entry order
+    whatever the thread count."""
+
+    def row(spec: Spec, entry: SignalEntry) -> SignalAhr:
+        m = measure(spec, entry)
+        return SignalAhr(entry[0], entry[1], m.ahr_db, m.harmonic_bands, m.alias_bands)
+
     reports = []
-    for spec in configs:
-        def eval_one(entry: SignalEntry, spec: ActivationSpec = spec) -> SignalAhr:
-            waveform, f0, x = entry
-            y = apply_activation(x, spec)
-            m = measure_ahr(y, f0, ActivationContext(), edge_trim=edge_trim)
-            return SignalAhr(waveform, f0, m.ahr_db, m.harmonic_bands, m.alias_bands)
-
-        rows = _map_ordered(eval_one, entries, threads)
-        reports.append(build_report(spec.name, config_hash(spec), rows))
-    return reports
-
-
-def run_upsamplers(
-    entries: Sequence[SignalEntry],
-    configs: Iterable[UpsamplerSpec],
-    threads: int = 1,
-    edge_trim: int = EDGE_DISCARD,
-) -> list[AhrReport]:
-    """Evaluate each upsampler config over all (low-rate) input signals."""
-    reports = []
-    for spec in configs:
-        def eval_one(entry: SignalEntry, spec: UpsamplerSpec = spec) -> SignalAhr:
-            waveform, f0, x = entry
-            y = apply_upsampler(x, spec)
-            ctx = UpsamplerContext(
-                factor=spec.factor,
-                input_rate=x.sample_rate,
-                alias_freqs=image_frequencies(f0, spec.factor, x.sample_rate, law_k_values(waveform)),
-            )
-            m = measure_ahr(y, f0, ctx, edge_trim=edge_trim)
-            return SignalAhr(waveform, f0, m.ahr_db, m.harmonic_bands, m.alias_bands)
-
-        rows = _map_ordered(eval_one, entries, threads)
+    for spec in specs:
+        if threads <= 1:
+            rows = [row(spec, entry) for entry in entries]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows = list(pool.map(row, repeat(spec), entries))
         reports.append(build_report(spec.name, config_hash(spec), rows))
     return reports
 
 
 def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[SignalEntry]:
     """Re-synthesize benchmark signals additively at rate/factor (exact
-    band-limited inputs for the upsampler benchmark, no decimation filter)."""
-    out: list[SignalEntry] = []
+    band-limited inputs for the upsampler benchmark, no decimation filter).
+
+    Every spec is checked against the factor before any is synthesized.
+    """
+    lows = []
     for s in specs:
         if s.sample_rate % factor:
             raise ConfigError(
@@ -120,19 +115,19 @@ def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[Sig
             sample_rate=s.sample_rate // factor,
             amplitude=s.amplitude,
         )
-        out.append((low.waveform, low.f0_hz, gen_bandlimited(low)))
-    return out
+        if low.f0_hz >= low.sample_rate / 2.0:
+            raise ConfigError(
+                f"{s.waveform} note {s.midi_note}: fundamental {low.f0_hz:.2f} Hz is not below "
+                f"the input Nyquist ({low.sample_rate / 2:.1f} Hz) at factor {factor}"
+            )
+        lows.append(low)
+    return [(low.waveform, low.f0_hz, gen_bandlimited(low)) for low in lows]
 
 
-def probe_constant_input(input_rate: int, value: float = 0.5, duration_s: float = 1.0) -> AudioBuffer:
-    return AudioBuffer(np.full(int(round(input_rate * duration_s)), value), input_rate)
-
-
-def tonal_probe_for(spec: UpsamplerSpec, input_rate: int, value: float = 0.5, edge_trim: int = EDGE_DISCARD) -> float:
-    """Stride-line level (dB) of this layer driven by a constant input."""
-    x = probe_constant_input(input_rate, value)
-    y = apply_upsampler(x, spec)
-    return tonal_probe(y, input_rate, value, edge_trim=edge_trim).stride_line_db
+def tonal_probe_for(spec: UpsamplerSpec, input_rate: int) -> float:
+    """Stride-line level (dB) of this layer driven by one second of constant input."""
+    x = AudioBuffer(np.full(input_rate, TONAL_PROBE_VALUE), input_rate)
+    return tonal_probe(apply_upsampler(x, spec), input_rate, edge_trim=EDGE_DISCARD)
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,6 @@ def upsampler_table(
     n_seeds: int,
     base_seed: int,
     threads: int = 1,
-    edge_trim: int = EDGE_DISCARD,
-    probe_input_rate: int | None = None,
 ) -> tuple[list[UpsamplerSummaryRow], list[AhrReport]]:
     """The four-row upsampler comparison: ConvTranspose (seed-averaged),
     LinearInterp, NearestInterp, AntiAliasedResample (+ prior-on column)."""
@@ -171,12 +164,11 @@ def upsampler_table(
         name="AntiAliasedResample_prior",
     )
 
-    all_reports = run_upsamplers(entries, conv_specs + [linear, nearest, aa, aa_prior], threads, edge_trim)
+    all_reports = evaluate(entries, conv_specs + [linear, nearest, aa, aa_prior], measure_upsampler, threads)
     conv_reports = all_reports[:n_seeds]
     rep_linear, rep_nearest, rep_aa, rep_aa_prior = all_reports[n_seeds:]
 
-    rate = probe_input_rate if probe_input_rate is not None else entries[0][2].sample_rate
-    probe_trim = min(edge_trim, EDGE_DISCARD)
+    rate = entries[0][2].sample_rate
 
     conv_types = {
         w: float(np.mean([r.per_type_mean_db[w] for r in conv_reports])) for w in WAVEFORMS
@@ -188,7 +180,7 @@ def upsampler_table(
             per_type_db=conv_types,
             average_db=float(np.mean(conv_overall)),
             prior_on_average_db=None,
-            tonal_line_db=float(np.mean([tonal_probe_for(s, rate, edge_trim=probe_trim) for s in conv_specs])),
+            tonal_line_db=float(np.mean([tonal_probe_for(s, rate) for s in conv_specs])),
             seed_std_db=float(np.std(conv_overall)),
         )
     ]
@@ -199,7 +191,7 @@ def upsampler_table(
                 per_type_db=dict(rep.per_type_mean_db),
                 average_db=rep.overall_mean_db,
                 prior_on_average_db=rep_aa_prior.overall_mean_db if spec is aa else None,
-                tonal_line_db=tonal_probe_for(spec, rate, edge_trim=probe_trim),
+                tonal_line_db=tonal_probe_for(spec, rate),
                 seed_std_db=None,
             )
         )
@@ -310,4 +302,8 @@ def load_bench_csv(path: str | Path) -> list[BenchEntryMeta]:
         raise ConfigError(f"{path}: malformed benchmark CSV: {exc}") from exc
     if not metas:
         raise ConfigError(f"{path}: empty benchmark metadata")
+    present = {m.waveform for m in metas}
+    missing = [w for w in WAVEFORMS if w not in present]
+    if missing:
+        raise ConfigError(f"{path}: benchmark has no {', '.join(missing)} signals")
     return metas

@@ -19,9 +19,10 @@ from .audio import NumericError
 from .bench import (
     DEFAULT_ACTIVATIONS,
     BenchEntryMeta,
+    evaluate,
     load_bench_csv,
+    measure_activation,
     regenerate_entries,
-    run_activations,
     upsampler_table,
     write_activation_full_csv,
     write_activation_summary_csv,
@@ -33,7 +34,7 @@ from .configio import (
     ConfigError,
     config_hash,
     file_sha256,
-    load_activation_configs,
+    load_configs,
     serialize_spec,
     write_csv,
     write_manifest,
@@ -110,13 +111,13 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
     bench_dir = Path(args.bench)
     metas, entries = _load_bench_entries(bench_dir)
     if args.configs:
-        configs = load_activation_configs(args.configs)
+        configs = load_configs(ActivationSpec, args.configs)
         config_source = str(args.configs)
     else:
         configs = list(DEFAULT_ACTIVATIONS)
         config_source = "builtin"
 
-    reports = run_activations(entries, configs, threads=args.threads)
+    reports = evaluate(entries, configs, measure_activation, args.threads)
 
     out = Path(args.out)
     if out.parent != Path(""):
@@ -205,7 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.config:
-        configs = load_activation_configs(args.config)
+        configs = load_configs(ActivationSpec, args.config)
         panels: list[tuple[str, ActivationSpec | None]] = [
             (f"{i + 1:02d}_{spec.name}", spec) for i, spec in enumerate(configs)
         ]
@@ -255,6 +256,14 @@ def cmd_filter_response(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def thread_count(text: str) -> int:
+    """argparse type for --threads: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aliasbench",
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="manifest seed for all randomness (default 0)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for signal evaluation (default 1)")
+    common.add_argument("--threads", type=thread_count, default=1, help="worker threads for signal evaluation, at least 1 (default 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,8 +1,8 @@
 """Plain-text config blocks, content hashing, manifests, atomic file writes.
 
 Config files are key = value lines; blank lines separate blocks; '#' starts
-a comment line. Every value a spec dataclass needs has a fixed key; unknown
-keys are rejected so typos fail loudly.
+a comment line. Each key is a field of the spec dataclass and its value is
+cast by that field's type; unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -11,9 +11,13 @@ import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING, TypeVar
 
-from .activations import ActivationSpec
-from .upsamplers import UpsamplerSpec
+if TYPE_CHECKING:
+    from .activations import ActivationSpec
+    from .upsamplers import UpsamplerSpec
+
+Spec = TypeVar("Spec", "ActivationSpec", "UpsamplerSpec")
 
 
 class ConfigError(ValueError):
@@ -48,82 +52,44 @@ def parse_blocks(text: str) -> list[dict[str, str]]:
     return blocks
 
 
-def _convert(block: dict[str, str], casts: dict[str, type]) -> dict:
-    out: dict = {}
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(value)
+    return value.lower() == "true"
+
+
+#: Spec field annotation -> cast of its text value. The spec modules use
+#: postponed annotations, so dataclasses.fields() reports each type by name.
+_CASTS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+
+
+def spec_from_block(cls: type[Spec], block: dict[str, str]) -> Spec:
+    """Build a spec dataclass from one parsed block, casting each value by
+    the type of the field it names."""
+    casts = {f.name: _CASTS[f.type] for f in fields(cls)}
+    kwargs: dict = {}
     for key, value in block.items():
         if key not in casts:
             raise ConfigError(f"unknown config key {key!r}")
-        cast = casts[key]
         try:
-            if cast is bool:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(value)
-                out[key] = value.lower() == "true"
-            else:
-                out[key] = cast(value)
+            kwargs[key] = casts[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    return out
-
-
-_ACTIVATION_CASTS = {
-    "kind": str,
-    "alpha": float,
-    "beta": float,
-    "slope": float,
-    "elu_a": float,
-    "oversample": int,
-    "adaa_tol": float,
-    "adaa_base": str,
-    "name": str,
-    "table_row": bool,
-}
-
-_UPSAMPLER_CASTS = {
-    "kind": str,
-    "factor": int,
-    "kernel_size": int,
-    "seed": int,
-    "noise_prior": bool,
-    "stopband_atten_db": float,
-    "base_transition": float,
-    "name": str,
-    "table_row": bool,
-}
-
-
-def activation_spec_from_block(block: dict[str, str]) -> ActivationSpec:
-    kwargs = _convert(block, _ACTIVATION_CASTS)
     if "kind" not in kwargs:
-        raise ConfigError("activation block is missing 'kind'")
+        family = cls.__name__.removesuffix("Spec").lower()
+        raise ConfigError(f"{family} block is missing 'kind'")
     try:
-        return ActivationSpec(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def upsampler_spec_from_block(block: dict[str, str]) -> UpsamplerSpec:
-    kwargs = _convert(block, _UPSAMPLER_CASTS)
-    if "kind" not in kwargs:
-        raise ConfigError("upsampler block is missing 'kind'")
-    try:
-        return UpsamplerSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_activation_configs(path: str | Path) -> list[ActivationSpec]:
+def load_configs(cls: type[Spec], path: str | Path) -> list[Spec]:
+    """Every block of a config file as a spec of type cls."""
     blocks = parse_blocks(Path(path).read_text(encoding="utf-8"))
     if not blocks:
         raise ConfigError(f"{path}: no config blocks found")
-    return [activation_spec_from_block(b) for b in blocks]
-
-
-def load_upsampler_configs(path: str | Path) -> list[UpsamplerSpec]:
-    blocks = parse_blocks(Path(path).read_text(encoding="utf-8"))
-    if not blocks:
-        raise ConfigError(f"{path}: no config blocks found")
-    return [upsampler_spec_from_block(b) for b in blocks]
+    return [spec_from_block(cls, b) for b in blocks]
 
 
 def serialize_spec(spec: ActivationSpec | UpsamplerSpec) -> str:
@@ -144,21 +110,26 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write-temp-then-rename so partial files are never observable."""
+def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
+    """Write <name>.tmp, then rename it over path, so a partial file is never
+    observable under the final name. The temp file is removed on failure."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    tmp.replace(path)
+    try:
+        tmp.write_bytes(blob)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
     """UTF-8, LF-terminated CSV with a mandatory header row."""
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_manifest(path: str | Path, payload: dict) -> None:
     """Deterministic JSON manifest: sorted keys, no timestamps."""
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    atomic_write_bytes(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))

@@ -27,6 +27,7 @@ from scipy import fft as sfft
 from scipy.signal import windows
 
 from .audio import AudioBuffer
+from .configio import atomic_write_bytes
 
 #: Default AHR clamp: numerically silent alias bands report this instead of -inf.
 FLOOR_DB = -120.0
@@ -307,16 +308,11 @@ def spectrogram_export(x: AudioBuffer, frame: int, hop: int, base_path: str | Pa
     lines = [header]
     for i, t in enumerate(times):
         lines.append(f"{t:.6f}," + ",".join(f"{v:.2f}" for v in db[:, i]))
-    _atomic_write_bytes(csv_path, ("\n".join(lines) + "\n").encode())
+    atomic_write_bytes(csv_path, ("\n".join(lines) + "\n").encode())
 
     pixels = np.rint((db + 100.0) / 100.0 * 255.0).astype(np.uint8)
     pixels = pixels[::-1, :]  # highest frequency on top
     pgm_header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
-    _atomic_write_bytes(pgm_path, pgm_header + pixels.tobytes())
+    atomic_write_bytes(pgm_path, pgm_header + pixels.tobytes())
     return csv_path, pgm_path
 
-
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    tmp.replace(path)

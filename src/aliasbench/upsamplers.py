@@ -31,7 +31,7 @@ from .filters import (
     upsample_filtered,
     zero_interlace,
 )
-from .metrics import FLOOR_DB, BAND_HALF_WIDTH_BINS, estimate_spectrum
+from .metrics import FLOOR_DB, BAND_HALF_WIDTH_BINS, _band_slice, estimate_spectrum
 
 UPSAMPLER_KINDS = ("conv_transpose", "linear", "nearest", "aa_resample")
 
@@ -202,22 +202,13 @@ def image_frequencies(
     return tuple(sorted(images))
 
 
-@dataclass(frozen=True)
-class TonalProbeResult:
-    """Energy at the stride-frequency grid relative to total power, in dB."""
-
-    stride_line_db: float
-    dc_input_bias: float
-
-
 def tonal_probe(
     output: AudioBuffer,
     input_rate: int,
-    dc_input_bias: float,
     edge_trim: int = 8192,
     floor_db: float = FLOOR_DB,
-) -> TonalProbeResult:
-    """Measure tonal-artifact lines in a layer's output for constant input.
+) -> float:
+    """Tonal-artifact level (dB) in a layer's output for constant input.
 
     Sums band energy at every multiple of the input rate up to the output
     Nyquist and reports it relative to total output power. A bias-carrying
@@ -226,16 +217,12 @@ def tonal_probe(
     s = estimate_spectrum(output, edge_trim=edge_trim)
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
     out_nyq = output.sample_rate / 2.0
-    lines = [n * input_rate for n in range(1, int(out_nyq // input_rate) + 1)]
-    mask = np.zeros(s.power.size, dtype=bool)
-    for f in lines:
-        lo = int(np.searchsorted(s.bin_freqs, f - hw, side="left"))
-        hi = int(np.searchsorted(s.bin_freqs, f + hw, side="right"))
+    mask = np.zeros(s.power.size, dtype=bool)  # a mask, so overlapping lines count once
+    for n in range(1, int(out_nyq // input_rate) + 1):
+        lo, hi = _band_slice(s, n * input_rate, hw)
         mask[lo:hi] = True
     e_lines = float(s.power[mask].sum())
     total = s.total_power
     if e_lines <= 0.0 or total <= 0.0:
-        db = floor_db
-    else:
-        db = max(floor_db, 10.0 * math.log10(e_lines / total))
-    return TonalProbeResult(stride_line_db=db, dc_input_bias=dc_input_bias)
+        return floor_db
+    return max(floor_db, 10.0 * math.log10(e_lines / total))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import os
+import io
 import struct
 from pathlib import Path
 
@@ -10,6 +10,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .audio import AudioBuffer
+from .configio import atomic_write_bytes
 
 
 class WavError(IOError):
@@ -23,13 +24,11 @@ def wav_write(buffer: AudioBuffer, path: str | Path) -> None:
     partially written file. Round trip through wav_read is bit-exact at
     float32 precision.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    blob = io.BytesIO()
+    wavfile.write(blob, buffer.sample_rate, buffer.samples.astype(np.float32))
     try:
-        wavfile.write(tmp, buffer.sample_rate, buffer.samples.astype(np.float32))
-        os.replace(tmp, path)
+        atomic_write_bytes(path, blob.getvalue())
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
         raise WavError(f"cannot write {path}: {exc}") from exc
 
 

@@ -37,8 +37,9 @@ from aliasbench.activations import (
 from aliasbench.audio import AudioBuffer
 from aliasbench.bench import (
     DEFAULT_ACTIVATIONS,
+    evaluate,
+    measure_activation,
     regenerate_entries,
-    run_activations,
     upsampler_table,
 )
 from aliasbench.cli import EXIT_OK, main
@@ -55,7 +56,7 @@ def activation_run():
     """All built-in activation configs over the full 144-signal benchmark."""
     entries = [(spec.waveform, spec.f0_hz, buf) for spec, buf in build_benchmark()]
     t0 = time.perf_counter()
-    reports = run_activations(entries, list(DEFAULT_ACTIVATIONS), threads=1)
+    reports = evaluate(entries, DEFAULT_ACTIVATIONS, measure_activation, threads=1)
     elapsed = time.perf_counter() - t0
     return {r.module_name: r for r in reports}, elapsed
 

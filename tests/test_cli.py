@@ -95,6 +95,17 @@ class TestRunActivations:
         rc = run("run-activations", "--bench", str(broken), "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_IO
 
+    def test_unknown_adaa_base_is_a_config_error(self, tiny_bench, tmp_path, capsys):
+        root, _ = tiny_bench
+        cfg = tmp_path / "bad_base.cfg"
+        cfg.write_text("kind = adaa_generic\nadaa_base = nope\n", encoding="utf-8")
+        rc = run("run-activations", "--bench", str(root), "--configs", str(cfg),
+                 "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "adaa_base" in err
+        assert len(err.splitlines()) == 1
+
     def test_malformed_bench_csv_is_a_config_error(self, tmp_path):
         bad = tmp_path / "badbench"
         bad.mkdir()
@@ -143,6 +154,16 @@ class TestRunUpsamplers:
                  "--seeds", "1", "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
 
+    def test_factor_above_a_signals_nyquist_rejected(self, tiny_bench, tmp_path, capsys):
+        """44.1 kHz / 7 puts B7 (3951 Hz) above the 3150 Hz input Nyquist."""
+        root, _ = tiny_bench
+        rc = run("run-upsamplers", "--bench", str(root), "--factor", "7",
+                 "--seeds", "1", "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "note 107" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_factor_below_two_rejected(self, tiny_bench, tmp_path):
         root, _ = tiny_bench
         rc = run("run-upsamplers", "--bench", str(root), "--factor", "1",
@@ -154,6 +175,25 @@ class TestRunUpsamplers:
         rc = run("run-upsamplers", "--bench", str(root), "--seeds", "0",
                  "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
+
+
+class TestBenchValidation:
+    @pytest.fixture()
+    def sine_only_bench(self, tiny_bench, tmp_path):
+        root, _ = tiny_bench
+        bench = tmp_path / "sine_only"
+        shutil.copytree(root, bench)
+        lines = (bench / "bench.csv").read_text(encoding="utf-8").splitlines()
+        kept = [ln for ln in lines if ln.startswith(("type,", "sine,"))]
+        (bench / "bench.csv").write_text("\n".join(kept) + "\n", encoding="utf-8")
+        return bench
+
+    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
+    def test_missing_waveforms_are_a_config_error(self, sine_only_bench, tmp_path, capsys, command):
+        rc = run(*command, "--bench", str(sine_only_bench), "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sawtooth, triangle" in err
 
 
 class TestSweep:
@@ -216,3 +256,14 @@ class TestArgumentHandling:
 
     def test_missing_required_option_is_usage_error(self):
         assert run("gen-bench") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tiny_bench, tmp_path, capsys, threads):
+        root, _ = tiny_bench
+        rc = run("run-activations", "--bench", str(root), "--threads", threads,
+                 "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: argument --threads: must be at least 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()

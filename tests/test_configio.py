@@ -1,24 +1,64 @@
 """Tests for config parsing, canonical serialization, hashing, and writers."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aliasbench.activations import ActivationSpec
+from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpec
 from aliasbench.configio import (
     ConfigError,
-    activation_spec_from_block,
-    atomic_write_text,
+    atomic_write_bytes,
     config_hash,
     file_sha256,
-    load_activation_configs,
-    load_upsampler_configs,
+    load_configs,
     parse_blocks,
     serialize_spec,
-    upsampler_spec_from_block,
+    spec_from_block,
     write_csv,
     write_manifest,
 )
-from aliasbench.upsamplers import UpsamplerSpec
+from aliasbench.upsamplers import UPSAMPLER_KINDS, UpsamplerSpec
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+#: Names survive a key = value line: no line breaks, no edge whitespace.
+names = st.text(string.ascii_letters + string.digits + "_-.=#", min_size=1)
+
+activation_specs = st.builds(
+    ActivationSpec,
+    kind=st.sampled_from(ActivationSpec._KINDS),
+    alpha=positive,
+    beta=positive,
+    slope=finite,
+    elu_a=finite,
+    oversample=st.sampled_from(OVERSAMPLE_FACTORS),
+    adaa_tol=positive,
+    adaa_base=st.sampled_from(ADAA_BASES),
+    name=names,
+    table_row=st.booleans(),
+)
+
+
+@st.composite
+def upsampler_specs(draw):
+    factor = draw(st.integers(2, 64))
+    return UpsamplerSpec(
+        kind=draw(st.sampled_from(UPSAMPLER_KINDS)),
+        factor=factor,
+        kernel_size=draw(st.just(0) | st.integers(factor, 8 * factor)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        noise_prior=draw(st.booleans()),
+        stopband_atten_db=draw(finite),
+        base_transition=draw(finite),
+        name=draw(names),
+        table_row=draw(st.booleans()),
+    )
+
+
+BOOL_FIELDS = [(ActivationSpec, "table_row"), (UpsamplerSpec, "noise_prior"), (UpsamplerSpec, "table_row")]
 
 
 class TestParseBlocks:
@@ -64,55 +104,81 @@ class TestSpecRoundTrip:
         )
         blocks = parse_blocks(serialize_spec(spec))
         assert len(blocks) == 1
-        assert activation_spec_from_block(blocks[0]) == spec
+        assert spec_from_block(ActivationSpec, blocks[0]) == spec
 
     def test_upsampler_round_trip(self):
         spec = UpsamplerSpec("conv_transpose", factor=4, kernel_size=9, seed=11, noise_prior=True)
         blocks = parse_blocks(serialize_spec(spec))
-        assert upsampler_spec_from_block(blocks[0]) == spec
+        assert spec_from_block(UpsamplerSpec, blocks[0]) == spec
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
-            activation_spec_from_block({"kind": "elu", "alfa": "2"})
+            spec_from_block(ActivationSpec, {"kind": "elu", "alfa": "2"})
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
-            activation_spec_from_block({"kind": "elu", "alpha": "two"})
+            spec_from_block(ActivationSpec, {"kind": "elu", "alpha": "two"})
         with pytest.raises(ConfigError, match="bad value"):
-            upsampler_spec_from_block({"kind": "linear", "noise_prior": "yes"})
+            spec_from_block(UpsamplerSpec, {"kind": "linear", "noise_prior": "yes"})
 
     def test_missing_kind_rejected(self):
         with pytest.raises(ConfigError, match="missing 'kind'"):
-            activation_spec_from_block({"alpha": "2"})
+            spec_from_block(ActivationSpec, {"alpha": "2"})
         with pytest.raises(ConfigError, match="missing 'kind'"):
-            upsampler_spec_from_block({"factor": "2"})
+            spec_from_block(UpsamplerSpec, {"factor": "2"})
 
     def test_invalid_spec_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
-            activation_spec_from_block({"kind": "swish"})
+            spec_from_block(ActivationSpec, {"kind": "swish"})
         with pytest.raises(ConfigError):
-            upsampler_spec_from_block({"kind": "linear", "factor": "1"})
+            spec_from_block(UpsamplerSpec, {"kind": "linear", "factor": "1"})
+
+
+class TestDerivedParserProperties:
+    @settings(deadline=None)
+    @given(st.one_of(activation_specs, upsampler_specs()))
+    def test_serialize_parse_round_trip(self, spec):
+        (block,) = parse_blocks(serialize_spec(spec))
+        back = spec_from_block(type(spec), block)
+        assert back == spec
+        assert config_hash(back) == config_hash(spec)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(BOOL_FIELDS),
+        st.text() | st.sampled_from(["true", "false"]).flatmap(
+            lambda w: st.tuples(*[st.sampled_from([c, c.upper()]) for c in w]).map("".join)
+        ),
+    )
+    def test_bool_fields_take_only_true_or_false(self, cls_field, value):
+        cls, field = cls_field
+        block = {"kind": "elu" if cls is ActivationSpec else "linear", field: value}
+        if value.lower() in ("true", "false"):
+            assert getattr(spec_from_block(cls, block), field) is (value.lower() == "true")
+        else:
+            with pytest.raises(ConfigError, match="bad value"):
+                spec_from_block(cls, block)
 
 
 class TestLoaders:
     def test_load_activation_configs(self, tmp_path):
         p = tmp_path / "acts.cfg"
         p.write_text("kind = elu\nname = E\n\nkind = snakebeta\nalpha = 3\n", encoding="utf-8")
-        specs = load_activation_configs(p)
+        specs = load_configs(ActivationSpec, p)
         assert [s.name for s in specs] == ["E", "snakebeta"]
         assert specs[1].alpha == 3.0
 
     def test_load_upsampler_configs(self, tmp_path):
         p = tmp_path / "ups.cfg"
         p.write_text("kind = aa_resample\nfactor = 2\nnoise_prior = true\n", encoding="utf-8")
-        (spec,) = load_upsampler_configs(p)
+        (spec,) = load_configs(UpsamplerSpec, p)
         assert spec.noise_prior is True
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.cfg"
         p.write_text("# nothing here\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="no config blocks"):
-            load_activation_configs(p)
+            load_configs(ActivationSpec, p)
 
 
 class TestConfigHash:
@@ -157,15 +223,22 @@ class TestWriters:
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         p = tmp_path / "out.txt"
-        atomic_write_text(p, "payload\n")
+        atomic_write_bytes(p, b"payload\n")
         assert [q.name for q in tmp_path.iterdir()] == ["out.txt"]
         assert p.read_text(encoding="utf-8") == "payload\n"
 
     def test_atomic_write_replaces_existing(self, tmp_path):
         p = tmp_path / "out.txt"
         p.write_text("old", encoding="utf-8")
-        atomic_write_text(p, "new\n")
+        atomic_write_bytes(p, b"new\n")
         assert p.read_text(encoding="utf-8") == "new\n"
+
+    def test_atomic_write_removes_temp_when_rename_fails(self, tmp_path):
+        target = tmp_path / "taken"
+        (target / "inside").mkdir(parents=True)
+        with pytest.raises(OSError):
+            atomic_write_bytes(target, b"payload\n")
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["taken"]
 
     def test_file_sha256_matches_hashlib(self, tmp_path):
         import hashlib

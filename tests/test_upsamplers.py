@@ -239,12 +239,9 @@ class TestTonalProbe:
         """A bias-carrying transposed convolution leaks strong lines at
         multiples of the input rate for constant input."""
         y = conv_transpose_1d(self.constant(), UpsamplerSpec("conv_transpose", seed=0))
-        r = tonal_probe(y, RATE, 0.5, edge_trim=2048)
-        assert r.stride_line_db >= -40.0
-        assert r.dc_input_bias == 0.5
+        assert tonal_probe(y, RATE, edge_trim=2048) >= -40.0
 
     def test_resampling_layers_stay_at_floor(self):
         for spec in (UpsamplerSpec("aa_resample"), UpsamplerSpec("linear"), UpsamplerSpec("nearest")):
             y = apply_upsampler(self.constant(), spec)
-            r = tonal_probe(y, RATE, 0.5, edge_trim=2048)
-            assert r.stride_line_db <= -100.0
+            assert tonal_probe(y, RATE, edge_trim=2048) <= -100.0
