@@ -65,7 +65,6 @@ def measure_upsampler(spec: UpsamplerSpec, entry: SignalEntry) -> AhrMeasurement
     waveform, f0, x = entry
     y = apply_upsampler(x, spec)
     context = UpsamplerContext(
-        factor=spec.factor,
         input_rate=x.sample_rate,
         alias_freqs=image_frequencies(f0, spec.factor, x.sample_rate, law_k_values(waveform)),
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
@@ -58,9 +59,16 @@ def _parse_bool(value: str) -> bool:
     return value.lower() == "true"
 
 
+def _parse_finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(value)
+    return x
+
+
 #: Spec field annotation -> cast of its text value. The spec modules use
 #: postponed annotations, so dataclasses.fields() reports each type by name.
-_CASTS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_CASTS = {"str": str, "int": int, "float": _parse_finite, "bool": _parse_bool}
 
 
 def spec_from_block(cls: type[Spec], block: dict[str, str]) -> Spec:
@@ -75,6 +83,8 @@ def spec_from_block(cls: type[Spec], block: dict[str, str]) -> Spec:
             kwargs[key] = casts[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+    if {",", '"'} & set(kwargs.get("name", "")):  # names go unquoted into the CSVs
+        raise ConfigError(f"bad value for 'name': {kwargs['name']!r} (a name may not contain ',' or '\"')")
     if "kind" not in kwargs:
         family = cls.__name__.removesuffix("Spec").lower()
         raise ConfigError(f"{family} block is missing 'kind'")

@@ -10,8 +10,15 @@ from the test signal's fundamental (never detected from the data):
 * upsampler context -- harmonics k*f0 below the *input* Nyquist; aliases are
   the spectral images |n*Fs_in +- k*f0| supplied by the caller.
 
-Band bookkeeping uses bin masks, so overlapping bands are never counted
-twice, and alias bands that would touch a harmonic band or DC are dropped.
+Every band is read through one routine, band_mask: measure_ahr,
+band_energy and upsamplers.tonal_probe use it alike. The band rule of
+measure_ahr:
+
+* a band covers the bins within BAND_HALF_WIDTH_BINS resolution bins of its
+  line, and bands are combined as a bin mask, so overlapping bands count once;
+* a band within two half-widths of DC is skipped;
+* an alias band that touches a harmonic band is dropped.
+
 The measurement is therefore insensitive to output gain and (for signals
 periodic in the analysis frame) to time shifts.
 """
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy import fft as sfft
@@ -96,36 +104,46 @@ def estimate_spectrum(x: AudioBuffer, window: str = "hann", edge_trim: int = 0) 
     return SpectrumEstimate(freqs, power, window, nfft, n, x.sample_rate)
 
 
+def band_mask(s: SpectrumEstimate, centres, half_width: float, exclude=None) -> tuple[np.ndarray, int]:
+    """Bin mask of the bands centre +- half_width (clipped to the grid) and the
+    number of bands in it. Empty bands, and bands touching a bin of the
+    exclude mask, are dropped; overlapping bands count each bin once. The work
+    grows with bands x band width, not with the spectrum length."""
+    c = np.asarray(centres, dtype=float)
+    lo = np.searchsorted(s.bin_freqs, c - half_width, side="left")
+    hi = np.searchsorted(s.bin_freqs, c + half_width, side="right")
+    bins = lo[:, None] + np.arange((hi - lo).max(initial=0))
+    inside = bins < hi[:, None]
+    keep = hi > lo
+    if exclude is not None:
+        keep &= ~(inside & exclude[np.minimum(bins, s.power.size - 1)]).any(axis=1)
+    mask = np.zeros(s.power.size, dtype=bool)
+    mask[bins[inside & keep[:, None]]] = True
+    return mask, int(keep.sum())
+
+
 def band_energy(s: SpectrumEstimate, center_hz: float, half_width_hz: float) -> float:
     """Sum of bin powers over [center - hw, center + hw] (clipped to the grid)."""
     if center_hz < 0:
         raise ValueError("band center must be >= 0")
     if half_width_hz < 0:
         raise ValueError("half width must be >= 0")
-    lo, hi = _band_slice(s, center_hz, half_width_hz)
-    return float(s.power[lo:hi].sum())
+    mask, _ = band_mask(s, [center_hz], half_width_hz)
+    return float(s.power[mask].sum())
 
 
-def _band_slice(s: SpectrumEstimate, center_hz: float, half_width_hz: float) -> tuple[int, int]:
-    lo = int(np.searchsorted(s.bin_freqs, center_hz - half_width_hz, side="left"))
-    hi = int(np.searchsorted(s.bin_freqs, center_hz + half_width_hz, side="right"))
-    return lo, hi
-
-
-def fold_frequency(freq_hz: float, sample_rate: float) -> float:
-    """Reflect a frequency into [0, Nyquist] by mirroring about 0 and Nyquist."""
-    nyq = sample_rate / 2.0
-    r = math.fmod(freq_hz, sample_rate)
-    if r < 0:
-        r += sample_rate
-    return sample_rate - r if r > nyq else r
+def fold_frequency(freq_hz, sample_rate: float):
+    """Reflect frequencies (scalar or array) into [0, Nyquist] by mirroring
+    about 0 and Nyquist."""
+    r = np.mod(freq_hz, sample_rate)
+    return np.minimum(r, sample_rate - r)
 
 
 @dataclass(frozen=True)
 class ActivationContext:
     """AHR bookkeeping for a nonlinearity: folds of k*f0 are the aliases."""
 
-    k_cap: int = K_CAP
+    k_cap: ClassVar[int] = K_CAP
 
 
 @dataclass(frozen=True)
@@ -136,10 +154,9 @@ class UpsamplerContext:
     input's partials; harmonics are counted below the input Nyquist.
     """
 
-    factor: int
     input_rate: int
     alias_freqs: tuple[float, ...]
-    k_cap: int = K_CAP
+    k_cap: ClassVar[int] = K_CAP
 
 
 @dataclass(frozen=True)
@@ -164,39 +181,19 @@ def measure_ahr(
     s = estimate_spectrum(output, edge_trim=edge_trim)
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
 
+    kf = np.arange(1, K_CAP + 1) * f0
     if isinstance(context, ActivationContext):
         nyq = output.sample_rate / 2.0
-        ks = np.arange(1, context.k_cap + 1)
-        harm = [k * f0 for k in ks if k * f0 < nyq]
-        alias = [fold_frequency(k * f0, output.sample_rate) for k in ks if k * f0 >= nyq]
+        harm = kf[kf < nyq]
+        alias = fold_frequency(kf[kf >= nyq], output.sample_rate)
     else:
-        nyq_in = context.input_rate / 2.0
-        ks = np.arange(1, context.k_cap + 1)
-        harm = [k * f0 for k in ks if k * f0 < nyq_in]
-        alias = list(context.alias_freqs)
-    if not harm:
+        harm = kf[kf < context.input_rate / 2.0]
+        alias = np.asarray(context.alias_freqs, dtype=float)
+    if harm.size == 0:
         raise ValueError(f"empty harmonic set for f0={f0} Hz")
 
-    hmask = np.zeros(s.power.size, dtype=bool)
-    h_count = 0
-    for f in harm:
-        if f <= 2.0 * hw:  # band would touch DC
-            continue
-        lo, hi = _band_slice(s, f, hw)
-        if hi > lo:
-            hmask[lo:hi] = True
-            h_count += 1
-
-    amask = np.zeros(s.power.size, dtype=bool)
-    a_count = 0
-    for f in alias:
-        if f <= 2.0 * hw:
-            continue
-        lo, hi = _band_slice(s, f, hw)
-        if hi <= lo or hmask[lo:hi].any():  # collision with a harmonic band
-            continue
-        amask[lo:hi] = True
-        a_count += 1
+    hmask, h_count = band_mask(s, harm[harm > 2.0 * hw], hw)
+    amask, a_count = band_mask(s, alias[alias > 2.0 * hw], hw, exclude=hmask)
 
     assert not np.any(hmask & amask), "harmonic and alias bands must be disjoint"
     e_h = float(s.power[hmask].sum())

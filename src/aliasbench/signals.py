@@ -103,21 +103,19 @@ def partial_series(waveform: str, f0: float, cap_hz: float) -> tuple[np.ndarray,
     return ks, amps
 
 
-def law_k_values(waveform: str, amp_floor: float = 1e-6, cap: int = 512) -> tuple[int, ...]:
-    """Harmonic numbers whose Fourier-law amplitude is at least amp_floor.
+def law_k_values(waveform: str) -> tuple[int, ...]:
+    """Harmonic numbers of the waveform's Fourier law, up to k = 512.
 
     Used for image accounting in the upsampler benchmark: an upsampler is
     linear, so only partials actually present in the input can produce
-    images. sine -> (1,); sawtooth -> 1..cap; triangle -> odd k up to cap.
+    images. sine -> (1,); sawtooth -> 1..512; triangle -> odd k up to 511.
     """
     if waveform == "sine":
-        return (1,) if 1.0 >= amp_floor else ()
+        return (1,)
     if waveform == "sawtooth":
-        ks = [k for k in range(1, cap + 1) if (2.0 / math.pi) / k >= amp_floor]
-        return tuple(ks)
+        return tuple(range(1, 513))
     if waveform == "triangle":
-        ks = [k for k in range(1, cap + 1, 2) if (8.0 / math.pi**2) / k**2 >= amp_floor]
-        return tuple(ks)
+        return tuple(range(1, 513, 2))
     raise ValueError(f"unknown waveform {waveform!r}")
 
 

@@ -31,7 +31,7 @@ from .filters import (
     upsample_filtered,
     zero_interlace,
 )
-from .metrics import FLOOR_DB, BAND_HALF_WIDTH_BINS, _band_slice, estimate_spectrum
+from .metrics import FLOOR_DB, BAND_HALF_WIDTH_BINS, band_mask, estimate_spectrum
 
 UPSAMPLER_KINDS = ("conv_transpose", "linear", "nearest", "aa_resample")
 
@@ -172,34 +172,21 @@ def apply_upsampler(
     return aa_resample_upsample(x, spec, prior_source)
 
 
-def image_frequencies(
-    f0: float,
-    factor: int,
-    input_rate: float,
-    k_values,
-    exclude_tol_hz: float = 0.0,
-) -> tuple[float, ...]:
+def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[float, ...]:
     """Image (alias) frequencies an upsampler can create from k*f0 partials.
 
-    {|n * Fs_in +- k * f0|} for n = 1..L-1, restricted to (0, L*Fs_in/2] and
-    excluding anything within exclude_tol_hz of a harmonic k*f0 < Fs_in/2.
-    k_values may be an int k_max (meaning 1..k_max) or an iterable of ks.
+    The distinct values of |n * Fs_in +- k * f0| for n = 1..L-1 and k in ks,
+    restricted to (0, L*Fs_in/2], in ascending order. An image that lands on
+    a harmonic is kept here; measure_ahr drops its band.
     """
     if not 0 < f0 < input_rate / 2.0:
         raise ValueError("f0 must lie below the input Nyquist")
     if factor < 2:
         raise ValueError("factor must be >= 2")
-    ks = range(1, int(k_values) + 1) if isinstance(k_values, (int, np.integer)) else tuple(k_values)
-    out_nyq = factor * input_rate / 2.0
-    harmonics = [k * f0 for k in ks if k * f0 < input_rate / 2.0]
-    images: set[float] = set()
-    for n in range(1, factor):
-        for k in ks:
-            for f in (n * input_rate - k * f0, n * input_rate + k * f0):
-                f = abs(f)
-                if 0.0 < f <= out_nyq and all(abs(f - h) > exclude_tol_hz for h in harmonics):
-                    images.add(f)
-    return tuple(sorted(images))
+    n_fs = np.arange(1, factor)[:, None] * input_rate
+    kf = np.asarray(ks, dtype=float) * f0
+    f = np.abs(np.concatenate([n_fs - kf, n_fs + kf]).ravel())
+    return tuple(np.unique(f[(f > 0.0) & (f <= factor * input_rate / 2.0)]).tolist())
 
 
 def tonal_probe(
@@ -217,10 +204,7 @@ def tonal_probe(
     s = estimate_spectrum(output, edge_trim=edge_trim)
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
     out_nyq = output.sample_rate / 2.0
-    mask = np.zeros(s.power.size, dtype=bool)  # a mask, so overlapping lines count once
-    for n in range(1, int(out_nyq // input_rate) + 1):
-        lo, hi = _band_slice(s, n * input_rate, hw)
-        mask[lo:hi] = True
+    mask, _ = band_mask(s, input_rate * np.arange(1, int(out_nyq // input_rate) + 1), hw)
     e_lines = float(s.power[mask].sum())
     total = s.total_power
     if e_lines <= 0.0 or total <= 0.0:

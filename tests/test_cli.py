@@ -106,6 +106,33 @@ class TestRunActivations:
         assert err.startswith("error: ") and "adaa_base" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("alpha", "nan"), ("elu_a", "nan"), ("slope", "inf"), ("slope", "nan"),
+         ("adaa_tol", "nan"), ("beta", "inf"), ("beta", "-Infinity")],
+    )
+    def test_non_finite_value_is_a_config_error(self, tiny_bench, tmp_path, capsys, key, value):
+        root, _ = tiny_bench
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(f"kind = adaa_snakebeta\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = run("run-activations", "--bench", str(root), "--configs", str(cfg), "--out", str(out))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: bad value for {key!r}: {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["Snake,Beta", 'Snake"Beta'])
+    def test_name_with_csv_delimiter_is_a_config_error(self, tiny_bench, tmp_path, capsys, name):
+        root, _ = tiny_bench
+        cfg = tmp_path / "badname.cfg"
+        cfg.write_text(f"kind = snakebeta\nname = {name}\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = run("run-activations", "--bench", str(root), "--configs", str(cfg), "--out", str(out))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for 'name'") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_malformed_bench_csv_is_a_config_error(self, tmp_path):
         bad = tmp_path / "badbench"
         bad.mkdir()

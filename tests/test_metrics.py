@@ -4,22 +4,33 @@ The end-to-end AHR oracle (ahr_oracle.py) is fully independent of the
 pipeline: the exact output partials of a memoryless nonlinearity driven by a
 sine are computed from a dense one-period FFT, assigned to harmonic or alias
 buckets by fold arithmetic, and the predicted ratio is compared against the
-measured one.
+measured one. The vectorized band bookkeeping (band_mask) is checked against
+the per-band loops it replaced, kept here as the reference.
 """
+
+import math
 
 import numpy as np
 import pytest
 from ahr_oracle import ORACLE_FUNCTIONS, predicted_ahr
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from aliasbench.activations import ActivationSpec, apply_activation
 from aliasbench.audio import AudioBuffer
 from aliasbench.metrics import (
+    BAND_HALF_WIDTH_BINS,
+    FLOOR_DB,
+    K_CAP,
     ActivationContext,
+    AhrMeasurement,
     SignalAhr,
+    SpectrumEstimate,
     UpsamplerContext,
     ahr,
     band_energy,
+    band_mask,
     build_report,
     estimate_spectrum,
     fold_frequency,
@@ -34,6 +45,7 @@ from aliasbench.signals import (
     gen_sweep,
     midi_to_freq,
 )
+from aliasbench.upsamplers import image_frequencies
 
 RATE = 44100
 
@@ -111,6 +123,141 @@ class TestBandEnergy:
             band_energy(s, 100.0, -1.0)
 
 
+def _band_slice(s, center_hz, half_width_hz):
+    """Reference: the bin range of one band, found with two scalar searches."""
+    lo = int(np.searchsorted(s.bin_freqs, center_hz - half_width_hz, side="left"))
+    hi = int(np.searchsorted(s.bin_freqs, center_hz + half_width_hz, side="right"))
+    return lo, hi
+
+
+def reference_band_mask(s, centres, half_width, exclude=None):
+    """Reference: one band at a time, as the bookkeeping was written before
+    band_mask. Empty bands and bands touching exclude are skipped."""
+    mask = np.zeros(s.power.size, dtype=bool)
+    count = 0
+    for f in centres:
+        lo, hi = _band_slice(s, f, half_width)
+        if hi <= lo or (exclude is not None and exclude[lo:hi].any()):
+            continue
+        mask[lo:hi] = True
+        count += 1
+    return mask, count
+
+
+def _reference_fold(freq_hz, sample_rate):
+    nyq = sample_rate / 2.0
+    r = math.fmod(freq_hz, sample_rate)
+    if r < 0:
+        r += sample_rate
+    return sample_rate - r if r > nyq else r
+
+
+def reference_measure_ahr(output, f0, context, edge_trim, floor_db=FLOOR_DB):
+    """Reference: measure_ahr with its per-band hmask/amask loops."""
+    s = estimate_spectrum(output, edge_trim=edge_trim)
+    hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
+    ks = np.arange(1, K_CAP + 1)
+    if isinstance(context, ActivationContext):
+        nyq = output.sample_rate / 2.0
+        harm = [k * f0 for k in ks if k * f0 < nyq]
+        alias = [_reference_fold(k * f0, output.sample_rate) for k in ks if k * f0 >= nyq]
+    else:
+        harm = [k * f0 for k in ks if k * f0 < context.input_rate / 2.0]
+        alias = list(context.alias_freqs)
+
+    hmask = np.zeros(s.power.size, dtype=bool)
+    h_count = 0
+    for f in harm:
+        if f <= 2.0 * hw:
+            continue
+        lo, hi = _band_slice(s, f, hw)
+        if hi > lo:
+            hmask[lo:hi] = True
+            h_count += 1
+
+    amask = np.zeros(s.power.size, dtype=bool)
+    a_count = 0
+    for f in alias:
+        if f <= 2.0 * hw:
+            continue
+        lo, hi = _band_slice(s, f, hw)
+        if hi <= lo or hmask[lo:hi].any():
+            continue
+        amask[lo:hi] = True
+        a_count += 1
+
+    e_h = float(s.power[hmask].sum())
+    e_a = float(s.power[amask].sum())
+    if e_h <= 0.0 or e_a <= 0.0:
+        ahr_db = floor_db
+    else:
+        ahr_db = max(floor_db, 10.0 * math.log10(e_a / e_h))
+    return AhrMeasurement(ahr_db, h_count, a_count, e_h, e_a)
+
+
+@st.composite
+def band_cases(draw):
+    """A small spectrum grid, a half width (zero included), centres that
+    overlap, sit on bins, lie within two half widths of DC or past the last
+    bin, and an optional random exclude mask."""
+    nfft = draw(st.sampled_from([64, 256, 1024]))
+    rate = draw(st.sampled_from([1000, 44100]))
+    freqs = np.fft.rfftfreq(nfft, d=1.0 / rate)
+    s = SpectrumEstimate(freqs, np.ones(freqs.size), "rect", nfft, nfft, rate)
+    hw = draw(st.just(0.0) | st.floats(0.0, 20.0 * rate / nfft))
+    on_bin = st.integers(0, freqs.size - 1).map(lambda i: float(freqs[i]))
+    anywhere = st.floats(0.0, 0.6 * rate)
+    near_dc = st.floats(0.0, 2.0 * hw)
+    centres = draw(st.lists(on_bin | anywhere | near_dc, max_size=40))
+    exclude = draw(
+        st.none() | st.lists(st.booleans(), min_size=freqs.size, max_size=freqs.size).map(np.array)
+    )
+    return s, centres, hw, exclude
+
+
+class TestBandMask:
+    @settings(deadline=None)
+    @given(band_cases())
+    def test_matches_per_band_loop(self, case):
+        s, centres, hw, exclude = case
+        mask, count = band_mask(s, centres, hw, exclude=exclude)
+        want_mask, want_count = reference_band_mask(s, centres, hw, exclude)
+        assert np.array_equal(mask, want_mask)
+        assert count == want_count
+
+
+
+@st.composite
+def ahr_cases(draw):
+    """A noisy tone at a random f0 under an activation or upsampler context
+    whose alias lines include ones near DC, on a harmonic, and beyond the grid."""
+    rate = draw(st.sampled_from([8000, 44100]))
+    n = draw(st.integers(2048, 6000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f0 = draw(st.floats(20.0, rate / 2.0 - 1.0))
+    t = np.arange(n) / rate
+    x = AudioBuffer(np.sin(2 * np.pi * f0 * t) + 1e-3 * rng.standard_normal(n), rate)
+    if draw(st.booleans()):
+        return x, f0, ActivationContext()
+    input_rate = rate // 2
+    if f0 >= input_rate / 2.0:
+        f0 = f0 / 2.0
+    line = st.floats(0.0, 0.6 * rate) | st.floats(0.0, 10.0) | st.integers(1, 40).map(lambda k: k * f0)
+    alias = tuple(draw(st.lists(line, max_size=30)))
+    return x, f0, UpsamplerContext(input_rate=input_rate, alias_freqs=alias)
+
+
+class TestMeasureAhrBookkeeping:
+    @settings(deadline=None, max_examples=60)
+    @given(ahr_cases(), st.sampled_from([0, 256]))
+    def test_matches_per_band_loops(self, case, edge_trim):
+        """Same band counts, energies and AHR as the per-band loops."""
+        x, f0, context = case
+        assert measure_ahr(x, f0, context, edge_trim=edge_trim) == reference_measure_ahr(
+            x, f0, context, edge_trim
+        )
+
+
 class TestFoldFrequency:
     def test_reflection_about_nyquist(self):
         assert fold_frequency(24000.0, 44100) == pytest.approx(20100.0)
@@ -129,6 +276,10 @@ class TestFoldFrequency:
 
     def test_negative_frequency(self):
         assert fold_frequency(-100.0, 44100) == pytest.approx(100.0)
+
+    def test_array_folds_elementwise(self):
+        freqs = np.array([-100.0, 1000.0, 22050.0, 24000.0, 44100.0, 88200.0 - 300.0])
+        assert np.array_equal(fold_frequency(freqs, 44100), [_reference_fold(f, 44100) for f in freqs])
 
 
 class TestMeasureAhr:
@@ -171,7 +322,7 @@ class TestMeasureAhr:
         """A -40 dB line at a declared image frequency reads as -40 dB."""
         x = sine_buffer(1000.0, duration_s=2.0)
         y = AudioBuffer(x.samples + 0.01 * sine_buffer(21050.0, duration_s=2.0).samples, RATE)
-        ctx = UpsamplerContext(factor=2, input_rate=22050, alias_freqs=(21050.0,))
+        ctx = UpsamplerContext(input_rate=22050, alias_freqs=(21050.0,))
         m = measure_ahr(y, 1000.0, ctx, edge_trim=4096)
         assert m.harmonic_bands == 11  # k*1000 below the 11025 Hz input Nyquist
         assert m.alias_bands == 1
@@ -179,16 +330,26 @@ class TestMeasureAhr:
 
     def test_alias_band_near_dc_is_dropped(self):
         x = sine_buffer(1000.0, duration_s=2.0)
-        ctx = UpsamplerContext(factor=2, input_rate=22050, alias_freqs=(0.5,))
+        ctx = UpsamplerContext(input_rate=22050, alias_freqs=(0.5,))
         m = measure_ahr(x, 1000.0, ctx, edge_trim=4096)
         assert m.alias_bands == 0
         assert m.ahr_db == -120.0
 
     def test_alias_band_colliding_with_harmonic_is_dropped(self):
         x = sine_buffer(1000.0, duration_s=2.0)
-        ctx = UpsamplerContext(factor=2, input_rate=22050, alias_freqs=(3000.2,))
+        ctx = UpsamplerContext(input_rate=22050, alias_freqs=(3000.2,))
         m = measure_ahr(x, 1000.0, ctx, edge_trim=4096)
         assert m.alias_bands == 0
+
+    def test_image_on_a_harmonic_is_dropped(self):
+        """image_frequencies keeps an image that lands exactly on a harmonic
+        (22050 - 12 * 1050 = 9 * 1050); measure_ahr drops its band."""
+        images = image_frequencies(1050.0, 2, 22050, (12,))
+        assert images == (9450.0,)
+        x = sine_buffer(1050.0, duration_s=2.0)
+        m = measure_ahr(x, 1050.0, UpsamplerContext(input_rate=22050, alias_freqs=images), edge_trim=4096)
+        assert m.alias_bands == 0
+        assert m.ahr_db == FLOOR_DB
 
     def test_added_noise_raises_ahr(self):
         f0 = midi_to_freq(60)

@@ -123,12 +123,9 @@ class TestLawKValues:
         ks = law_k_values("sawtooth")
         assert ks[0] == 1 and ks[-1] == 512 and len(ks) == 512
 
-    def test_triangle_odd_only_with_amplitude_floor(self):
-        """Triangle partials below the 1e-6 amplitude floor are dropped:
-        (8/pi^2)/k^2 >= 1e-6 up to k=899, so the 512 cap binds first."""
+    def test_triangle_odd_only_to_cap(self):
         ks = law_k_values("triangle")
-        assert all(k % 2 == 1 for k in ks)
-        assert ks[-1] == 511
+        assert ks == tuple(range(1, 512, 2))
 
 
 class TestGenBandlimited:
