@@ -218,13 +218,6 @@ def relu_sine_fourier(k: int) -> float:
     return 0.0
 
 
-@dataclass
-class AdaaState:
-    """Carries x_{t-1} across block boundaries of a streamed ADAA application."""
-
-    prev_sample: float = 0.0
-
-
 @dataclass(frozen=True)
 class ActivationSpec:
     """Which nonlinearity to apply, with parameters and oversampling factor."""
@@ -255,27 +248,20 @@ class ActivationSpec:
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
-    @property
-    def is_adaa(self) -> bool:
-        return self.kind in ("adaa_snakebeta", "adaa_generic")
 
-
-def _apply_samples(x: np.ndarray, spec: ActivationSpec, state: AdaaState | None) -> np.ndarray:
+def _apply_samples(x: np.ndarray, spec: ActivationSpec) -> np.ndarray:
     if spec.kind == "leaky_relu":
         return leaky_relu(x, spec.slope)
     if spec.kind == "elu":
         return elu(x, spec.elu_a)
     if spec.kind == "snakebeta":
         return snakebeta(x, spec.alpha, spec.beta)
-    prev = 0.0 if state is None else state.prev_sample
-    x_prev = np.concatenate(([prev], x[:-1])) if x.size else x
+    x_prev = np.concatenate(([0.0], x[:-1])) if x.size else x
     if spec.kind == "adaa_snakebeta":
         y = adaa_snakebeta(x, x_prev, spec.alpha, spec.beta)
     else:
         pair = make_pair(spec.adaa_base, spec.alpha, spec.beta, spec.slope, spec.elu_a)
         y = adaa_generic(pair, x, x_prev, spec.adaa_tol)
-    if state is not None and x.size:
-        state.prev_sample = float(x[-1])
     return np.asarray(y, dtype=np.float64)
 
 
@@ -293,20 +279,11 @@ def oversampled_apply(
     return downsample_filtered(fn(upsample_filtered(x, factor)), factor)
 
 
-def apply_activation(x: AudioBuffer, spec: ActivationSpec, state: AdaaState | None = None) -> AudioBuffer:
+def apply_activation(x: AudioBuffer, spec: ActivationSpec) -> AudioBuffer:
     """Apply the configured nonlinearity over a whole buffer.
 
-    ADAA kinds consume samples in order and read x_{t-1} = 0 at stream start
-    (or from `state`, which is updated in place so per-block application with
-    a carried state is bit-exact at oversample = 1). With oversampling the
-    nonlinearity runs at the high rate between the two resampling filters.
+    ADAA kinds consume samples in order and read x_{t-1} = 0 at the start.
+    With oversampling the nonlinearity runs at the high rate between the two
+    resampling filters.
     """
-    if state is not None and spec.oversample != 1:
-        raise ValueError("streamed AdaaState is only meaningful without oversampling")
-    if spec.is_adaa and state is None and spec.oversample == 1:
-        state = AdaaState()
-
-    def run(buf: AudioBuffer) -> AudioBuffer:
-        return buf.with_samples(_apply_samples(buf.samples, spec, state if spec.oversample == 1 else AdaaState()))
-
-    return oversampled_apply(x, run, spec.oversample)
+    return oversampled_apply(x, lambda buf: buf.with_samples(_apply_samples(buf.samples, spec)), spec.oversample)

@@ -301,6 +301,11 @@ def load_bench_csv(path: str | Path) -> list[BenchEntryMeta]:
         raise ConfigError(f"{path}: malformed benchmark CSV: {exc}") from exc
     if not metas:
         raise ConfigError(f"{path}: empty benchmark metadata")
+    for m in metas:
+        if not 0.0 < m.f0_hz < m.sample_rate / 2.0:  # also rejects nan
+            raise ConfigError(
+                f"{path}: {m.waveform} note {m.midi_note}: f0_hz {m.f0_hz} is not in (0, {m.sample_rate / 2:.1f}) Hz"
+            )
     present = {m.waveform for m in metas}
     missing = [w for w in WAVEFORMS if w not in present]
     if missing:

@@ -71,7 +71,7 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metas: list[BenchEntryMeta] = []
-    for spec, buf in build_benchmark(args.note_grid):
+    for spec, buf in build_benchmark():
         name = f"{spec.waveform}_{spec.midi_note:03d}.wav"
         wav_write(buf, out_dir / name)
         metas.append(
@@ -83,7 +83,7 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
         {
             "command": "gen-bench",
             "version": __version__,
-            "note_grid": args.note_grid,
+            "note_grid": "loguniform48",  # the only grid; the key keeps manifests' bytes
             "seed": args.seed,
             "signals": len(metas),
             "files": {m.path: file_sha256(out_dir / m.path) for m in metas},
@@ -279,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-bench", parents=[common], help="synthesize the test-signal benchmark")
     p.add_argument("--out", required=True, help="output directory for WAVs + bench.csv")
-    p.add_argument(
-        "--note-grid", choices=("loguniform48", "chromatic"), default="loguniform48",
-        help="48 log-uniform notes C4..B7 (default) or the 36-note chromatic grid",
-    )
     p.set_defaults(func=cmd_gen_bench)
 
     p = sub.add_parser("run-activations", parents=[common], help="AHR comparison of activation configs")

@@ -83,8 +83,9 @@ def spec_from_block(cls: type[Spec], block: dict[str, str]) -> Spec:
             kwargs[key] = casts[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    if {",", '"'} & set(kwargs.get("name", "")):  # names go unquoted into the CSVs
-        raise ConfigError(f"bad value for 'name': {kwargs['name']!r} (a name may not contain ',' or '\"')")
+    # Names go unquoted into the CSVs, and sweep panel names into file paths.
+    if set(',"/\\') & set(kwargs.get("name", "")):
+        raise ConfigError(f"bad value for 'name': {kwargs['name']!r} (a name may not contain , \" / or \\)")
     if "kind" not in kwargs:
         family = cls.__name__.removesuffix("Spec").lower()
         raise ConfigError(f"{family} block is missing 'kind'")

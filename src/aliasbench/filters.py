@@ -143,24 +143,18 @@ def zero_interlace(x: AudioBuffer, factor: int) -> AudioBuffer:
     return AudioBuffer(y, x.sample_rate * factor)
 
 
-def upsample_filtered(x: AudioBuffer, factor: int, spec: FilterDesignSpec | None = None) -> AudioBuffer:
-    """Zero-interlace then low-pass at cutoff 1/L, gain-compensated by L.
-
-    factor 1 is the identity. The default filter is the benchmark resampling
-    design (100 dB stopband).
-    """
+def upsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
+    """Zero-interlace then apply the benchmark resampling low-pass (cutoff
+    1/L, 100 dB stopband), gain-compensated by L. factor 1 is the identity."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return x
-    if spec is None:
-        spec = resample_filter_spec(factor)
-    h = design_fir(spec)
-    y = convolve(zero_interlace(x, factor), h)
+    y = convolve(zero_interlace(x, factor), design_fir(resample_filter_spec(factor)))
     return y.with_samples(y.samples * factor)
 
 
-def downsample_filtered(x: AudioBuffer, factor: int, spec: FilterDesignSpec | None = None) -> AudioBuffer:
+def downsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
     """Low-pass at cutoff 1/L then keep every L-th sample. factor 1 is the identity."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -170,9 +164,7 @@ def downsample_filtered(x: AudioBuffer, factor: int, spec: FilterDesignSpec | No
         raise ValueError("input shorter than the decimation factor")
     if x.sample_rate % factor != 0:
         raise ValueError(f"sample rate {x.sample_rate} not divisible by factor {factor}")
-    if spec is None:
-        spec = resample_filter_spec(factor)
-    y = convolve(x, design_fir(spec))
+    y = convolve(x, design_fir(resample_filter_spec(factor)))
     return AudioBuffer(y.samples[::factor], x.sample_rate // factor)
 
 

@@ -37,7 +37,7 @@ from scipy.signal import windows
 from .audio import AudioBuffer
 from .configio import atomic_write_bytes
 
-#: Default AHR clamp: numerically silent alias bands report this instead of -inf.
+#: AHR clamp: numerically silent alias bands report this instead of -inf.
 FLOOR_DB = -120.0
 
 #: Band half-width in analysis-resolution bins (covers the Hann main lobe).
@@ -173,7 +173,6 @@ def measure_ahr(
     f0: float,
     context: ActivationContext | UpsamplerContext,
     edge_trim: int = 8192,
-    floor_db: float = FLOOR_DB,
 ) -> AhrMeasurement:
     """AHR of a processed test signal with full band bookkeeping."""
     if f0 <= 0:
@@ -199,21 +198,10 @@ def measure_ahr(
     e_h = float(s.power[hmask].sum())
     e_a = float(s.power[amask].sum())
     if e_h <= 0.0 or e_a <= 0.0:
-        ahr_db = floor_db
+        ahr_db = FLOOR_DB
     else:
-        ahr_db = max(floor_db, 10.0 * math.log10(e_a / e_h))
+        ahr_db = max(FLOOR_DB, 10.0 * math.log10(e_a / e_h))
     return AhrMeasurement(ahr_db, h_count, a_count, e_h, e_a)
-
-
-def ahr(
-    output: AudioBuffer,
-    f0: float,
-    context: ActivationContext | UpsamplerContext,
-    edge_trim: int = 8192,
-    floor_db: float = FLOOR_DB,
-) -> float:
-    """Convenience wrapper returning only the dB value."""
-    return measure_ahr(output, f0, context, edge_trim=edge_trim, floor_db=floor_db).ahr_db
 
 
 @dataclass(frozen=True)
@@ -236,7 +224,6 @@ class AhrReport:
     overall_mean_db: float
     harmonic_band_count: int
     alias_band_count: int
-    floor_db: float = FLOOR_DB
 
 
 def build_report(module_name: str, config_hash: str, entries: list[SignalAhr]) -> AhrReport:

@@ -164,25 +164,17 @@ def gen_sweep(f_start: float, f_end: float, duration_s: float, sample_rate: int)
     return AudioBuffer(np.sin(phase), sample_rate)
 
 
-def benchmark_notes(note_grid: str = "loguniform48") -> list[int]:
-    """MIDI notes of the benchmark grid.
-
-    loguniform48: 48 log-uniform frequencies spanning C4..B7 endpoints
-    included -- which is exactly the chromatic semitone grid 60..107.
-    chromatic: MIDI 60..95 inclusive (36 notes).
-    """
-    if note_grid == "loguniform48":
-        return list(range(_MIDI_LO, _MIDI_HI + 1))
-    if note_grid == "chromatic":
-        return list(range(60, 96))
-    raise ValueError(f"unknown note grid {note_grid!r}")
+def benchmark_notes() -> list[int]:
+    """MIDI notes of the benchmark grid: 48 log-uniform frequencies spanning
+    C4..B7 endpoints included -- which is exactly the semitone grid 60..107."""
+    return list(range(_MIDI_LO, _MIDI_HI + 1))
 
 
-def build_benchmark(note_grid: str = "loguniform48") -> list[tuple[TestSignalSpec, AudioBuffer]]:
+def build_benchmark() -> list[tuple[TestSignalSpec, AudioBuffer]]:
     """All benchmark segments, sorted by (waveform order, note) ascending."""
     out: list[tuple[TestSignalSpec, AudioBuffer]] = []
     for waveform in WAVEFORMS:
-        for note in benchmark_notes(note_grid):
+        for note in benchmark_notes():
             spec = TestSignalSpec(waveform=waveform, midi_note=note)
             out.append((spec, gen_bandlimited(spec)))
     return out

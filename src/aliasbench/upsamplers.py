@@ -1,11 +1,12 @@
 """The four upsampling layers under study.
 
-conv_transpose: stride-L transposed convolution with seeded random weights
-and bias -- the aliasing- and tonal-artifact-prone baseline. linear/nearest:
-classic interpolators, equivalent to zero-interlacing plus a fixed short
-kernel, which attenuates images only mildly. aa_resample: zero-interlacing
-plus a proper low-pass (optionally with a deterministic noise prior filling
-the empty high band), which suppresses images to the filter's stopband.
+Every layer is one path: zero-interlace by L, filter with an FIR kernel, then
+y * gain + bias. Only the kernel differs (upsampler_kernel). conv_transpose:
+seeded random weights and bias -- the aliasing- and tonal-artifact-prone
+baseline. linear/nearest: the fixed short kernels of classic interpolation,
+which attenuate images only mildly. aa_resample: a proper low-pass (optionally
+with a deterministic noise prior filling the empty high band), which
+suppresses images to the filter's stopband.
 
 All layers output length L * len(input) at rate L * input rate, and all
 randomness is drawn from counter-based streams keyed by (seed, domain), so
@@ -28,7 +29,6 @@ from .filters import (
     design_fir,
     interp_kernel,
     resample_filter_spec,
-    upsample_filtered,
     zero_interlace,
 )
 from .metrics import FLOOR_DB, BAND_HALF_WIDTH_BINS, band_mask, estimate_spectrum
@@ -90,86 +90,53 @@ def conv_transpose_weights(spec: UpsamplerSpec) -> tuple[np.ndarray, float]:
     return weights, bias
 
 
-def conv_transpose_1d(
-    x: AudioBuffer,
-    spec: UpsamplerSpec,
-    weights: np.ndarray | None = None,
-    bias: float | None = None,
-) -> AudioBuffer:
-    """Mono stride-L transposed convolution, truncated to L * len(x) samples.
+def upsampler_kernel(spec: UpsamplerSpec) -> tuple[FirKernel, float, float]:
+    """The FIR that follows zero-interlacing in this layer, its gain and bias.
 
-    y[m] = sum_j x[j] w[m - L j] + b. The constant bias is what turns into
-    the tonal artifact once a later stage folds it across band edges; the
-    cyclic polyphase gain mismatch is what creates the spectral images.
-    Explicit weights/bias override the seeded draw (for controlled tests).
+    conv_transpose: the seeded weights as a causal kernel (y[m] = sum_j
+    x[j] w[m - L j] + b) plus the seeded bias, which turns into the tonal
+    artifact once a later stage folds it across band edges; the cyclic
+    polyphase gain mismatch is what creates the spectral images.
+    linear/nearest: the triangle and hold kernels of classic interpolation.
+    aa_resample: the resampling low-pass at cutoff 1/L, gain-compensated by L.
     """
-    if spec.kind != "conv_transpose":
-        raise ValueError(f"spec kind is {spec.kind!r}, not conv_transpose")
-    if weights is None:
-        drawn_w, drawn_b = conv_transpose_weights(spec)
-        weights = drawn_w
-        if bias is None:
-            bias = drawn_b
-    elif bias is None:
-        bias = 0.0
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.size < spec.factor:
-        raise ValueError("kernel must cover the stride (kernel_size >= factor)")
-    interlaced = zero_interlace(x, spec.factor)
-    full = np.convolve(interlaced.samples, weights, mode="full")
-    return AudioBuffer(full[: len(x) * spec.factor] + bias, x.sample_rate * spec.factor)
-
-
-def interp_upsample(x: AudioBuffer, kind: str, factor: int) -> AudioBuffer:
-    """Linear or nearest-neighbor upsampling via zero-interlace + fixed kernel."""
-    if factor < 2:
-        raise ValueError("upsampling factor must be >= 2")
-    if kind == "linear":
-        kernel = interp_kernel("linear", factor)
-    elif kind == "nearest":
-        kernel = interp_kernel("hold", factor)
-    else:
-        raise ValueError(f"interp kind must be linear or nearest, got {kind!r}")
-    return convolve(zero_interlace(x, factor), kernel)
-
-
-def aa_resample_upsample(
-    x: AudioBuffer, spec: UpsamplerSpec, prior_source: AudioBuffer | None = None
-) -> AudioBuffer:
-    """Anti-aliased upsampling: zero-interlace + low-pass at cutoff 1/L.
-
-    With noise_prior on, a deterministic noise-like path fills the otherwise
-    empty high band: zero-interlace the prior source, run it through a seeded
-    7-tap convolution, high-pass it at the complementary cutoff, and mix with
-    a seeded unit-mean scalar gain pair.
-    """
-    if spec.kind != "aa_resample":
-        raise ValueError(f"spec kind is {spec.kind!r}, not aa_resample")
+    if spec.kind == "conv_transpose":
+        weights, bias = conv_transpose_weights(spec)
+        return FirKernel(weights, 0), 1.0, bias
+    if spec.kind == "linear":
+        return interp_kernel("linear", spec.factor), 1.0, 0.0
+    if spec.kind == "nearest":
+        return interp_kernel("hold", spec.factor), 1.0, 0.0
     lp = resample_filter_spec(spec.factor, spec.stopband_atten_db, spec.base_transition)
-    main = upsample_filtered(x, spec.factor, lp)
-    if not spec.noise_prior:
-        return main
-    src = x if prior_source is None else prior_source
-    if len(src) != len(x) or src.sample_rate != x.sample_rate:
-        raise ValueError("prior_source must match the input's length and rate")
+    return design_fir(lp), float(spec.factor), 0.0
+
+
+def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
+    """Zero-interlace by L, filter with the layer's kernel, then y * gain + bias.
+
+    With noise_prior on, an aa_resample layer also fills its otherwise empty
+    high band with a deterministic noise-like path: zero-interlace the input,
+    run it through a seeded 7-tap convolution, high-pass it at the
+    complementary cutoff, and mix with a seeded unit-mean scalar gain pair.
+    """
+    h, gain, bias = upsampler_kernel(spec)
+    y = convolve(zero_interlace(x, spec.factor), h)
+    # In place: y's array is this call's own, and a finite gain and bias keep
+    # it finite. A new buffer would cost two more passes and a finite check.
+    out = y.samples
+    out *= gain
+    out += bias
+    if spec.kind != "aa_resample" or not spec.noise_prior:
+        return y
     bound = 1.0 / math.sqrt(_PRIOR_CONV_TAPS)
     taps = _stream(spec.seed, _DOM_PRIOR_CONV).uniform(-bound, bound, size=_PRIOR_CONV_TAPS)
-    prior = convolve(zero_interlace(src, spec.factor), FirKernel(taps, _PRIOR_CONV_TAPS // 2))
+    # Interlaced again rather than kept from above, which would hold one more
+    # output-length array through the whole prior path.
+    prior = convolve(zero_interlace(x, spec.factor), FirKernel(taps, _PRIOR_CONV_TAPS // 2))
     hp = resample_filter_spec(spec.factor, spec.stopband_atten_db, spec.base_transition, kind="highpass")
     prior = convolve(prior, design_fir(hp))
     g_mix, g_prior = _stream(spec.seed, _DOM_PRIOR_GAINS).uniform(0.5, 1.5, size=2)
-    return main.with_samples(g_mix * (main.samples + g_prior * prior.samples))
-
-
-def apply_upsampler(
-    x: AudioBuffer, spec: UpsamplerSpec, prior_source: AudioBuffer | None = None
-) -> AudioBuffer:
-    """Dispatch to the configured layer."""
-    if spec.kind == "conv_transpose":
-        return conv_transpose_1d(x, spec)
-    if spec.kind in ("linear", "nearest"):
-        return interp_upsample(x, spec.kind, spec.factor)
-    return aa_resample_upsample(x, spec, prior_source)
+    return y.with_samples(g_mix * (y.samples + g_prior * prior.samples))
 
 
 def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[float, ...]:
@@ -189,12 +156,7 @@ def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[fl
     return tuple(np.unique(f[(f > 0.0) & (f <= factor * input_rate / 2.0)]).tolist())
 
 
-def tonal_probe(
-    output: AudioBuffer,
-    input_rate: int,
-    edge_trim: int = 8192,
-    floor_db: float = FLOOR_DB,
-) -> float:
+def tonal_probe(output: AudioBuffer, input_rate: int, edge_trim: int = 8192) -> float:
     """Tonal-artifact level (dB) in a layer's output for constant input.
 
     Sums band energy at every multiple of the input rate up to the output
@@ -208,5 +170,5 @@ def tonal_probe(
     e_lines = float(s.power[mask].sum())
     total = s.total_power
     if e_lines <= 0.0 or total <= 0.0:
-        return floor_db
-    return max(floor_db, 10.0 * math.log10(e_lines / total))
+        return FLOOR_DB
+    return max(FLOOR_DB, 10.0 * math.log10(e_lines / total))

@@ -1,13 +1,23 @@
 """Shared fixtures: a small on-disk benchmark for CLI tests and a terminal
-summary that prints one line per acceptance criterion."""
+summary that prints one line per acceptance criterion.
+
+perfbench/ goes on the import path, so tests use its exact oracles
+(`import oracles`), written apart from the package they check, and read the
+tracer's layer list (`import tracer`).
+"""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from aliasbench.bench import BenchEntryMeta, write_bench_csv
 from aliasbench.signals import TestSignalSpec, gen_bandlimited
 from aliasbench.wavio import wav_write
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 #: (criterion number, passed, detail) tuples registered by test_acceptance.
 ACCEPTANCE_RESULTS: list[tuple[int, bool, str]] = []

@@ -21,8 +21,8 @@ import json
 import time
 
 import numpy as np
+import oracles
 import pytest
-from ahr_oracle import ORACLE_FUNCTIONS, predicted_ahr
 from conftest import record_criterion
 from numpy.polynomial.legendre import leggauss
 
@@ -45,7 +45,7 @@ from aliasbench.bench import (
 from aliasbench.cli import EXIT_OK, main
 from aliasbench.filters import frequency_response, interp_kernel
 from aliasbench.metrics import band_energy, estimate_spectrum
-from aliasbench.signals import TestSignalSpec, benchmark_notes, build_benchmark, midi_to_freq
+from aliasbench.signals import TestSignalSpec, benchmark_notes, build_benchmark
 
 TABLE_ACTIVATIONS = ("LeakyReLU", "ELU", "SnakeBeta", "AdaaSnakeBeta")
 WAVEFORM_ORDER = ("sine", "sawtooth", "triangle")
@@ -199,9 +199,9 @@ class TestCriterion4:
         measured) outweighs ELU's sawtooth and triangle wins, so SnakeBeta
         has the lower overall mean.
 
-        The sine oracle means are computed here with ahr_oracle's dense
-        single-period FFT. The sawtooth and triangle oracle values come from
-        the same bookkeeping fed the partials of partial_series with
+        The sine oracle means are computed here with perfbench/oracles.py's
+        dense single-period FFT. The sawtooth and triangle oracle values come
+        from the same bookkeeping fed the partials of partial_series with
         gen_bandlimited's peak normalization. The measured sine column sits
         above the oracle because alias bands close to a harmonic also collect
         its window leakage; the sine leg compares orders, not values.
@@ -212,9 +212,13 @@ class TestCriterion4:
         snake, leaky = means["SnakeBeta"], means["LeakyReLU"]
         elu_col = reports["ELU"].per_type_mean_db
         snake_col = reports["SnakeBeta"].per_type_mean_db
+        scales = {note: oracles.reference_signal("sine", note)[1] for note in benchmark_notes()}
         oracle_sine = {
-            name: float(np.mean([predicted_ahr(fn, midi_to_freq(note)) for note in benchmark_notes()]))
-            for name, fn in ORACLE_FUNCTIONS.items()
+            name: float(np.mean([
+                oracles.activation_ahr(oracles.MEMORYLESS[name], "sine", note, scale)
+                for note, scale in scales.items()
+            ]))
+            for name in ("SnakeBeta", "ELU")
         }
         oracle_snake_first = oracle_sine["SnakeBeta"] < oracle_sine["ELU"]
 

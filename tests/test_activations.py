@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from aliasbench.activations import (
     ActivationSpec,
-    AdaaState,
     AntiderivativePair,
     adaa_generic,
     adaa_grad_bounds,
@@ -269,29 +268,10 @@ class TestApplyActivation:
         assert_allclose(y.samples[0], adaa_snakebeta(0.8, 0.0))
         assert_allclose(y.samples[1], adaa_snakebeta(-0.3, 0.8))
 
-    def test_block_split_is_bit_exact_with_carried_state(self):
-        """Streaming in blocks with a carried AdaaState equals one-shot
-        application, bit for bit (oversample 1)."""
-        rng = np.random.default_rng(42)
-        x = rng.uniform(-1, 1, 10000)
-        spec = ActivationSpec("adaa_snakebeta", alpha=2.0, beta=0.7)
-        whole = apply_activation(AudioBuffer(x, 8000), spec)
-        state = AdaaState()
-        parts = []
-        for start in range(0, len(x), 313):
-            block = AudioBuffer(x[start : start + 313], 8000)
-            parts.append(apply_activation(block, spec, state=state).samples)
-        assert np.array_equal(np.concatenate(parts), whole.samples)
-
     def test_generic_adaa_kind_runs(self):
         x = AudioBuffer(np.linspace(-1, 1, 100), 8000)
         y = apply_activation(x, ActivationSpec("adaa_generic", adaa_base="leaky_relu"))
         assert np.all(np.isfinite(y.samples))
-
-    def test_state_with_oversampling_rejected(self):
-        x = AudioBuffer(np.zeros(16), 8000)
-        with pytest.raises(ValueError):
-            apply_activation(x, ActivationSpec("adaa_snakebeta", oversample=2), state=AdaaState())
 
     def test_invalid_oversample_rejected(self):
         with pytest.raises(ValueError):

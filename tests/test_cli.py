@@ -121,8 +121,10 @@ class TestRunActivations:
         assert capsys.readouterr().err == f"error: bad value for {key!r}: {value!r}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["Snake,Beta", 'Snake"Beta'])
+    @pytest.mark.parametrize("name", ["Snake,Beta", 'Snake"Beta', "a/b", "a\\b"])
     def test_name_with_csv_delimiter_is_a_config_error(self, tiny_bench, tmp_path, capsys, name):
+        """Names go unquoted into the CSVs and into sweep's panel file names,
+        so both commands reject a delimiter or a path separator up front."""
         root, _ = tiny_bench
         cfg = tmp_path / "badname.cfg"
         cfg.write_text(f"kind = snakebeta\nname = {name}\n", encoding="utf-8")
@@ -132,6 +134,11 @@ class TestRunActivations:
         err = capsys.readouterr().err
         assert err.startswith("error: bad value for 'name'") and len(err.splitlines()) == 1
         assert not out.exists()
+        panels = tmp_path / "panels"
+        assert run("sweep", "--config", str(cfg), "--out", str(panels)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for 'name'") and len(err.splitlines()) == 1
+        assert not any(panels.rglob("*.*"))
 
     def test_malformed_bench_csv_is_a_config_error(self, tmp_path):
         bad = tmp_path / "badbench"
@@ -214,6 +221,26 @@ class TestBenchValidation:
         kept = [ln for ln in lines if ln.startswith(("type,", "sine,"))]
         (bench / "bench.csv").write_text("\n".join(kept) + "\n", encoding="utf-8")
         return bench
+
+    @pytest.mark.parametrize("f0", ["0", "nan", "30000"])
+    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
+    def test_bad_f0_is_a_config_error(self, tiny_bench, tmp_path, capsys, command, f0):
+        """An f0_hz that is not finite or not in (0, Nyquist) is rejected when
+        bench.csv is read, whether or not the command uses it."""
+        root, _ = tiny_bench
+        bench = tmp_path / "bad_f0"
+        shutil.copytree(root, bench)
+        lines = (bench / "bench.csv").read_text(encoding="utf-8").splitlines()
+        row = lines[1].split(",")
+        row[2] = f0
+        lines[1] = ",".join(row)
+        (bench / "bench.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = run(*command, "--bench", str(bench), "--out", str(out))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "f0_hz" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
     def test_missing_waveforms_are_a_config_error(self, sine_only_bench, tmp_path, capsys, command):

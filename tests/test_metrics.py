@@ -1,18 +1,19 @@
 """Tests for spectral estimation and the aliasing-to-harmonic ratio.
 
-The end-to-end AHR oracle (ahr_oracle.py) is fully independent of the
-pipeline: the exact output partials of a memoryless nonlinearity driven by a
-sine are computed from a dense one-period FFT, assigned to harmonic or alias
-buckets by fold arithmetic, and the predicted ratio is compared against the
-measured one. The vectorized band bookkeeping (band_mask) is checked against
-the per-band loops it replaced, kept here as the reference.
+The end-to-end AHR oracle (perfbench/oracles.py) is fully independent of
+the pipeline: the exact output partials of a memoryless nonlinearity driven
+by a sine are computed from a dense one-period FFT, assigned to harmonic or
+alias bands by the documented band rules, and the predicted ratio is
+compared against the measured one. The vectorized band bookkeeping
+(band_mask) is checked against the per-band loops it replaced, kept here as
+the reference.
 """
 
 import math
 
 import numpy as np
+import oracles
 import pytest
-from ahr_oracle import ORACLE_FUNCTIONS, predicted_ahr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -28,7 +29,6 @@ from aliasbench.metrics import (
     SignalAhr,
     SpectrumEstimate,
     UpsamplerContext,
-    ahr,
     band_energy,
     band_mask,
     build_report,
@@ -152,7 +152,7 @@ def _reference_fold(freq_hz, sample_rate):
     return sample_rate - r if r > nyq else r
 
 
-def reference_measure_ahr(output, f0, context, edge_trim, floor_db=FLOOR_DB):
+def reference_measure_ahr(output, f0, context, edge_trim):
     """Reference: measure_ahr with its per-band hmask/amask loops."""
     s = estimate_spectrum(output, edge_trim=edge_trim)
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
@@ -189,9 +189,9 @@ def reference_measure_ahr(output, f0, context, edge_trim, floor_db=FLOOR_DB):
     e_h = float(s.power[hmask].sum())
     e_a = float(s.power[amask].sum())
     if e_h <= 0.0 or e_a <= 0.0:
-        ahr_db = floor_db
+        ahr_db = FLOOR_DB
     else:
-        ahr_db = max(floor_db, 10.0 * math.log10(e_a / e_h))
+        ahr_db = max(FLOOR_DB, 10.0 * math.log10(e_a / e_h))
     return AhrMeasurement(ahr_db, h_count, a_count, e_h, e_a)
 
 
@@ -294,17 +294,22 @@ class TestMeasureAhr:
         assert m.alias_bands == 428
 
     def test_custom_floor(self):
-        x = gen_bandlimited(TestSignalSpec("sine", 60, duration_s=2.0))
-        v = ahr(x, midi_to_freq(60), ActivationContext(), edge_trim=4096, floor_db=-60.0)
-        assert v == -60.0
+        """There is one clamp, FLOOR_DB: a planted image 200 dB below the
+        fundamental carries energy but reads as the floor."""
+        x = sine_buffer(1000.0, duration_s=2.0)
+        y = AudioBuffer(x.samples + 1e-10 * sine_buffer(21050.0, duration_s=2.0).samples, RATE)
+        ctx = UpsamplerContext(input_rate=22050, alias_freqs=(21050.0,))
+        m = measure_ahr(y, 1000.0, ctx, edge_trim=4096)
+        assert m.alias_bands == 1 and m.alias_energy > 0.0
+        assert m.ahr_db == FLOOR_DB
 
     def test_gain_invariance(self):
         """Scaling the output does not move the ratio."""
         f0 = midi_to_freq(107)
         x = gen_bandlimited(TestSignalSpec("sine", 107, duration_s=2.0))
         y = apply_activation(x, ActivationSpec("snakebeta"))
-        a = ahr(y, f0, ActivationContext(), edge_trim=4096)
-        b = ahr(y.with_samples(y.samples * 3.7), f0, ActivationContext(), edge_trim=4096)
+        a = measure_ahr(y, f0, ActivationContext(), edge_trim=4096).ahr_db
+        b = measure_ahr(y.with_samples(y.samples * 3.7), f0, ActivationContext(), edge_trim=4096).ahr_db
         assert abs(a - b) <= 1e-9
 
     def test_phase_invariance(self):
@@ -315,7 +320,7 @@ class TestMeasureAhr:
         for phase in (0.0, 0.37, 1.9):
             x = sine_buffer(f0, duration_s=2.0, amplitude=BENCH_AMPLITUDE, phase=phase)
             y = apply_activation(x, ActivationSpec("snakebeta"))
-            vals.append(ahr(y, f0, ActivationContext(), edge_trim=4096))
+            vals.append(measure_ahr(y, f0, ActivationContext(), edge_trim=4096).ahr_db)
         assert max(vals) - min(vals) <= 1e-6
 
     def test_upsampler_context_measures_planted_image(self):
@@ -355,10 +360,10 @@ class TestMeasureAhr:
         f0 = midi_to_freq(60)
         x = gen_bandlimited(TestSignalSpec("sine", 60, duration_s=2.0))
         y = apply_activation(x, ActivationSpec("snakebeta"))
-        clean = ahr(y, f0, ActivationContext(), edge_trim=4096)
+        clean = measure_ahr(y, f0, ActivationContext(), edge_trim=4096).ahr_db
         rng = np.random.default_rng(42)
         noisy = y.with_samples(y.samples + 1e-5 * rng.standard_normal(len(y)))
-        assert ahr(noisy, f0, ActivationContext(), edge_trim=4096) > clean
+        assert measure_ahr(noisy, f0, ActivationContext(), edge_trim=4096).ahr_db > clean
 
     def test_empty_harmonic_set_rejected(self):
         x = sine_buffer(1000.0, duration_s=1.0)
@@ -372,22 +377,20 @@ class TestMeasureAhr:
 
 
 class TestAhrOracle:
-    """Measured AHR vs the exact line-power prediction of ahr_oracle."""
+    """Measured AHR vs the exact line-power prediction of perfbench/oracles.py."""
 
     @pytest.mark.parametrize(
-        "spec,fn",
-        [
-            (ActivationSpec("snakebeta"), ORACLE_FUNCTIONS["SnakeBeta"]),
-            (ActivationSpec("elu"), ORACLE_FUNCTIONS["ELU"]),
-        ],
+        "spec,name",
+        [(ActivationSpec("snakebeta"), "SnakeBeta"), (ActivationSpec("elu"), "ELU")],
         ids=["snakebeta", "elu"],
     )
-    def test_pipeline_matches_analytic_prediction(self, spec, fn):
+    def test_pipeline_matches_analytic_prediction(self, spec, name):
         sig = TestSignalSpec("sine", 107)
-        f0 = sig.f0_hz
         y = apply_activation(gen_bandlimited(sig), spec)
-        measured = ahr(y, f0, ActivationContext())
-        assert abs(measured - predicted_ahr(fn, f0)) <= 0.05
+        measured = measure_ahr(y, sig.f0_hz, ActivationContext()).ahr_db
+        _, scale = oracles.reference_signal("sine", 107)
+        exact = oracles.activation_ahr(oracles.MEMORYLESS[name], "sine", 107, scale)
+        assert abs(measured - exact) <= 0.05
 
 
 class TestBuildReport:

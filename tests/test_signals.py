@@ -227,19 +227,12 @@ class TestGenSweep:
 class TestBenchmarkGrid:
     def test_loguniform48_is_the_chromatic_c4_to_b7_grid(self):
         """48 log-uniform notes over [C4, B7] coincide with MIDI 60..107."""
-        assert benchmark_notes("loguniform48") == list(range(60, 108))
-
-    def test_chromatic_grid_is_36_notes(self):
-        assert benchmark_notes("chromatic") == list(range(60, 96))
-
-    def test_unknown_grid_rejected(self):
-        with pytest.raises(ValueError):
-            benchmark_notes("linear")
+        assert benchmark_notes() == list(range(60, 108))
 
     def test_build_benchmark_counts_and_order(self):
         """144 signals, grouped by waveform in declaration order then by
         ascending note, every buffer 5 s at 44.1 kHz."""
-        pairs = build_benchmark("loguniform48")
+        pairs = build_benchmark()
         assert len(pairs) == 144
         keys = [(WAVEFORMS.index(s.waveform), s.midi_note) for s, _ in pairs]
         assert keys == sorted(keys)

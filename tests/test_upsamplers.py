@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from aliasbench import upsamplers
 from aliasbench.audio import AudioBuffer
-from aliasbench.filters import convolve, design_fir, resample_filter_spec, zero_interlace
+from aliasbench.filters import (
+    convolve,
+    design_fir,
+    interp_kernel,
+    resample_filter_spec,
+    upsample_filtered,
+    zero_interlace,
+)
 from aliasbench.metrics import band_energy, estimate_spectrum
 from aliasbench.upsamplers import (
     UpsamplerSpec,
-    aa_resample_upsample,
     apply_upsampler,
-    conv_transpose_1d,
     conv_transpose_weights,
     image_frequencies,
-    interp_upsample,
     tonal_probe,
+    upsampler_kernel,
 )
 
 RATE = 22050
@@ -44,25 +50,47 @@ class TestUpsamplerSpec:
             UpsamplerSpec("conv_transpose", factor=4, kernel_size=3)
 
 
+class TestUpsamplerKernel:
+    def test_each_kind_names_its_kernel_gain_and_bias(self):
+        conv = UpsamplerSpec("conv_transpose", factor=3, seed=2)
+        h, gain, bias = upsampler_kernel(conv)
+        w, b = conv_transpose_weights(conv)
+        assert np.array_equal(h.taps, w) and h.center == 0 and (gain, bias) == (1.0, b)
+        for kind, shape in (("linear", "linear"), ("nearest", "hold")):
+            h, gain, bias = upsampler_kernel(UpsamplerSpec(kind, factor=3))
+            ref = interp_kernel(shape, 3)
+            assert np.array_equal(h.taps, ref.taps) and h.center == ref.center
+            assert (gain, bias) == (1.0, 0.0)
+        aa = UpsamplerSpec("aa_resample", factor=3, stopband_atten_db=80.0, base_transition=0.1)
+        h, gain, bias = upsampler_kernel(aa)
+        assert h is design_fir(resample_filter_spec(3, 80.0, 0.1))
+        assert (gain, bias) == (3.0, 0.0)
+
+
+def fixed_weights(monkeypatch, weights, bias):
+    """Make every conv_transpose layer use these weights and this bias."""
+    monkeypatch.setattr(upsamplers, "conv_transpose_weights", lambda spec: (np.asarray(weights), bias))
+
+
 class TestConvTranspose:
-    def test_unit_kernel_reproduces_zero_interlace(self):
+    def test_unit_kernel_reproduces_zero_interlace(self, monkeypatch):
         """weights [1, 0], zero bias: exactly the zero-stuffed input."""
+        fixed_weights(monkeypatch, [1.0, 0.0], 0.0)
         x = sine_buffer(440.0, duration_s=0.01)
-        spec = UpsamplerSpec("conv_transpose", factor=2)
-        y = conv_transpose_1d(x, spec, weights=np.array([1.0, 0.0]))
+        y = apply_upsampler(x, UpsamplerSpec("conv_transpose", factor=2))
         assert np.array_equal(y.samples, zero_interlace(x, 2).samples)
         assert y.sample_rate == 2 * RATE
 
-    def test_bias_is_a_constant_offset(self):
+    def test_bias_is_a_constant_offset(self, monkeypatch):
+        fixed_weights(monkeypatch, [1.0, 0.0], 0.25)
         x = sine_buffer(440.0, duration_s=0.01)
-        spec = UpsamplerSpec("conv_transpose", factor=2)
-        y = conv_transpose_1d(x, spec, weights=np.array([1.0, 0.0]), bias=0.25)
+        y = apply_upsampler(x, UpsamplerSpec("conv_transpose", factor=2))
         assert np.array_equal(y.samples, zero_interlace(x, 2).samples + 0.25)
 
     def test_output_length_is_factor_times_input(self):
         x = sine_buffer(440.0, duration_s=0.013)
         for factor in (2, 3, 5):
-            y = conv_transpose_1d(x, UpsamplerSpec("conv_transpose", factor=factor))
+            y = apply_upsampler(x, UpsamplerSpec("conv_transpose", factor=factor))
             assert len(y) == factor * len(x)
             assert y.sample_rate == factor * RATE
 
@@ -75,9 +103,9 @@ class TestConvTranspose:
 
     def test_same_seed_is_bit_identical_and_seeds_differ(self):
         x = sine_buffer(440.0, duration_s=0.05)
-        a = conv_transpose_1d(x, UpsamplerSpec("conv_transpose", seed=3))
-        b = conv_transpose_1d(x, UpsamplerSpec("conv_transpose", seed=3))
-        c = conv_transpose_1d(x, UpsamplerSpec("conv_transpose", seed=4))
+        a = apply_upsampler(x, UpsamplerSpec("conv_transpose", seed=3))
+        b = apply_upsampler(x, UpsamplerSpec("conv_transpose", seed=3))
+        c = apply_upsampler(x, UpsamplerSpec("conv_transpose", seed=4))
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
@@ -89,46 +117,47 @@ class TestConvTranspose:
         assert np.array_equal(w1, w2) and b1 == b2
 
     def test_wrong_kind_and_short_kernel_rejected(self):
+        """The spec is the only input that picks the layer and its kernel, so
+        both faults are rejected before any sample is touched."""
         x = sine_buffer(440.0, duration_s=0.01)
         with pytest.raises(ValueError):
-            conv_transpose_1d(x, UpsamplerSpec("linear"))
-        spec = UpsamplerSpec("conv_transpose", factor=3)
+            apply_upsampler(x, UpsamplerSpec("transpose"))
         with pytest.raises(ValueError):
-            conv_transpose_1d(x, spec, weights=np.array([1.0, 0.0]))
+            apply_upsampler(x, UpsamplerSpec("conv_transpose", factor=3, kernel_size=2))
 
 
 class TestInterpUpsample:
     def test_nearest_is_sample_and_hold(self):
         x = sine_buffer(440.0, duration_s=0.02)
         for factor in (2, 3, 4):
-            y = interp_upsample(x, "nearest", factor)
+            y = apply_upsampler(x, UpsamplerSpec("nearest", factor=factor))
             assert np.array_equal(y.samples, np.repeat(x.samples, factor))
 
     def test_linear_matches_np_interp(self):
         x = sine_buffer(440.0, duration_s=0.02)
         n, factor = len(x), 4
-        y = interp_upsample(x, "linear", factor)
+        y = apply_upsampler(x, UpsamplerSpec("linear", factor=factor))
         ref = np.interp(np.arange(n * factor) / factor, np.arange(n), x.samples)
         interior = slice(0, (n - 1) * factor)
         assert_allclose(y.samples[interior], ref[interior], atol=1e-15)
 
     def test_on_grid_samples_pass_through(self):
         x = sine_buffer(440.0, duration_s=0.02)
-        y = interp_upsample(x, "linear", 3)
+        y = apply_upsampler(x, UpsamplerSpec("linear", factor=3))
         assert_allclose(y.samples[::3], x.samples, atol=1e-15)
 
     def test_invalid_arguments_rejected(self):
         x = sine_buffer(440.0, duration_s=0.01)
         with pytest.raises(ValueError):
-            interp_upsample(x, "cubic", 2)
+            apply_upsampler(x, UpsamplerSpec("cubic", factor=2))
         with pytest.raises(ValueError):
-            interp_upsample(x, "linear", 1)
+            apply_upsampler(x, UpsamplerSpec("linear", factor=1))
 
 
 class TestAaResample:
     def test_reconstructs_the_analytic_sine(self):
         x = sine_buffer(1000.0)
-        y = aa_resample_upsample(x, UpsamplerSpec("aa_resample", factor=2))
+        y = apply_upsampler(x, UpsamplerSpec("aa_resample", factor=2))
         t = np.arange(len(y)) / y.sample_rate
         ref = np.sin(2 * np.pi * 1000.0 * t)
         mid = slice(4000, len(y) - 4000)
@@ -138,7 +167,7 @@ class TestAaResample:
         assert abs(np.max(np.abs(a)) - 1.0) <= 0.01
 
     def test_high_band_is_empty_without_prior(self):
-        y = aa_resample_upsample(sine_buffer(1000.0), UpsamplerSpec("aa_resample", factor=2))
+        y = apply_upsampler(sine_buffer(1000.0), UpsamplerSpec("aa_resample", factor=2))
         s = estimate_spectrum(y, edge_trim=2048)
         assert band_energy(s, 17000.0, 5000.0) <= 1e-9
 
@@ -146,10 +175,8 @@ class TestAaResample:
         """Prior on: the low band is the same signal up to the mix gain, the
         high band gains many orders of magnitude of energy."""
         x = sine_buffer(1000.0)
-        off = aa_resample_upsample(x, UpsamplerSpec("aa_resample", factor=2))
-        on = aa_resample_upsample(
-            x, UpsamplerSpec("aa_resample", factor=2, noise_prior=True, seed=3)
-        )
+        off = apply_upsampler(x, UpsamplerSpec("aa_resample", factor=2))
+        on = apply_upsampler(x, UpsamplerSpec("aa_resample", factor=2, noise_prior=True, seed=3))
         s_off = estimate_spectrum(off, edge_trim=2048)
         s_on = estimate_spectrum(on, edge_trim=2048)
         hi_off = band_energy(s_off, 17000.0, 5000.0)
@@ -165,32 +192,36 @@ class TestAaResample:
     def test_prior_is_deterministic(self):
         x = sine_buffer(500.0, duration_s=0.2)
         spec = UpsamplerSpec("aa_resample", factor=2, noise_prior=True, seed=9)
-        assert np.array_equal(
-            aa_resample_upsample(x, spec).samples, aa_resample_upsample(x, spec).samples
-        )
-
-    def test_prior_source_must_match_geometry(self):
-        x = sine_buffer(500.0, duration_s=0.2)
-        spec = UpsamplerSpec("aa_resample", factor=2, noise_prior=True)
-        with pytest.raises(ValueError):
-            aa_resample_upsample(x, spec, prior_source=sine_buffer(500.0, duration_s=0.1))
+        assert np.array_equal(apply_upsampler(x, spec).samples, apply_upsampler(x, spec).samples)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
-            aa_resample_upsample(sine_buffer(500.0, duration_s=0.1), UpsamplerSpec("nearest"))
+            apply_upsampler(sine_buffer(500.0, duration_s=0.1), UpsamplerSpec("resample"))
 
 
 class TestApplyUpsampler:
     def test_dispatch_matches_direct_calls(self):
+        """Each kind equals zero-interlace, its kernel, then gain and bias,
+        computed here by direct calls."""
         x = sine_buffer(700.0, duration_s=0.1)
         conv = UpsamplerSpec("conv_transpose", seed=2)
-        assert np.array_equal(apply_upsampler(x, conv).samples, conv_transpose_1d(x, conv).samples)
+        w, b = conv_transpose_weights(conv)
+        direct = np.convolve(zero_interlace(x, 2).samples, w)[: 2 * len(x)] + b
+        assert np.array_equal(apply_upsampler(x, conv).samples, direct)
         lin = UpsamplerSpec("linear", factor=3)
-        assert np.array_equal(apply_upsampler(x, lin).samples, interp_upsample(x, "linear", 3).samples)
+        direct = convolve(zero_interlace(x, 3), interp_kernel("linear", 3)).samples
+        assert np.array_equal(apply_upsampler(x, lin).samples, direct)
         near = UpsamplerSpec("nearest", factor=2)
         assert np.array_equal(apply_upsampler(x, near).samples, np.repeat(x.samples, 2))
         aa = UpsamplerSpec("aa_resample", factor=2)
-        assert np.array_equal(apply_upsampler(x, aa).samples, aa_resample_upsample(x, aa).samples)
+        assert np.array_equal(apply_upsampler(x, aa).samples, upsample_filtered(x, 2).samples)
+
+    def test_noise_prior_only_changes_aa_resample(self):
+        x = sine_buffer(700.0, duration_s=0.1)
+        for kind in ("conv_transpose", "linear", "nearest"):
+            plain = apply_upsampler(x, UpsamplerSpec(kind, seed=4)).samples
+            prior = apply_upsampler(x, UpsamplerSpec(kind, seed=4, noise_prior=True)).samples
+            assert np.array_equal(plain, prior)
 
 
 class TestImageFrequencies:
@@ -234,7 +265,7 @@ class TestTonalProbe:
     def test_conv_transpose_shows_stride_lines(self):
         """A bias-carrying transposed convolution leaks strong lines at
         multiples of the input rate for constant input."""
-        y = conv_transpose_1d(self.constant(), UpsamplerSpec("conv_transpose", seed=0))
+        y = apply_upsampler(self.constant(), UpsamplerSpec("conv_transpose", seed=0))
         assert tonal_probe(y, RATE, edge_trim=2048) >= -40.0
 
     def test_resampling_layers_stay_at_floor(self):
