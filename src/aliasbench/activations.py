@@ -42,9 +42,11 @@ def _sinc(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     small = np.abs(u) < _TAYLOR_CUTOFF
     safe = np.where(small, 1.0, u)
-    u2 = u * u
-    series = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
-    return np.where(small, series, np.sin(safe) / safe)
+    y = np.asarray(np.sin(safe) / safe)  # asarray: a 0-d input gives a numpy scalar
+    us = u[small]  # the series only where it is used
+    u2 = us * us
+    y[small] = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
+    return y
 
 
 def _sinc_deriv(u: np.ndarray) -> np.ndarray:
@@ -52,9 +54,11 @@ def _sinc_deriv(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     small = np.abs(u) < _TAYLOR_CUTOFF
     safe = np.where(small, 1.0, u)
-    u2 = u * u
-    series = -u / 3.0 + u * u2 / 30.0 - u * u2 * u2 / 840.0
-    return np.where(small, series, (np.cos(safe) - np.sin(safe) / safe) / safe)
+    y = np.asarray((np.cos(safe) - np.sin(safe) / safe) / safe)
+    us = u[small]
+    u2 = us * us
+    y[small] = -us / 3.0 + us * u2 / 30.0 - us * u2 * u2 / 840.0
+    return y
 
 
 def _check_ab(alpha, beta) -> None:

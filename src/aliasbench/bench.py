@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -25,7 +26,7 @@ from .metrics import (
     build_report,
     measure_ahr,
 )
-from .signals import EDGE_DISCARD, WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values
+from .signals import EDGE_DISCARD, WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, midi_to_freq
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
 
 #: Activation configs evaluated by default. The four table_row entries mirror
@@ -42,6 +43,10 @@ DEFAULT_ACTIVATIONS: tuple[ActivationSpec, ...] = (
 
 #: Constant level fed to each upsampler for its tonal-line column.
 TONAL_PROBE_VALUE = 0.5
+
+#: Largest |f0_hz - midi_to_freq(index)| a bench.csv row may show: the
+#: rounding of the column's %.6f format.
+F0_TOLERANCE_HZ = 5e-7
 
 #: One benchmark entry: waveform name, fundamental, signal.
 SignalEntry = tuple[str, float, AudioBuffer]
@@ -305,6 +310,17 @@ def load_bench_csv(path: str | Path) -> list[BenchEntryMeta]:
         if not 0.0 < m.f0_hz < m.sample_rate / 2.0:  # also rejects nan
             raise ConfigError(
                 f"{path}: {m.waveform} note {m.midi_note}: f0_hz {m.f0_hz} is not in (0, {m.sample_rate / 2:.1f}) Hz"
+            )
+        # run-activations measures at this column and run-upsamplers at the
+        # note's frequency, so the two must agree.
+        try:
+            note_hz = midi_to_freq(m.midi_note)
+        except OverflowError:  # a note index far above any audible pitch
+            note_hz = math.inf
+        if not abs(m.f0_hz - note_hz) <= F0_TOLERANCE_HZ:
+            raise ConfigError(
+                f"{path}: {m.waveform} note {m.midi_note}: f0_hz {m.f0_hz} is not the note's "
+                f"frequency {note_hz:.6f} Hz"
             )
     present = {m.waveform for m in metas}
     missing = [w for w in WAVEFORMS if w not in present]

@@ -5,15 +5,19 @@ Filters are Kaiser-windowed sincs sized by the standard Kaiser estimate, so
 stopband attenuation and transition width are direct design inputs. All
 kernels are linear-phase; convolution is aligned on the kernel center so
 filtering introduces no net delay.
+
+Resampling runs polyphase: interpolation convolves the low-rate input with
+each of the L tap phases, and decimation computes only the kept outputs, so
+no product with an interlaced zero or a discarded sample is ever formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
 
 from .audio import AudioBuffer
 
@@ -103,13 +107,31 @@ def resample_filter_spec(
     )
 
 
+def _kaiser_beta(atten_db: float) -> float:
+    """Kaiser window beta for a stopband attenuation in dB (Kaiser 1974)."""
+    if atten_db > 50:
+        return 0.1102 * (atten_db - 8.7)
+    if atten_db > 21:
+        return 0.5842 * (atten_db - 21) ** 0.4 + 0.07886 * (atten_db - 21)
+    return 0.0
+
+
 @lru_cache(maxsize=64)
 def _design_cached(spec: FilterDesignSpec) -> FirKernel:
-    numtaps, beta = sps.kaiserord(spec.stopband_atten_db, spec.transition_width)
-    if numtaps % 2 == 0:
-        numtaps += 1
-    taps = sps.firwin(numtaps, spec.cutoff, window=("kaiser", beta), scale=True)
+    # scipy.special.i0 rather than np.i0, whose last bits differ; imported
+    # here so that only commands which design a resampling filter load scipy.
+    from scipy.special import i0
+
+    atten = spec.stopband_atten_db
+    if atten < 8:
+        raise ValueError(f"stopband attenuation {atten:f} dB is too small for the Kaiser formula")
+    numtaps = math.ceil((atten - 7.95) / 2.285 / (np.pi * spec.transition_width) + 1) | 1
     center = numtaps // 2
+    m = np.arange(numtaps, dtype=np.float64) - center
+    beta = _kaiser_beta(atten)
+    window = i0(beta * np.sqrt(1 - (m / center) ** 2.0)) / i0(beta)
+    taps = spec.cutoff * np.sinc(spec.cutoff * m) * window
+    taps /= np.sum(taps)
     if spec.kind == "highpass":
         taps = -taps
         taps[center] += 1.0
@@ -119,7 +141,7 @@ def _design_cached(spec: FilterDesignSpec) -> FirKernel:
 def design_fir(spec: FilterDesignSpec) -> FirKernel:
     """Kaiser-windowed sinc low-pass (unity DC gain), or its spectral-inversion
     high-pass complement. Tap count follows the Kaiser length estimate for the
-    requested attenuation and transition width."""
+    requested attenuation and transition width, rounded up to odd."""
     return _design_cached(spec)
 
 
@@ -128,7 +150,7 @@ def convolve(x: AudioBuffer, h: FirKernel) -> AudioBuffer:
     the output has the same length as the input."""
     if len(x) == 0:
         raise ValueError("cannot convolve an empty buffer")
-    y = sps.convolve(x.samples, h.taps, mode="full", method="auto")
+    y = np.convolve(x.samples, h.taps)
     return x.with_samples(y[h.center : h.center + len(x)])
 
 
@@ -143,6 +165,21 @@ def zero_interlace(x: AudioBuffer, factor: int) -> AudioBuffer:
     return AudioBuffer(y, x.sample_rate * factor)
 
 
+def interpolate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
+    """convolve(zero_interlace(x, factor), h), one polyphase branch at a time:
+    output sample L*q + p of the full convolution is branch p, the input
+    convolved with taps[p::L], at q."""
+    if len(x) == 0:
+        raise ValueError("cannot convolve an empty buffer")
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    full = np.zeros(factor * (len(x) + -(-len(h) // factor)))
+    for p in range(min(factor, len(h))):
+        branch = np.convolve(x.samples, h.taps[p::factor])
+        full[p::factor][: branch.size] = branch
+    return AudioBuffer(full[h.center : h.center + factor * len(x)], x.sample_rate * factor)
+
+
 def upsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
     """Zero-interlace then apply the benchmark resampling low-pass (cutoff
     1/L, 100 dB stopband), gain-compensated by L. factor 1 is the identity."""
@@ -150,8 +187,27 @@ def upsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return x
-    y = convolve(zero_interlace(x, factor), design_fir(resample_filter_spec(factor)))
+    y = interpolate(x, design_fir(resample_filter_spec(factor)), factor)
     return y.with_samples(y.samples * factor)
+
+
+def decimate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
+    """convolve(x, h) at every factor-th sample, computing only those: kept
+    output k reads full-convolution sample c + L*k, where tap phase p meets
+    only input phase (c - p) mod L, so each phase is one short convolution."""
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    if len(x) < factor:
+        raise ValueError("input shorter than the decimation factor")
+    if x.sample_rate % factor != 0:
+        raise ValueError(f"sample rate {x.sample_rate} not divisible by factor {factor}")
+    y = np.zeros(-(-len(x) // factor))
+    for p in range(min(factor, len(h))):
+        shift, phase = divmod(h.center - p, factor)
+        branch = np.convolve(x.samples[phase::factor], h.taps[p::factor])
+        lo, hi = max(0, -shift), min(y.size, branch.size - shift)
+        y[lo:hi] += branch[lo + shift : hi + shift]
+    return AudioBuffer(y, x.sample_rate // factor)
 
 
 def downsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
@@ -160,21 +216,20 @@ def downsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return x
-    if len(x) < factor:
-        raise ValueError("input shorter than the decimation factor")
-    if x.sample_rate % factor != 0:
-        raise ValueError(f"sample rate {x.sample_rate} not divisible by factor {factor}")
-    y = convolve(x, design_fir(resample_filter_spec(factor)))
-    return AudioBuffer(y.samples[::factor], x.sample_rate // factor)
+    return decimate(x, design_fir(resample_filter_spec(factor)), factor)
 
 
 def frequency_response(h: FirKernel, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """H(omega) on a uniform grid over [0, pi], phase-referenced to the center
     tap (symmetric kernels therefore evaluate real-valued)."""
+    # Imported here: only filter-response needs it, and numpy's polyval
+    # differs from it in the last bits.
+    from scipy.signal import freqz
+
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     omegas = np.linspace(0.0, np.pi, n_points)
-    _, response = sps.freqz(h.taps, worN=omegas)
+    _, response = freqz(h.taps, worN=omegas)
     return omegas, response * np.exp(1j * omegas * h.center)
 
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.signal import windows
 
 from .audio import AudioBuffer
 from .configio import atomic_write_bytes
@@ -76,6 +75,15 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
+@lru_cache(maxsize=16)
+def hann(n: int) -> np.ndarray:
+    """Periodic (DFT-even) Hann window of length n, read-only and cached per
+    length; bit-identical to scipy.signal.windows.hann(n, sym=False)."""
+    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+    w.flags.writeable = False
+    return w
+
+
 def estimate_spectrum(x: AudioBuffer, window: str = "hann", edge_trim: int = 0) -> SpectrumEstimate:
     """Single-frame power spectrum of the edge-trimmed signal.
 
@@ -92,15 +100,15 @@ def estimate_spectrum(x: AudioBuffer, window: str = "hann", edge_trim: int = 0) 
     n = data.size
     if n < 1024:
         raise ValueError(f"need at least 1024 samples after trimming, got {n}")
-    w = windows.hann(n, sym=False) if window == "hann" else np.ones(n)
+    w = hann(n) if window == "hann" else np.ones(n)
     nfft = _next_pow2(4 * n)
-    spec = sfft.rfft(data * w, n=nfft)
+    spec = np.fft.rfft(data * w, n=nfft)
     power = np.abs(spec) ** 2
     power *= 2.0
     power[0] /= 2.0
     power[-1] /= 2.0  # nfft is even, so the last bin is Nyquist
     power /= nfft * float(np.sum(w * w))
-    freqs = sfft.rfftfreq(nfft, d=1.0 / x.sample_rate)
+    freqs = np.fft.rfftfreq(nfft, d=1.0 / x.sample_rate)
     return SpectrumEstimate(freqs, power, window, nfft, n, x.sample_rate)
 
 
@@ -259,12 +267,12 @@ def spectrogram(x: AudioBuffer, frame: int, hop: int) -> tuple[np.ndarray, np.nd
     n_frames = -(-(n - frame) // hop) + 1
     padded = np.zeros((n_frames - 1) * hop + frame)
     padded[:n] = x.samples
-    w = windows.hann(frame, sym=False)
+    w = hann(frame)
     cols = np.empty((frame // 2 + 1, n_frames))
     for i in range(n_frames):
         seg = padded[i * hop : i * hop + frame]
-        cols[:, i] = np.abs(sfft.rfft(seg * w))
-    freqs = sfft.rfftfreq(frame, d=1.0 / x.sample_rate)
+        cols[:, i] = np.abs(np.fft.rfft(seg * w))
+    freqs = np.fft.rfftfreq(frame, d=1.0 / x.sample_rate)
     times = np.arange(n_frames) * hop / x.sample_rate
     return freqs, times, cols
 

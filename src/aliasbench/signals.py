@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -170,11 +171,11 @@ def benchmark_notes() -> list[int]:
     return list(range(_MIDI_LO, _MIDI_HI + 1))
 
 
-def build_benchmark() -> list[tuple[TestSignalSpec, AudioBuffer]]:
-    """All benchmark segments, sorted by (waveform order, note) ascending."""
-    out: list[tuple[TestSignalSpec, AudioBuffer]] = []
+def build_benchmark() -> Iterator[tuple[TestSignalSpec, AudioBuffer]]:
+    """All benchmark segments, sorted by (waveform order, note) ascending.
+    Each is synthesized when asked for, so a consumer that writes and drops
+    them holds one buffer at a time."""
     for waveform in WAVEFORMS:
         for note in benchmark_notes():
             spec = TestSignalSpec(waveform=waveform, midi_note=note)
-            out.append((spec, gen_bandlimited(spec)))
-    return out
+            yield spec, gen_bandlimited(spec)

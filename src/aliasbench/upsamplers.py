@@ -28,6 +28,7 @@ from .filters import (
     convolve,
     design_fir,
     interp_kernel,
+    interpolate,
     resample_filter_spec,
     zero_interlace,
 )
@@ -120,7 +121,7 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
     complementary cutoff, and mix with a seeded unit-mean scalar gain pair.
     """
     h, gain, bias = upsampler_kernel(spec)
-    y = convolve(zero_interlace(x, spec.factor), h)
+    y = interpolate(x, h, spec.factor)
     # In place: y's array is this call's own, and a finite gain and bias keep
     # it finite. A new buffer would cost two more passes and a finite check.
     out = y.samples
@@ -130,8 +131,9 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
         return y
     bound = 1.0 / math.sqrt(_PRIOR_CONV_TAPS)
     taps = _stream(spec.seed, _DOM_PRIOR_CONV).uniform(-bound, bound, size=_PRIOR_CONV_TAPS)
-    # Interlaced again rather than kept from above, which would hold one more
-    # output-length array through the whole prior path.
+    # Interlaced and convolved at the high rate: for this 7-tap kernel the
+    # polyphase form differs in the last bit, which the per-signal AHRs of
+    # the prior-on row could show.
     prior = convolve(zero_interlace(x, spec.factor), FirKernel(taps, _PRIOR_CONV_TAPS // 2))
     hp = resample_filter_spec(spec.factor, spec.stopband_atten_db, spec.base_transition, kind="highpass")
     prior = convolve(prior, design_fir(hp))

@@ -7,7 +7,6 @@ import struct
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .audio import AudioBuffer
 from .configio import atomic_write_bytes
@@ -24,6 +23,8 @@ def wav_write(buffer: AudioBuffer, path: str | Path) -> None:
     partially written file. Round trip through wav_read is bit-exact at
     float32 precision.
     """
+    from scipy.io import wavfile  # loaded only by the commands that touch WAVs
+
     blob = io.BytesIO()
     wavfile.write(blob, buffer.sample_rate, buffer.samples.astype(np.float32))
     try:
@@ -39,6 +40,8 @@ def wav_read(path: str | Path) -> AudioBuffer:
     (16-bit by 1/32768, etc.). Malformed or truncated files raise WavError
     rather than crashing.
     """
+    from scipy.io import wavfile
+
     path = Path(path)
     try:
         rate, data = wavfile.read(path)

@@ -242,6 +242,29 @@ class TestBenchValidation:
         assert err.startswith("error: ") and "f0_hz" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    # sine note 60 is 261.625565 Hz; a note index of 20000 has no float frequency
+    @pytest.mark.parametrize("index,f0", [("60", "300.000000"), ("60", "261.625566"), ("20000", "261.625565")])
+    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
+    def test_f0_that_is_not_the_notes_frequency_is_a_config_error(self, tiny_bench, tmp_path, capsys, command, index, f0):
+        """run-activations measures at the f0_hz column and run-upsamplers at
+        the note's frequency, so a row where the two disagree beyond the
+        column's rounding is rejected."""
+        root, _ = tiny_bench
+        bench = tmp_path / "wrong_f0"
+        shutil.copytree(root, bench)
+        lines = (bench / "bench.csv").read_text(encoding="utf-8").splitlines()
+        row = lines[1].split(",")
+        assert row[:3] == ["sine", "60", "261.625565"]
+        row[1:3] = [index, f0]
+        lines[1] = ",".join(row)
+        (bench / "bench.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = run(*command, "--bench", str(bench), "--out", str(out))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not the note's frequency" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
     def test_missing_waveforms_are_a_config_error(self, sine_only_bench, tmp_path, capsys, command):
         rc = run(*command, "--bench", str(sine_only_bench), "--out", str(tmp_path / "x.csv"))

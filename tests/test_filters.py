@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from aliasbench.audio import AudioBuffer
@@ -9,10 +11,12 @@ from aliasbench.filters import (
     FilterDesignSpec,
     FirKernel,
     convolve,
+    decimate,
     design_fir,
     downsample_filtered,
     frequency_response,
     interp_kernel,
+    interpolate,
     resample_filter_spec,
     upsample_filtered,
     zero_interlace,
@@ -86,6 +90,27 @@ class TestDesignFir:
     def test_resample_spec_requires_factor_2(self):
         with pytest.raises(ValueError):
             resample_filter_spec(1)
+
+    @pytest.mark.parametrize("kind", ["lowpass", "highpass"])
+    @pytest.mark.parametrize("atten", [100.0, 40.0, 15.0])  # one per Kaiser beta branch
+    @pytest.mark.parametrize("factor", [2, 3, 4, 8])
+    def test_matches_scipy_firwin(self, factor, atten, kind):
+        from scipy.signal import firwin, kaiserord
+
+        spec = resample_filter_spec(factor, atten, kind=kind)
+        numtaps, beta = kaiserord(atten, spec.transition_width)
+        numtaps |= 1
+        want = firwin(numtaps, spec.cutoff, window=("kaiser", beta), scale=True)
+        if kind == "highpass":
+            want = -want
+            want[numtaps // 2] += 1.0
+        k = design_fir(spec)
+        assert len(k) == numtaps and k.center == numtaps // 2
+        assert_allclose(k.taps, want, rtol=0, atol=1e-15)
+
+    def test_attenuation_below_kaiser_range_rejected(self):
+        with pytest.raises(ValueError, match="too small for the Kaiser formula"):
+            design_fir(FilterDesignSpec(0.5, stopband_atten_db=5.0))
 
     def test_cache_returns_equal_taps(self):
         a = design_fir(resample_filter_spec(2))
@@ -185,6 +210,58 @@ class TestResampling:
         x = AudioBuffer(np.arange(10.0), 8000)
         assert upsample_filtered(x, 1) is x
         assert downsample_filtered(x, 1) is x
+
+
+#: A rate every factor 2..8 divides.
+POLYPHASE_RATE = 40320
+
+
+@st.composite
+def interpolation_cases(draw):
+    """A factor, a random kernel with any centre, and an input shorter or
+    longer than the kernel."""
+    factor = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = rng.uniform(-1.0, 1.0, draw(st.integers(1, 40)))
+    center = draw(st.integers(0, taps.size - 1))
+    x = rng.uniform(-1.0, 1.0, draw(st.integers(1, 60)))
+    return factor, FirKernel(taps, center), AudioBuffer(x, POLYPHASE_RATE)
+
+
+class TestPolyphase:
+    """The polyphase resamplers equal the full-rate convolution they replace."""
+
+    @settings(deadline=None)
+    @given(interpolation_cases())
+    def test_interpolate_matches_interlaced_convolution(self, case):
+        factor, h, x = case
+        up = np.zeros(factor * len(x))
+        up[::factor] = x.samples
+        want = np.convolve(up, h.taps)[h.center : h.center + up.size]
+        y = interpolate(x, h, factor)
+        assert y.sample_rate == factor * x.sample_rate
+        assert_allclose(y.samples, want, rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(interpolation_cases())
+    def test_decimate_matches_decimated_convolution(self, case):
+        factor, h, x = case
+        x = AudioBuffer(np.resize(x.samples, max(len(x), factor)), x.sample_rate)
+        want = np.convolve(x.samples, h.taps)[h.center : h.center + len(x)][::factor]
+        y = decimate(x, h, factor)
+        assert y.sample_rate == POLYPHASE_RATE // factor
+        assert_allclose(y.samples, want, rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_downsample_matches_decimated_convolution(self, factor, seed, longer):
+        """The resampling low-pass itself, on inputs shorter and longer than it."""
+        h = design_fir(resample_filter_spec(factor))
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(len(h) + 1, 3 * len(h))) if longer else int(rng.integers(factor, len(h)))
+        x = AudioBuffer(rng.uniform(-1.0, 1.0, n), POLYPHASE_RATE)
+        want = np.convolve(x.samples, h.taps)[h.center : h.center + n][::factor]
+        assert_allclose(downsample_filtered(x, factor).samples, want, rtol=0, atol=1e-12)
 
 
 class TestInterpKernels:

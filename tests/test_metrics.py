@@ -34,6 +34,7 @@ from aliasbench.metrics import (
     build_report,
     estimate_spectrum,
     fold_frequency,
+    hann,
     measure_ahr,
     spectrogram,
     spectrogram_export,
@@ -53,6 +54,20 @@ RATE = 44100
 def sine_buffer(freq, duration_s=1.0, amplitude=1.0, rate=RATE, phase=0.0):
     t = np.arange(int(rate * duration_s)) / rate
     return AudioBuffer(amplitude * np.sin(2 * np.pi * freq * t + phase), rate)
+
+
+class TestHann:
+    @pytest.mark.parametrize("n", [1024, 4097, 27716, 204116])
+    def test_matches_scipy_periodic_hann_bit_for_bit(self, n):
+        from scipy.signal import windows
+
+        assert np.array_equal(hann(n), windows.hann(n, sym=False))
+
+    def test_cached_window_is_read_only(self):
+        w = hann(4096)
+        assert hann(4096) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
 
 class TestEstimateSpectrum:

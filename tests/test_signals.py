@@ -232,7 +232,7 @@ class TestBenchmarkGrid:
     def test_build_benchmark_counts_and_order(self):
         """144 signals, grouped by waveform in declaration order then by
         ascending note, every buffer 5 s at 44.1 kHz."""
-        pairs = build_benchmark()
+        pairs = list(build_benchmark())
         assert len(pairs) == 144
         keys = [(WAVEFORMS.index(s.waveform), s.midi_note) for s, _ in pairs]
         assert keys == sorted(keys)
