@@ -78,8 +78,12 @@ def _next_pow2(n: int) -> int:
 @lru_cache(maxsize=16)
 def hann(n: int) -> np.ndarray:
     """Periodic (DFT-even) Hann window of length n, read-only and cached per
-    length; bit-identical to scipy.signal.windows.hann(n, sym=False)."""
-    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+    length; bit-identical to scipy.signal.windows.hann(n, sym=False),
+    including its length-1 window [1.0]."""
+    if n == 1:
+        w = np.ones(1)
+    else:
+        w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
     w.flags.writeable = False
     return w
 

@@ -30,7 +30,6 @@ from .filters import (
     interp_kernel,
     interpolate,
     resample_filter_spec,
-    zero_interlace,
 )
 from .metrics import FLOOR_DB, BAND_HALF_WIDTH_BINS, band_mask, estimate_spectrum
 
@@ -131,10 +130,7 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
         return y
     bound = 1.0 / math.sqrt(_PRIOR_CONV_TAPS)
     taps = _stream(spec.seed, _DOM_PRIOR_CONV).uniform(-bound, bound, size=_PRIOR_CONV_TAPS)
-    # Interlaced and convolved at the high rate: for this 7-tap kernel the
-    # polyphase form differs in the last bit, which the per-signal AHRs of
-    # the prior-on row could show.
-    prior = convolve(zero_interlace(x, spec.factor), FirKernel(taps, _PRIOR_CONV_TAPS // 2))
+    prior = interpolate(x, FirKernel(taps, _PRIOR_CONV_TAPS // 2), spec.factor)
     hp = resample_filter_spec(spec.factor, spec.stopband_atten_db, spec.base_transition, kind="highpass")
     prior = convolve(prior, design_fir(hp))
     g_mix, g_prior = _stream(spec.seed, _DOM_PRIOR_GAINS).uniform(0.5, 1.5, size=2)

@@ -57,7 +57,7 @@ def sine_buffer(freq, duration_s=1.0, amplitude=1.0, rate=RATE, phase=0.0):
 
 
 class TestHann:
-    @pytest.mark.parametrize("n", [1024, 4097, 27716, 204116])
+    @pytest.mark.parametrize("n", [1, 2, 1024, 4097, 27716, 204116])
     def test_matches_scipy_periodic_hann_bit_for_bit(self, n):
         from scipy.signal import windows
 
