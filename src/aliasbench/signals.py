@@ -4,6 +4,10 @@ All waveforms are synthesized additively from their Fourier series, summing
 only partials that stay clear of the Nyquist fold, so the generated signals
 are alias-free by construction. Any aliasing measured after passing them
 through a module under test was introduced by that module.
+
+The sine series is evaluated by Clenshaw's recurrence in cos(theta), one
+block of samples at a time, so a signal costs one cos and one sin per sample
+whatever its number of partials.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ _BENCH_RATE = 44100
 _BENCH_DURATION_S = 5.0
 _MIDI_LO = 60  # C4
 _MIDI_HI = 107  # B7
+#: Samples per block of the synthesis recurrence; its buffers stay in cache.
+_SYNTH_BLOCK = 16384
 
 
 def midi_to_freq(note: int) -> float:
@@ -123,6 +129,14 @@ def law_k_values(waveform: str) -> tuple[int, ...]:
 def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
     """Additive synthesis of one test signal, peak-normalized to spec.amplitude.
 
+    The partial sum x = sum_k a_k sin(k theta), theta = 2 pi f0 t, is evaluated
+    by Clenshaw's recurrence (Clenshaw 1955): starting from b_{K+1} = b_{K+2}
+    = 0, b_k = a_k + 2 cos(theta) b_{k+1} - b_{k+2} for k = K..1, and x = b_1
+    sin(theta). Each block of samples costs one cos and one sin per sample
+    plus three array passes per harmonic index, where a sum of sines would
+    cost one large-argument sin per partial. A sine is exactly
+    sin(2 pi f0 t) before normalization.
+
     Deterministic: equal specs produce bit-identical buffers. Rejects
     fundamentals at or above Nyquist.
     """
@@ -131,10 +145,29 @@ def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
         raise ValueError(f"fundamental {f0:.2f} Hz is not below Nyquist ({spec.sample_rate / 2:.1f} Hz)")
     n = int(round(spec.duration_s * spec.sample_rate))
     ks, amps = partial_series(spec.waveform, f0, harmonic_cap_hz(spec.sample_rate, n))
-    t = np.arange(n) / spec.sample_rate
     x = np.zeros(n)
-    for k, a in zip(ks, amps):
-        x += a * np.sin((2.0 * np.pi * f0 * k) * t)
+    if ks.size:
+        coef = np.zeros(ks[-1] + 1)
+        coef[ks] = amps
+        size = min(n, _SYNTH_BLOCK)
+        bufs = [np.empty(size) for _ in range(5)]
+        for lo in range(0, n, size):
+            theta, two_cos, b, b_next, tmp = (buf[: min(size, n - lo)] for buf in bufs)
+            np.divide(np.arange(lo, lo + theta.size, dtype=float), spec.sample_rate, out=theta)
+            theta *= 2.0 * np.pi * f0
+            np.cos(theta, out=two_cos)
+            two_cos *= 2.0
+            b.fill(0.0)
+            b_next.fill(0.0)
+            for a in coef[:0:-1]:
+                # b holds b_{k+1} and b_next b_{k+2}; tmp becomes b_k.
+                np.multiply(two_cos, b, out=tmp)
+                tmp -= b_next
+                if a:
+                    tmp += a
+                b, b_next, tmp = tmp, b, b_next
+            np.sin(theta, out=theta)
+            np.multiply(b, theta, out=x[lo : lo + theta.size])
     peak = np.max(np.abs(x)) if n else 0.0
     if peak > 0.0:
         x *= spec.amplitude / peak

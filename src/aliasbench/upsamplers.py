@@ -52,7 +52,7 @@ class UpsamplerSpec:
     factor: int = 2
     kernel_size: int = 0  # conv_transpose only; 0 means 2 * factor
     seed: int = 0
-    noise_prior: bool = False
+    noise_prior: bool = False  # this and the two filter fields: aa_resample only
     stopband_atten_db: float = DEFAULT_STOPBAND_DB
     base_transition: float = DEFAULT_TRANSITION
     name: str = ""
@@ -67,6 +67,17 @@ class UpsamplerSpec:
             raise ValueError(
                 f"kernel_size {self.effective_kernel_size} must be >= factor {self.factor}"
             )
+        # A setting the kind ignores would change config_hash but no output.
+        if self.kernel_size and self.kind != "conv_transpose":
+            raise ValueError(f"kernel_size applies to conv_transpose only, not {self.kind}")
+        aa_only = {
+            "noise_prior": False,
+            "stopband_atten_db": DEFAULT_STOPBAND_DB,
+            "base_transition": DEFAULT_TRANSITION,
+        }
+        for field, default in aa_only.items():
+            if self.kind != "aa_resample" and getattr(self, field) != default:
+                raise ValueError(f"{field} applies to aa_resample only, not {self.kind}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 

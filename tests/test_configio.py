@@ -44,17 +44,26 @@ activation_specs = st.builds(
 
 @st.composite
 def upsampler_specs(draw):
+    """Valid specs: kernel_size is drawn for conv_transpose only, and the
+    noise prior and filter fields for aa_resample only."""
     factor = draw(st.integers(2, 64))
+    kind = draw(st.sampled_from(UPSAMPLER_KINDS))
+    kw = {}
+    if kind == "conv_transpose":
+        kw["kernel_size"] = draw(st.just(0) | st.integers(factor, 8 * factor))
+    if kind == "aa_resample":
+        kw.update(
+            noise_prior=draw(st.booleans()),
+            stopband_atten_db=draw(finite),
+            base_transition=draw(finite),
+        )
     return UpsamplerSpec(
-        kind=draw(st.sampled_from(UPSAMPLER_KINDS)),
+        kind=kind,
         factor=factor,
-        kernel_size=draw(st.just(0) | st.integers(factor, 8 * factor)),
         seed=draw(st.integers(0, 2**64 - 1)),
-        noise_prior=draw(st.booleans()),
-        stopband_atten_db=draw(finite),
-        base_transition=draw(finite),
         name=draw(names),
         table_row=draw(st.booleans()),
+        **kw,
     )
 
 
@@ -107,9 +116,12 @@ class TestSpecRoundTrip:
         assert spec_from_block(ActivationSpec, blocks[0]) == spec
 
     def test_upsampler_round_trip(self):
-        spec = UpsamplerSpec("conv_transpose", factor=4, kernel_size=9, seed=11, noise_prior=True)
-        blocks = parse_blocks(serialize_spec(spec))
-        assert spec_from_block(UpsamplerSpec, blocks[0]) == spec
+        for spec in (
+            UpsamplerSpec("conv_transpose", factor=4, kernel_size=9, seed=11),
+            UpsamplerSpec("aa_resample", factor=4, seed=11, noise_prior=True, stopband_atten_db=80.0),
+        ):
+            blocks = parse_blocks(serialize_spec(spec))
+            assert spec_from_block(UpsamplerSpec, blocks[0]) == spec
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -132,6 +144,8 @@ class TestSpecRoundTrip:
             spec_from_block(ActivationSpec, {"kind": "swish"})
         with pytest.raises(ConfigError):
             spec_from_block(UpsamplerSpec, {"kind": "linear", "factor": "1"})
+        with pytest.raises(ConfigError, match="noise_prior"):
+            spec_from_block(UpsamplerSpec, {"kind": "linear", "noise_prior": "true"})
 
 
 class TestDerivedParserProperties:
@@ -152,7 +166,7 @@ class TestDerivedParserProperties:
     )
     def test_bool_fields_take_only_true_or_false(self, cls_field, value):
         cls, field = cls_field
-        block = {"kind": "elu" if cls is ActivationSpec else "linear", field: value}
+        block = {"kind": "elu" if cls is ActivationSpec else "aa_resample", field: value}
         if value.lower() in ("true", "false"):
             assert getattr(spec_from_block(cls, block), field) is (value.lower() == "true")
         else:

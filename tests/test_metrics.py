@@ -493,6 +493,20 @@ class TestSpectrogramExport:
         assert len(lines) == 1 + (len(x) - 1024) // 256 + 2
         assert float(lines[1].split(",")[0]) == 0.0
 
+    def test_csv_matches_per_value_format(self, tmp_path):
+        """The CSV bytes equal one f-string per value: 6 decimals for time,
+        2 for dB, including cells that print as -0.00 and the -100.00 clamp."""
+        x = sine_buffer(RATE / 1024 * 100, duration_s=0.5)  # exactly bin 100
+        csv_path, _ = spectrogram_export(x, 1024, 256, tmp_path / "panel")
+        freqs, times, mags = spectrogram(x, 1024, 256)
+        db = np.clip(20.0 * np.log10(np.maximum(mags, mags.max() * 1e-10) / mags.max()), -100.0, 0.0)
+        lines = ["time_s," + ",".join(f"{f:.3f}" for f in freqs)]
+        for i, t in enumerate(times):
+            lines.append(f"{t:.6f}," + ",".join(f"{v:.2f}" for v in db[:, i]))
+        expected = "\n".join(lines) + "\n"
+        assert ",-0.00," in expected and ",-100.00," in expected
+        assert csv_path.read_bytes() == expected.encode()
+
     def test_no_temp_files_left(self, tmp_path):
         spectrogram_export(sine_buffer(500.0), 1024, 256, tmp_path / "p")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "p.pgm"]

@@ -2,6 +2,7 @@
 the exponential sweep, and the benchmark grid."""
 
 import numpy as np
+import oracles
 import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import hilbert
@@ -136,12 +137,33 @@ class TestGenBandlimited:
             assert_allclose(np.max(np.abs(buf.samples)), BENCH_AMPLITUDE, rtol=1e-12)
 
     def test_sine_matches_reference(self):
-        spec = TestSignalSpec("sine", 69, duration_s=0.25)
+        """Over several synthesis blocks, a sine is sin(2 pi f0 t) scaled to
+        the peak, bit for bit, so sine WAVs never depend on the evaluation."""
+        spec = TestSignalSpec("sine", 69, duration_s=1.0)
         buf = gen_bandlimited(spec)
         t = np.arange(len(buf)) / 44100
         ref = np.sin(2 * np.pi * 440.0 * t)
         ref *= BENCH_AMPLITUDE / np.max(np.abs(ref))
-        assert_allclose(buf.samples, ref, atol=1e-12)
+        assert np.array_equal(buf.samples, ref)
+
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_matches_oracle_partial_sum(self, waveform):
+        """Every signal of the benchmark stride (notes 67, 75, ..., 107) is
+        within 1e-9 of the oracle's partial sum, which evaluates the same law
+        by Horner's rule on exp(i theta) with the phase reduced mod 2 pi."""
+        for note in range(67, 108, 8):
+            ref, _ = oracles.reference_signal(waveform, note)
+            got = gen_bandlimited(TestSignalSpec(waveform, note)).samples
+            assert np.max(np.abs(got - ref)) <= 1e-9, (waveform, note)
+
+    def test_no_partial_below_cap_gives_silence(self):
+        """B7 at 8 kHz for 0.5 s sits below Nyquist (4000 Hz) but above the
+        cap (3950 Hz), so no partial is summed and the buffer is all zeros."""
+        spec = TestSignalSpec("sawtooth", 107, sample_rate=8000, duration_s=0.5)
+        ks, _ = partial_series("sawtooth", spec.f0_hz, harmonic_cap_hz(8000, 4000))
+        assert ks.size == 0
+        buf = gen_bandlimited(spec)
+        assert len(buf) == 4000 and not np.any(buf.samples)
 
     def test_sawtooth_partial_ratios(self):
         """Projected partial amplitudes follow the 1/k law (gain-invariant)."""

@@ -113,7 +113,7 @@ class TestConvTranspose:
         """The weight stream is keyed by (seed, domain) only, so unrelated
         options cannot silently change the draw."""
         w1, b1 = conv_transpose_weights(UpsamplerSpec("conv_transpose", seed=5))
-        w2, b2 = conv_transpose_weights(UpsamplerSpec("conv_transpose", seed=5, noise_prior=True))
+        w2, b2 = conv_transpose_weights(UpsamplerSpec("conv_transpose", seed=5, name="C", table_row=True))
         assert np.array_equal(w1, w2) and b1 == b2
 
     def test_wrong_kind_and_short_kernel_rejected(self):
@@ -216,12 +216,21 @@ class TestApplyUpsampler:
         aa = UpsamplerSpec("aa_resample", factor=2)
         assert np.array_equal(apply_upsampler(x, aa).samples, upsample_filtered(x, 2).samples)
 
-    def test_noise_prior_only_changes_aa_resample(self):
-        x = sine_buffer(700.0, duration_s=0.1)
+    def test_settings_the_kind_ignores_are_rejected(self):
+        """A field that cannot change a layer's output may not be set on it,
+        so two specs with different config hashes never give the same layer."""
         for kind in ("conv_transpose", "linear", "nearest"):
-            plain = apply_upsampler(x, UpsamplerSpec(kind, seed=4)).samples
-            prior = apply_upsampler(x, UpsamplerSpec(kind, seed=4, noise_prior=True)).samples
-            assert np.array_equal(plain, prior)
+            with pytest.raises(ValueError, match="noise_prior"):
+                UpsamplerSpec(kind, seed=4, noise_prior=True)
+            with pytest.raises(ValueError, match="stopband_atten_db"):
+                UpsamplerSpec(kind, stopband_atten_db=80.0)
+            with pytest.raises(ValueError, match="base_transition"):
+                UpsamplerSpec(kind, base_transition=0.1)
+        for kind in ("linear", "nearest", "aa_resample"):
+            with pytest.raises(ValueError, match="kernel_size"):
+                UpsamplerSpec(kind, kernel_size=8)
+        UpsamplerSpec("conv_transpose", kernel_size=8)
+        UpsamplerSpec("aa_resample", noise_prior=True, stopband_atten_db=80.0, base_transition=0.1)
 
 
 class TestImageFrequencies:
