@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 bad configuration/arguments, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +49,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+#: glibc mallopt (parameter, value) pairs that main() sets (_keep_freed_memory).
+#: Each spectrum allocates an 8 MiB complex rfft output (2^19 + 1 bins; 16 MiB
+#: for an upsampled signal) plus pocketfft's work buffer of the same size, and
+#: a c4 config holds 7 MiB upsampled signals. By default glibc serves such
+#: blocks by mmap, or trims them off the heap top once freed, so every call
+#: faults 7-16 MiB of zeroed pages in again.
+_MALLOPT = (
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD: every such block comes from the heap
+    (-1, 64 << 20),  # M_TRIM_THRESHOLD: freed blocks stay there for the next call
+    (-8, 1),  # M_ARENA_MAX: worker threads share one heap instead of keeping one each
+)
 
 SWEEP_F_START_HZ = 20.0
 SWEEP_F_END_HZ = 20000.0
@@ -154,8 +167,6 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
 def cmd_run_upsamplers(args: argparse.Namespace) -> int:
     if args.factor < 2:
         raise ConfigError(f"--factor must be >= 2, got {args.factor}")
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     bench_dir = Path(args.bench)
     metas = load_bench_csv(bench_dir / "bench.csv")
     try:
@@ -256,12 +267,50 @@ def cmd_filter_response(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _keep_freed_memory() -> None:
+    """Set the allocator policy of _MALLOPT; glibc only, a no-op elsewhere.
+
+    Reusing arrays cannot remove these faults: numpy gives no way to pass
+    pocketfft its work buffer, so rfft(..., out=buf) still faults ~2,000
+    pages per call.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not a name this libc knows
+        glibc = None
+    if not glibc:
+        return
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    for param, value in _MALLOPT:
+        libc.mallopt(param, value)
+
+
+def _int_in(text: str, low: int, high: int | None = None) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+    return value
+
+
 def thread_count(text: str) -> int:
     """argparse type for --threads: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_in(text, 1)
+
+
+def seed_value(text: str) -> int:
+    """argparse type for --seed: a non-negative integer, as SeedSequence takes."""
+    return _int_in(text, 0)
+
+
+def seed_count(text: str) -> int:
+    """argparse type for --seeds: at least 1, and at most sys.maxsize - 1,
+    because SeedSequence.spawn takes the count + 1 (one more seed for the
+    noise prior) as a C ssize_t."""
+    return _int_in(text, 1, sys.maxsize - 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,8 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="manifest seed for all randomness (default 0)")
-    common.add_argument("--threads", type=thread_count, default=1, help="worker threads for signal evaluation, at least 1 (default 1)")
+    common.add_argument("--seed", type=seed_value, default=0, help="manifest seed for all randomness, at least 0 (default 0)")
+    common.add_argument(
+        "--threads",
+        type=thread_count,
+        default=os.cpu_count() or 1,
+        help="worker threads for signal evaluation, at least 1 (default: the CPU count, here %(default)s)",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -290,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-upsamplers", parents=[common], help="AHR comparison of upsampler kinds")
     p.add_argument("--bench", required=True, help="benchmark directory from gen-bench")
     p.add_argument("--factor", type=int, default=2, help="upsampling factor L (default 2)")
-    p.add_argument("--seeds", type=int, default=10, help="ConvTranspose seed count (default 10)")
+    p.add_argument("--seeds", type=seed_count, default=10, help="ConvTranspose seed count, at least 1 (default 10)")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.set_defaults(func=cmd_run_upsamplers)
 
@@ -314,6 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    _keep_freed_memory()
     try:
         return args.func(args)
     except ConfigError as exc:

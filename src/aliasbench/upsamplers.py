@@ -51,7 +51,7 @@ class UpsamplerSpec:
     kind: str
     factor: int = 2
     kernel_size: int = 0  # conv_transpose only; 0 means 2 * factor
-    seed: int = 0
+    seed: int = 0  # conv_transpose, and aa_resample with noise_prior
     noise_prior: bool = False  # this and the two filter fields: aa_resample only
     stopband_atten_db: float = DEFAULT_STOPBAND_DB
     base_transition: float = DEFAULT_TRANSITION
@@ -78,6 +78,10 @@ class UpsamplerSpec:
         for field, default in aa_only.items():
             if self.kind != "aa_resample" and getattr(self, field) != default:
                 raise ValueError(f"{field} applies to aa_resample only, not {self.kind}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed and not (self.kind == "conv_transpose" or self.noise_prior):
+            raise ValueError(f"seed applies to conv_transpose and to aa_resample with noise_prior only, not {self.kind}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 

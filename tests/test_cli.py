@@ -4,11 +4,15 @@ All invocations go through main(argv) in-process; the tiny session benchmark
 keeps the heavy subcommands fast while staying spectrally honest.
 """
 
+import json
+import os
 import shutil
+import sys
 
 import pytest
 
-from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from aliasbench import cli
+from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main
 
 ACT_CONFIG = """\
 # two cheap nonlinearities
@@ -72,6 +76,23 @@ class TestRunActivations:
                    "--out", str(out4), "--threads", "4") == EXIT_OK
         assert (out1.with_name("t1_per_signal.csv").read_bytes().split(b"\n", 1)[1]
                 == out4.with_name("t4_per_signal.csv").read_bytes().split(b"\n", 1)[1])
+
+    @pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
+    def test_threads_default_to_the_cpu_count(self, tiny_bench, act_cfg, tmp_path, monkeypatch, cpus, threads):
+        """Without --threads a run uses os.cpu_count() workers (1 where that
+        is unknown), records the count, and writes the --threads 1 rows."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert build_parser().parse_args(["gen-bench", "--out", "x"]).threads == threads
+        root, _ = tiny_bench
+        one, default = tmp_path / "one.csv", tmp_path / "default.csv"
+        assert run("run-activations", "--bench", str(root), "--configs", str(act_cfg),
+                   "--out", str(one), "--threads", "1") == EXIT_OK
+        assert run("run-activations", "--bench", str(root), "--configs", str(act_cfg),
+                   "--out", str(default)) == EXIT_OK
+        manifest = json.loads(default.with_name("default_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["threads"] == threads
+        assert (one.with_name("one_per_signal.csv").read_bytes()
+                == default.with_name("default_per_signal.csv").read_bytes())
 
     def test_empty_config_file_is_a_config_error(self, tiny_bench, tmp_path):
         root, _ = tiny_bench
@@ -342,5 +363,49 @@ class TestArgumentHandling:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "error: argument --threads: must be at least 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_allocator_policy_is_set_after_parsing(self, tmp_path, monkeypatch, capsys):
+        """A command sets the policy once; --version and a usage error exit
+        inside parse_args and never reach it."""
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+        assert run("--version") == EXIT_OK
+        assert run("gen-bench") == EXIT_CONFIG
+        assert calls == []
+        assert run("filter-response", "--kind", "linear", "--out", str(tmp_path / "r.csv")) == EXIT_OK
+        assert calls == [1]
+
+    @pytest.mark.parametrize("command", [
+        ("gen-bench", "--out", "{out}"),
+        ("run-activations", "--bench", "{bench}", "--out", "{out}/x.csv"),
+        ("run-upsamplers", "--bench", "{bench}", "--seeds", "1", "--out", "{out}/x.csv"),
+        ("sweep", "--out", "{out}"),
+        ("filter-response", "--kind", "linear", "--out", "{out}/x.csv"),
+    ])
+    def test_negative_seed_rejected(self, tiny_bench, tmp_path, capsys, command):
+        root, _ = tiny_bench
+        out = tmp_path / "out"
+        rc = run(*(a.format(bench=root, out=out) for a in command), "--seed", "-1")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [
+            f"aliasbench {command[0]}: error: argument --seed: must be at least 0, got -1"
+        ]
+        assert not out.exists()
+
+    def test_seed_count_beyond_an_index_rejected(self, tiny_bench, tmp_path, capsys):
+        """A count SeedSequence.spawn cannot take is a usage error, not an
+        OverflowError after the signals are built."""
+        root, _ = tiny_bench
+        rc = run("run-upsamplers", "--bench", str(root), "--seeds", "100000000000000000000",
+                 "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [
+            "aliasbench run-upsamplers: error: argument --seeds: must be at most "
+            f"{sys.maxsize - 1}, got 100000000000000000000"
+        ]
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()

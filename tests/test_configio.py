@@ -44,8 +44,9 @@ activation_specs = st.builds(
 
 @st.composite
 def upsampler_specs(draw):
-    """Valid specs: kernel_size is drawn for conv_transpose only, and the
-    noise prior and filter fields for aa_resample only."""
+    """Valid specs: kernel_size is drawn for conv_transpose only, the noise
+    prior and filter fields for aa_resample only, and the seed for the two
+    layers that draw from it: conv_transpose, and aa_resample with the prior."""
     factor = draw(st.integers(2, 64))
     kind = draw(st.sampled_from(UPSAMPLER_KINDS))
     kw = {}
@@ -57,10 +58,11 @@ def upsampler_specs(draw):
             stopband_atten_db=draw(finite),
             base_transition=draw(finite),
         )
+    if kind == "conv_transpose" or kw.get("noise_prior"):
+        kw["seed"] = draw(st.integers(0, 2**64 - 1))
     return UpsamplerSpec(
         kind=kind,
         factor=factor,
-        seed=draw(st.integers(0, 2**64 - 1)),
         name=draw(names),
         table_row=draw(st.booleans()),
         **kw,
@@ -146,6 +148,10 @@ class TestSpecRoundTrip:
             spec_from_block(UpsamplerSpec, {"kind": "linear", "factor": "1"})
         with pytest.raises(ConfigError, match="noise_prior"):
             spec_from_block(UpsamplerSpec, {"kind": "linear", "noise_prior": "true"})
+        with pytest.raises(ConfigError, match="seed"):
+            spec_from_block(UpsamplerSpec, {"kind": "aa_resample", "seed": "3"})
+        with pytest.raises(ConfigError, match="seed"):
+            spec_from_block(UpsamplerSpec, {"kind": "conv_transpose", "seed": "-1"})
 
 
 class TestDerivedParserProperties:

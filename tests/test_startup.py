@@ -1,12 +1,19 @@
 """Commands start on numpy alone. scipy is loaded only where it is used:
 scipy.io by the commands that read or write WAVs, scipy.special when a
 resampling filter is designed, scipy.signal by filter-response. These tests
-run each command in a fresh interpreter and read its sys.modules."""
+run each command in a fresh interpreter and read its sys.modules.
+
+On glibc, main() also sets an allocator policy that keeps freed blocks in the
+heap, so repeated spectra stop faulting fresh pages in; the last tests count
+those faults in a fresh interpreter, with and without the policy."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import aliasbench
 
@@ -43,3 +50,52 @@ def test_run_activations_does_not_load_scipy_signal(tiny_bench, tmp_path):
     root, _ = tiny_bench
     loaded = scipy_modules_after(cli_run("run-activations", "--bench", str(root), "--out", str(tmp_path / "a.csv")))
     assert "scipy.signal" not in loaded
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+glibc_only = pytest.mark.skipif(not on_glibc(), reason="the allocator policy is set on glibc only")
+
+
+#: Faults allowed across 8 spectra once the heap is warm. Under glibc's
+#: defaults each spectrum of this buffer faults about 6,000 pages in again.
+FAULT_BUDGET = 2048
+
+
+def spectrum_faults(policy: bool) -> int:
+    """Minor page faults of 8 spectra of a 220,500-sample buffer, after 4 warm-up ones."""
+    script = f"""
+import resource, sys
+sys.path.insert(0, {SRC!r})
+import numpy as np
+from aliasbench import cli
+from aliasbench.audio import AudioBuffer
+from aliasbench.metrics import estimate_spectrum
+if {policy}:
+    cli._keep_freed_memory()
+x = AudioBuffer(np.sin(0.1 * np.arange(220500)), 44100)
+for _ in range(4):
+    estimate_spectrum(x, edge_trim=8192)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(8):
+    estimate_spectrum(x, edge_trim=8192)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    return int(done.stdout.splitlines()[-1])
+
+
+@glibc_only
+def test_allocator_policy_stops_spectra_from_faulting():
+    assert spectrum_faults(policy=True) < FAULT_BUDGET
+
+
+@glibc_only
+def test_spectra_fault_without_the_allocator_policy():
+    """The control: glibc's defaults exceed the budget, so the test above bites."""
+    assert spectrum_faults(policy=False) > FAULT_BUDGET

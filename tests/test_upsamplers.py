@@ -229,8 +229,15 @@ class TestApplyUpsampler:
         for kind in ("linear", "nearest", "aa_resample"):
             with pytest.raises(ValueError, match="kernel_size"):
                 UpsamplerSpec(kind, kernel_size=8)
-        UpsamplerSpec("conv_transpose", kernel_size=8)
-        UpsamplerSpec("aa_resample", noise_prior=True, stopband_atten_db=80.0, base_transition=0.1)
+            with pytest.raises(ValueError, match="seed"):
+                UpsamplerSpec(kind, seed=4)
+        UpsamplerSpec("conv_transpose", kernel_size=8, seed=4)
+        UpsamplerSpec("aa_resample", seed=4, noise_prior=True, stopband_atten_db=80.0, base_transition=0.1)
+
+    @pytest.mark.parametrize("kind", ["conv_transpose", "aa_resample"])
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            UpsamplerSpec(kind, seed=-1, noise_prior=kind == "aa_resample")
 
 
 class TestImageFrequencies:
