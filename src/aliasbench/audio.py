@@ -40,10 +40,6 @@ class AudioBuffer:
     def duration_s(self) -> float:
         return len(self) / self.sample_rate
 
-    @property
-    def nyquist_hz(self) -> float:
-        return self.sample_rate / 2.0
-
     def with_samples(self, samples: np.ndarray, sample_rate: int | None = None) -> "AudioBuffer":
         """New buffer with these samples, keeping this rate unless overridden."""
         return AudioBuffer(samples, self.sample_rate if sample_rate is None else sample_rate)

@@ -8,7 +8,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -82,22 +82,21 @@ def evaluate(
     measure: Callable[[Spec, SignalEntry], AhrMeasurement],
     threads: int = 1,
 ) -> list[AhrReport]:
-    """One report per spec over all signals; rows keep the entry order
-    whatever the thread count."""
+    """One report per spec over all signals. One pool measures every
+    (spec, entry) pair; rows keep the entry order whatever the thread count."""
+    specs = list(specs)
 
-    def row(spec: Spec, entry: SignalEntry) -> SignalAhr:
+    def row(pair: tuple[Spec, SignalEntry]) -> SignalAhr:
+        spec, entry = pair
         m = measure(spec, entry)
         return SignalAhr(entry[0], entry[1], m.ahr_db, m.harmonic_bands, m.alias_bands)
 
-    reports = []
-    for spec in specs:
-        if threads <= 1:
-            rows = [row(spec, entry) for entry in entries]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(row, repeat(spec), entries))
-        reports.append(build_report(spec.name, config_hash(spec), rows))
-    return reports
+    # No more workers than signals, the most one pool per spec could start:
+    # each holds a signal's buffers while it works.
+    with ThreadPoolExecutor(max_workers=min(threads, len(entries)) or 1) as pool:
+        rows = list(pool.map(row, product(specs, entries)))
+    n = len(entries)
+    return [build_report(spec.name, config_hash(spec), rows[i * n : (i + 1) * n]) for i, spec in enumerate(specs)]
 
 
 def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[SignalEntry]:
@@ -152,51 +151,42 @@ def upsampler_table(
     threads: int = 1,
 ) -> tuple[list[UpsamplerSummaryRow], list[AhrReport]]:
     """The four-row upsampler comparison: ConvTranspose (seed-averaged),
-    LinearInterp, NearestInterp, AntiAliasedResample (+ prior-on column)."""
+    LinearInterp, NearestInterp, AntiAliasedResample (+ prior-on column).
+
+    Each row is the mean over its group of specs: ConvTranspose's n_seeds
+    seeded layers, or the one spec of any other layer.
+    """
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
     seeds = derive_seeds(base_seed, n_seeds + 1)
-    conv_specs = [
-        UpsamplerSpec("conv_transpose", factor=factor, seed=s, name="ConvTranspose", table_row=True)
-        for s in seeds[:n_seeds]
+    groups = [
+        [UpsamplerSpec("conv_transpose", factor=factor, seed=s, name="ConvTranspose", table_row=True)
+         for s in seeds[:n_seeds]],
+        [UpsamplerSpec("linear", factor=factor, name="LinearInterp", table_row=True)],
+        [UpsamplerSpec("nearest", factor=factor, name="NearestInterp", table_row=True)],
+        [UpsamplerSpec("aa_resample", factor=factor, name="AntiAliasedResample", table_row=True)],
     ]
-    linear = UpsamplerSpec("linear", factor=factor, name="LinearInterp", table_row=True)
-    nearest = UpsamplerSpec("nearest", factor=factor, name="NearestInterp", table_row=True)
-    aa = UpsamplerSpec("aa_resample", factor=factor, name="AntiAliasedResample", table_row=True)
     aa_prior = UpsamplerSpec(
         "aa_resample", factor=factor, seed=seeds[n_seeds], noise_prior=True,
         name="AntiAliasedResample_prior",
     )
 
-    all_reports = evaluate(entries, conv_specs + [linear, nearest, aa, aa_prior], measure_upsampler, threads)
-    conv_reports = all_reports[:n_seeds]
-    rep_linear, rep_nearest, rep_aa, rep_aa_prior = all_reports[n_seeds:]
-
+    all_reports = evaluate(entries, [s for g in groups for s in g] + [aa_prior], measure_upsampler, threads)
     rate = entries[0][2].sample_rate
-
-    conv_types = {
-        w: float(np.mean([r.per_type_mean_db[w] for r in conv_reports])) for w in WAVEFORMS
-    }
-    conv_overall = [r.overall_mean_db for r in conv_reports]
-    rows = [
-        UpsamplerSummaryRow(
-            module="ConvTranspose",
-            per_type_db=conv_types,
-            average_db=float(np.mean(conv_overall)),
-            prior_on_average_db=None,
-            tonal_line_db=float(np.mean([tonal_probe_for(s, rate) for s in conv_specs])),
-            seed_std_db=float(np.std(conv_overall)),
-        )
-    ]
-    for rep, spec in ((rep_linear, linear), (rep_nearest, nearest), (rep_aa, aa)):
+    reports = iter(all_reports)
+    rows = []
+    for group in groups:
+        reps = [next(reports) for _ in group]
+        overall = [r.overall_mean_db for r in reps]
+        kind = group[0].kind
         rows.append(
             UpsamplerSummaryRow(
-                module=rep.module_name,
-                per_type_db=dict(rep.per_type_mean_db),
-                average_db=rep.overall_mean_db,
-                prior_on_average_db=rep_aa_prior.overall_mean_db if spec is aa else None,
-                tonal_line_db=tonal_probe_for(spec, rate),
-                seed_std_db=None,
+                module=group[0].name,
+                per_type_db={w: float(np.mean([r.per_type_mean_db[w] for r in reps])) for w in WAVEFORMS},
+                average_db=float(np.mean(overall)),
+                prior_on_average_db=all_reports[-1].overall_mean_db if kind == "aa_resample" else None,
+                tonal_line_db=float(np.mean([tonal_probe_for(s, rate) for s in group])),
+                seed_std_db=float(np.std(overall)) if kind == "conv_transpose" else None,
             )
         )
     return rows, all_reports
@@ -211,16 +201,17 @@ def write_per_signal_csv(path: str | Path, reports: Iterable[AhrReport]) -> None
     write_csv(path, header, rows)
 
 
-def write_activation_summary_csv(path: str | Path, reports: Sequence[AhrReport], table_only: bool, configs: Sequence[ActivationSpec] | None = None) -> None:
+def write_activation_summary_csv(path: str | Path, reports: Sequence[AhrReport], configs: Sequence[ActivationSpec]) -> None:
     """Table-style summary: one row per module, columns per waveform type.
 
-    With table_only, keep only reports whose config is flagged table_row
-    (configs must then be given in the same order as reports).
+    configs are the reports' specs, in the same order. When any of them is
+    flagged table_row, only the flagged ones get a row.
     """
     header = ["module", "sine_db", "sawtooth_db", "triangle_db", "average_db"]
+    table_only = any(c.table_row for c in configs)
     rows = []
-    for i, rep in enumerate(reports):
-        if table_only and configs is not None and not configs[i].table_row:
+    for rep, spec in zip(reports, configs):
+        if table_only and not spec.table_row:
             continue
         rows.append(
             [rep.module_name]

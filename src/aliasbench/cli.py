@@ -62,6 +62,10 @@ _MALLOPT = (
     (-8, 1),  # M_ARENA_MAX: worker threads share one heap instead of keeping one each
 )
 
+#: Largest filter-response --N: the largest factor the suite drives (criterion
+#: 1's 64x pipeline). A far larger N would size a kernel beyond memory.
+FILTER_RESPONSE_MAX_N = 64
+
 SWEEP_F_START_HZ = 20.0
 SWEEP_F_END_HZ = 20000.0
 SWEEP_DURATION_S = 4.0
@@ -82,7 +86,6 @@ DEFAULT_SWEEP_PANELS: tuple[tuple[str, ActivationSpec | None], ...] = (
 
 def cmd_gen_bench(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metas: list[BenchEntryMeta] = []
     for spec, buf in build_benchmark():
         name = f"{spec.waveform}_{spec.midi_note:03d}.wav"
@@ -133,10 +136,7 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
     reports = evaluate(entries, configs, measure_activation, args.threads)
 
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    table_only = any(c.table_row for c in configs)
-    write_activation_summary_csv(out, reports, table_only=table_only, configs=configs)
+    write_activation_summary_csv(out, reports, configs)
     per_signal = out.with_name(out.stem + "_per_signal.csv")
     full = out.with_name(out.stem + "_full.csv")
     write_per_signal_csv(per_signal, reports)
@@ -165,8 +165,6 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
 
 
 def cmd_run_upsamplers(args: argparse.Namespace) -> int:
-    if args.factor < 2:
-        raise ConfigError(f"--factor must be >= 2, got {args.factor}")
     bench_dir = Path(args.bench)
     metas = load_bench_csv(bench_dir / "bench.csv")
     try:
@@ -187,8 +185,6 @@ def cmd_run_upsamplers(args: argparse.Namespace) -> int:
     )
 
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     write_upsampler_summary_csv(out, rows)
     per_signal = out.with_name(out.stem + "_per_signal.csv")
     write_per_signal_csv(per_signal, reports)
@@ -215,7 +211,6 @@ def cmd_run_upsamplers(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.config:
         configs = load_configs(ActivationSpec, args.config)
         panels: list[tuple[str, ActivationSpec | None]] = [
@@ -236,8 +231,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_filter_response(args: argparse.Namespace) -> int:
     n = args.N
-    if n < 1:
-        raise ConfigError(f"--N must be >= 1, got {n}")
     if args.kind == "designed":
         if n < 2:
             raise ConfigError("designed response needs --N >= 2 (the resampling factor)")
@@ -256,8 +249,6 @@ def cmd_filter_response(args: argparse.Namespace) -> int:
     ideal_db = np.where(omega_norm <= cutoff_norm, 0.0, -300.0)
 
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     rows = [
         [f"{w:.8f}", f"{m:.6f}", f"{p:.6f}", f"{i:.2f}"]
         for w, m, p, i in zip(omega_norm, mag_db, phase, ideal_db)
@@ -301,6 +292,16 @@ def thread_count(text: str) -> int:
     return _int_in(text, 1)
 
 
+def upsampling_factor(text: str) -> int:
+    """argparse type for --factor: an integer of at least 2."""
+    return _int_in(text, 2)
+
+
+def response_half_width(text: str) -> int:
+    """argparse type for filter-response --N: 1 to FILTER_RESPONSE_MAX_N."""
+    return _int_in(text, 1, FILTER_RESPONSE_MAX_N)
+
+
 def seed_value(text: str) -> int:
     """argparse type for --seed: a non-negative integer, as SeedSequence takes."""
     return _int_in(text, 0)
@@ -321,8 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=seed_value, default=0, help="manifest seed for all randomness, at least 0 (default 0)")
-    common.add_argument(
+    common.add_argument("--seed", type=seed_value, default=0, help="base seed that run-upsamplers draws from and "
+                        "gen-bench and run-activations record, at least 0 (default 0)")
+    threaded = argparse.ArgumentParser(add_help=False)
+    threaded.add_argument(
         "--threads",
         type=thread_count,
         default=os.cpu_count() or 1,
@@ -335,15 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for WAVs + bench.csv")
     p.set_defaults(func=cmd_gen_bench)
 
-    p = sub.add_parser("run-activations", parents=[common], help="AHR comparison of activation configs")
+    p = sub.add_parser("run-activations", parents=[common, threaded], help="AHR comparison of activation configs")
     p.add_argument("--bench", required=True, help="benchmark directory from gen-bench")
     p.add_argument("--configs", default=None, help="key=value config blocks (default: built-in set)")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.set_defaults(func=cmd_run_activations)
 
-    p = sub.add_parser("run-upsamplers", parents=[common], help="AHR comparison of upsampler kinds")
+    p = sub.add_parser("run-upsamplers", parents=[common, threaded], help="AHR comparison of upsampler kinds")
     p.add_argument("--bench", required=True, help="benchmark directory from gen-bench")
-    p.add_argument("--factor", type=int, default=2, help="upsampling factor L (default 2)")
+    p.add_argument("--factor", type=upsampling_factor, default=2, help="upsampling factor L, at least 2 (default 2)")
     p.add_argument("--seeds", type=seed_count, default=10, help="ConvTranspose seed count, at least 1 (default 10)")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.set_defaults(func=cmd_run_upsamplers)
@@ -355,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter-response", parents=[common], help="frequency response of an upsampling kernel")
     p.add_argument("--kind", choices=("linear", "nearest", "designed"), required=True)
-    p.add_argument("--N", type=int, default=2, help="kernel half-width / resampling factor (default 2)")
+    p.add_argument("--N", type=response_half_width, default=2,
+                   help=f"kernel half-width / resampling factor, 1 to {FILTER_RESPONSE_MAX_N} (default 2)")
     p.add_argument("--out", required=True, help="response CSV path")
     p.set_defaults(func=cmd_filter_response)
 

@@ -7,6 +7,7 @@ cast by that field's type; unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -123,9 +124,13 @@ def file_sha256(path: str | Path) -> str:
 
 def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
     """Write <name>.tmp, then rename it over path, so a partial file is never
-    observable under the final name. The temp file is removed on failure."""
+    observable under the final name. Missing parent directories are created;
+    the temp file is removed on failure."""
     path = Path(path)
+    if not path.name:  # "", "." or "/": a directory, never a file
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_bytes(blob)
         tmp.replace(path)

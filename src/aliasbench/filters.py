@@ -117,7 +117,11 @@ def _kaiser_beta(atten_db: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _design_cached(spec: FilterDesignSpec) -> FirKernel:
+def design_fir(spec: FilterDesignSpec) -> FirKernel:
+    """Kaiser-windowed sinc low-pass (unity DC gain), or its spectral-inversion
+    high-pass complement. Tap count follows the Kaiser length estimate for the
+    requested attenuation and transition width, rounded up to odd. Kernels are
+    cached per spec."""
     # scipy.special.i0 rather than np.i0, whose last bits differ; imported
     # here so that only commands which design a resampling filter load scipy.
     from scipy.special import i0
@@ -136,13 +140,6 @@ def _design_cached(spec: FilterDesignSpec) -> FirKernel:
         taps = -taps
         taps[center] += 1.0
     return FirKernel(taps, center)
-
-
-def design_fir(spec: FilterDesignSpec) -> FirKernel:
-    """Kaiser-windowed sinc low-pass (unity DC gain), or its spectral-inversion
-    high-pass complement. Tap count follows the Kaiser length estimate for the
-    requested attenuation and transition width, rounded up to odd."""
-    return _design_cached(spec)
 
 
 def convolve(x: AudioBuffer, h: FirKernel) -> AudioBuffer:

@@ -53,7 +53,6 @@ class SpectrumEstimate:
 
     bin_freqs: np.ndarray
     power: np.ndarray
-    window: str
     fft_size: int
     data_len: int
     sample_rate: int
@@ -114,7 +113,7 @@ def estimate_spectrum(x: AudioBuffer, window: str = "hann", edge_trim: int = 0) 
     power[-1] /= 2.0  # nfft is even, so the last bin is Nyquist
     power /= nfft * float(np.sum(w * w))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / x.sample_rate)
-    return SpectrumEstimate(freqs, power, window, nfft, n, x.sample_rate)
+    return SpectrumEstimate(freqs, power, nfft, n, x.sample_rate)
 
 
 def band_mask(s: SpectrumEstimate, centres, half_width: float, exclude=None) -> tuple[np.ndarray, int]:

@@ -4,15 +4,26 @@ All invocations go through main(argv) in-process; the tiny session benchmark
 keeps the heavy subcommands fast while staying spectrally honest.
 """
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import sys
+import tempfile
+import threading
+import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aliasbench import cli
-from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main
+from aliasbench.audio import AudioBuffer
+from aliasbench.bench import DEFAULT_ACTIVATIONS, evaluate
+from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from aliasbench.metrics import AhrMeasurement
 
 ACT_CONFIG = """\
 # two cheap nonlinearities
@@ -27,6 +38,45 @@ name = B_snake
 
 def run(*argv):
     return main(list(argv))
+
+
+#: Each command's own options.
+FUZZ_OWN_OPTIONS = {
+    "gen-bench": ("--seed", "--out"),
+    "run-activations": ("--seed", "--threads", "--bench", "--configs", "--out"),
+    "run-upsamplers": ("--seed", "--threads", "--bench", "--factor", "--seeds", "--out"),
+    "sweep": ("--seed", "--config", "--out"),
+    "filter-response": ("--seed", "--kind", "--N", "--out"),
+}
+#: Every option of some command, and one of none.
+FUZZ_OPTIONS = sorted(set().union(*FUZZ_OWN_OPTIONS.values())) + ["--frobnicate"]
+FUZZ_VALUES = (-1, 0, 1, 2, 3, 7, 65, 10**12, "x", "", "nan")
+#: The options each command requires, with usable values ({bench}: the tiny bench).
+FUZZ_REQUIRED = {
+    "gen-bench": ["--out", "bench"],
+    "run-activations": ["--bench", "{bench}", "--out", "act.csv"],
+    "run-upsamplers": ["--bench", "{bench}", "--seeds", "1", "--out", "ups.csv"],
+    "sweep": ["--out", "sweep"],
+    "filter-response": ["--out", "fr.csv"],
+}
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """A subcommand, with or without its required options, then up to three
+    options, each as likely the command's own as any, with drawn values. A
+    valid --seeds above 3 is never drawn: the run would be valid and slow."""
+    command = draw(st.sampled_from(sorted(FUZZ_OWN_OPTIONS)))
+    argv = [command]
+    if draw(st.booleans()):
+        argv += FUZZ_REQUIRED[command]
+        if command == "filter-response":
+            argv += ["--kind", draw(st.sampled_from(("linear", "nearest", "designed")))]
+    options = st.sampled_from(FUZZ_OWN_OPTIONS[command]) | st.sampled_from(FUZZ_OPTIONS)
+    for option in draw(st.lists(options, max_size=3)):
+        values = [v for v in FUZZ_VALUES if not (option == "--seeds" and isinstance(v, int) and v > 3)]
+        argv += [option, str(draw(st.sampled_from(values)))]
+    return argv
 
 
 @pytest.fixture()
@@ -77,12 +127,27 @@ class TestRunActivations:
         assert (out1.with_name("t1_per_signal.csv").read_bytes().split(b"\n", 1)[1]
                 == out4.with_name("t4_per_signal.csv").read_bytes().split(b"\n", 1)[1])
 
+    def test_pool_starts_no_more_workers_than_signals(self):
+        """One pool serves every (config, signal) pair, but a thread count far
+        past the signal count starts one worker per signal, not per pair."""
+        workers = set()
+
+        def measure(spec, entry):
+            workers.add(threading.get_ident())
+            time.sleep(0.01)
+            return AhrMeasurement(-60.0, 1, 1, 1.0, 1e-6)
+
+        entries = [(w, 440.0, AudioBuffer(np.zeros(8), 8000)) for w in ("sine", "sawtooth", "triangle")]
+        reports = evaluate(entries, DEFAULT_ACTIVATIONS, measure, threads=1000)
+        assert [r.module_name for r in reports] == [c.name for c in DEFAULT_ACTIVATIONS]
+        assert 1 <= len(workers) <= len(entries)
+
     @pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
     def test_threads_default_to_the_cpu_count(self, tiny_bench, act_cfg, tmp_path, monkeypatch, cpus, threads):
         """Without --threads a run uses os.cpu_count() workers (1 where that
         is unknown), records the count, and writes the --threads 1 rows."""
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert build_parser().parse_args(["gen-bench", "--out", "x"]).threads == threads
+        assert build_parser().parse_args(["run-activations", "--bench", "b", "--out", "x"]).threads == threads
         root, _ = tiny_bench
         one, default = tmp_path / "one.csv", tmp_path / "default.csv"
         assert run("run-activations", "--bench", str(root), "--configs", str(act_cfg),
@@ -219,11 +284,16 @@ class TestRunUpsamplers:
         assert err.startswith("error: ") and "note 107" in err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_factor_below_two_rejected(self, tiny_bench, tmp_path):
+    def test_factor_below_two_rejected(self, tiny_bench, tmp_path, capsys):
         root, _ = tiny_bench
         rc = run("run-upsamplers", "--bench", str(root), "--factor", "1",
                  "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [
+            "aliasbench run-upsamplers: error: argument --factor: must be at least 2, got 1"
+        ]
+        assert not (tmp_path / "x.csv").exists()
 
     def test_zero_seeds_rejected(self, tiny_bench, tmp_path):
         root, _ = tiny_bench
@@ -340,8 +410,44 @@ class TestFilterResponse:
         rc = run("filter-response", "--kind", "linear", "--N", "0", "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("n", ["65", "1000000000000"])
+    @pytest.mark.parametrize("kind", ["linear", "designed"])
+    def test_n_beyond_the_largest_factor_rejected(self, tmp_path, capsys, kind, n):
+        """A kernel for an N far past any factor the suite drives would not
+        fit in memory; the parser rejects it before any is built."""
+        out = tmp_path / "x.csv"
+        rc = run("filter-response", "--kind", kind, "--N", n, "--out", str(out))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [
+            f"aliasbench filter-response: error: argument --N: must be at most 64, got {n}"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_largest_n_designs_a_filter(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run("filter-response", "--kind", "designed", "--N", "64", "--out", str(out)) == EXIT_OK
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4096
+
 
 class TestArgumentHandling:
+    @settings(max_examples=100, deadline=None)
+    @given(argv=fuzz_argvs())
+    @example(argv=["run-activations", "--bench", "{bench}", "--out", "act.csv", "--out", ""])
+    def test_any_argv_ends_in_a_documented_exit(self, tiny_bench, argv):
+        """Whatever the options and values, a command exits 0, 2, 3 or 4 with
+        at most one error line and no traceback. Each run starts in an empty
+        directory, so relative outputs land there."""
+        root, _ = tiny_bench
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run(*(str(root) if a == "{bench}" else a for a in argv))
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in ln for ln in err.getvalue().splitlines()) <= 1
+
     def test_version_flag(self, capsys):
         assert run("--version") == EXIT_OK
         assert capsys.readouterr().out.startswith("aliasbench ")
@@ -365,6 +471,23 @@ class TestArgumentHandling:
         assert "error: argument --threads: must be at least 1" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("gen-bench", "--out", "{out}"),
+        ("sweep", "--out", "{out}"),
+        ("filter-response", "--kind", "linear", "--out", "{out}/x.csv"),
+    ])
+    def test_threads_only_on_the_table_commands(self, tmp_path, capsys, command):
+        """Only run-activations and run-upsamplers evaluate signals on worker
+        threads; elsewhere --threads is an unknown option."""
+        out = tmp_path / "out"
+        rc = run(*(a.format(out=out) for a in command), "--threads", "2")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [
+            "aliasbench: error: unrecognized arguments: --threads 2"
+        ]
+        assert not out.exists()
 
     def test_allocator_policy_is_set_after_parsing(self, tmp_path, monkeypatch, capsys):
         """A command sets the policy once; --version and a usage error exit

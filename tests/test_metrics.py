@@ -218,7 +218,7 @@ def band_cases(draw):
     nfft = draw(st.sampled_from([64, 256, 1024]))
     rate = draw(st.sampled_from([1000, 44100]))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / rate)
-    s = SpectrumEstimate(freqs, np.ones(freqs.size), "rect", nfft, nfft, rate)
+    s = SpectrumEstimate(freqs, np.ones(freqs.size), nfft, nfft, rate)
     hw = draw(st.just(0.0) | st.floats(0.0, 20.0 * rate / nfft))
     on_bin = st.integers(0, freqs.size - 1).map(lambda i: float(freqs[i]))
     anywhere = st.floats(0.0, 0.6 * rate)

@@ -1,12 +1,16 @@
-"""The benchmark's per-layer trace wraps named aliasbench functions. A refactor
-that renames one, or moves the spec argument its span name is read from,
-would silently empty that layer of the trace; these tests catch it."""
+"""The benchmark's per-layer trace wraps named aliasbench functions, and its
+workloads run fixed command lines. A refactor that renames one of those
+functions, moves the spec argument its span name is read from, or drops an
+option the benchmark passes would break the benchmark; these tests catch it."""
 
 import importlib
 import inspect
 
 import pytest
+import run
 import tracer
+
+from aliasbench.cli import build_parser
 
 WRAPPED = [(module, fn) for module, fns in tracer.LAYERS.items() for fn in fns]
 
@@ -21,3 +25,12 @@ def test_spec_is_the_second_positional_argument(module, fn):
     params = list(inspect.signature(getattr(importlib.import_module(f"aliasbench.{module}"), fn)).parameters.values())
     assert len(params) >= 2 and params[1].name == "spec"
     assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+@pytest.mark.parametrize("workload", sorted(run.WORKLOADS))
+def test_benchmark_commands_parse(workload):
+    """Every command line the benchmark runs is one the CLI accepts: an option
+    dropped from a command it passes would fail each of its rounds."""
+    parser = build_parser()
+    for argv in run.WORKLOADS[workload](seed=1).commands():
+        parser.parse_args(argv)

@@ -31,9 +31,15 @@ class TestRoundTrip:
         wav_write(AudioBuffer(np.zeros(10), 8000), tmp_path / "z.wav")
         assert [p.name for p in tmp_path.iterdir()] == ["z.wav"]
 
-    def test_write_into_missing_directory_raises(self, tmp_path):
+    def test_write_creates_missing_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "z.wav"
+        wav_write(AudioBuffer(np.zeros(10), 8000), path)
+        assert wav_read(path).sample_rate == 8000
+
+    def test_write_below_a_file_raises(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"")
         with pytest.raises(WavError):
-            wav_write(AudioBuffer(np.zeros(10), 8000), tmp_path / "nope" / "z.wav")
+            wav_write(AudioBuffer(np.zeros(10), 8000), tmp_path / "plain" / "z.wav")
 
 
 class TestPcmScaling:
