@@ -36,10 +36,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate
-
     def with_samples(self, samples: np.ndarray, sample_rate: int | None = None) -> "AudioBuffer":
         """New buffer with these samples, keeping this rate unless overridden."""
         return AudioBuffer(samples, self.sample_rate if sample_rate is None else sample_rate)

@@ -26,7 +26,7 @@ from .metrics import (
     build_report,
     measure_ahr,
 )
-from .signals import EDGE_DISCARD, WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, midi_to_freq
+from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, midi_to_freq
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
 
 #: Activation configs evaluated by default. The four table_row entries mirror
@@ -61,7 +61,7 @@ def derive_seeds(base_seed: int, count: int) -> list[int]:
 def measure_activation(spec: ActivationSpec, entry: SignalEntry) -> AhrMeasurement:
     """AHR of one signal through an activation: aliases are folded harmonics."""
     _, f0, x = entry
-    return measure_ahr(apply_activation(x, spec), f0, ActivationContext(), edge_trim=EDGE_DISCARD)
+    return measure_ahr(apply_activation(x, spec), f0, ActivationContext())
 
 
 def measure_upsampler(spec: UpsamplerSpec, entry: SignalEntry) -> AhrMeasurement:
@@ -73,7 +73,7 @@ def measure_upsampler(spec: UpsamplerSpec, entry: SignalEntry) -> AhrMeasurement
         input_rate=x.sample_rate,
         alias_freqs=image_frequencies(f0, spec.factor, x.sample_rate, law_k_values(waveform)),
     )
-    return measure_ahr(y, f0, context, edge_trim=EDGE_DISCARD)
+    return measure_ahr(y, f0, context)
 
 
 def evaluate(
@@ -116,7 +116,6 @@ def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[Sig
             midi_note=s.midi_note,
             duration_s=s.duration_s,
             sample_rate=s.sample_rate // factor,
-            amplitude=s.amplitude,
         )
         if low.f0_hz >= low.sample_rate / 2.0:
             raise ConfigError(
@@ -130,7 +129,7 @@ def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[Sig
 def tonal_probe_for(spec: UpsamplerSpec, input_rate: int) -> float:
     """Stride-line level (dB) of this layer driven by one second of constant input."""
     x = AudioBuffer(np.full(input_rate, TONAL_PROBE_VALUE), input_rate)
-    return tonal_probe(apply_upsampler(x, spec), input_rate, edge_trim=EDGE_DISCARD)
+    return tonal_probe(apply_upsampler(x, spec), input_rate)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .configio import (
     write_csv,
     write_manifest,
 )
-from .filters import design_fir, frequency_response, interp_kernel, resample_filter_spec
+from .filters import design_fir, frequency_response, interp_kernel
 from .metrics import spectrogram_export
 from .signals import TestSignalSpec, build_benchmark, gen_sweep
 from .wavio import WavError, wav_read, wav_write
@@ -65,6 +65,10 @@ _MALLOPT = (
 #: Largest filter-response --N: the largest factor the suite drives (criterion
 #: 1's 64x pipeline). A far larger N would size a kernel beyond memory.
 FILTER_RESPONSE_MAX_N = 64
+
+#: Largest run-upsamplers --seeds. Each seed is one more ConvTranspose pass
+#: over every signal; the benchmark uses 10.
+MAX_CONV_SEEDS = 1000
 
 SWEEP_F_START_HZ = 20.0
 SWEEP_F_END_HZ = 20000.0
@@ -234,7 +238,7 @@ def cmd_filter_response(args: argparse.Namespace) -> int:
     if args.kind == "designed":
         if n < 2:
             raise ConfigError("designed response needs --N >= 2 (the resampling factor)")
-        kernel = design_fir(resample_filter_spec(n))
+        kernel = design_fir(n)
     else:
         kernel = interp_kernel(args.kind, n)
     cutoff_norm = 1.0 / n
@@ -308,10 +312,8 @@ def seed_value(text: str) -> int:
 
 
 def seed_count(text: str) -> int:
-    """argparse type for --seeds: at least 1, and at most sys.maxsize - 1,
-    because SeedSequence.spawn takes the count + 1 (one more seed for the
-    noise prior) as a C ssize_t."""
-    return _int_in(text, 1, sys.maxsize - 1)
+    """argparse type for --seeds: 1 to MAX_CONV_SEEDS."""
+    return _int_in(text, 1, MAX_CONV_SEEDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=seed_value, default=0, help="base seed that run-upsamplers draws from and "
-                        "gen-bench and run-activations record, at least 0 (default 0)")
+    common.add_argument("--seed", type=seed_value, default=0, help="base seed that run-upsamplers draws from, "
+                        "gen-bench and run-activations record and sweep ignores, at least 0 (default 0)")
     threaded = argparse.ArgumentParser(add_help=False)
     threaded.add_argument(
         "--threads",
@@ -347,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-upsamplers", parents=[common, threaded], help="AHR comparison of upsampler kinds")
     p.add_argument("--bench", required=True, help="benchmark directory from gen-bench")
     p.add_argument("--factor", type=upsampling_factor, default=2, help="upsampling factor L, at least 2 (default 2)")
-    p.add_argument("--seeds", type=seed_count, default=10, help="ConvTranspose seed count, at least 1 (default 10)")
+    p.add_argument("--seeds", type=seed_count, default=10,
+                   help=f"ConvTranspose seed count, 1 to {MAX_CONV_SEEDS} (default 10)")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.set_defaults(func=cmd_run_upsamplers)
 
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for CSV/PGM spectrograms")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("filter-response", parents=[common], help="frequency response of an upsampling kernel")
+    p = sub.add_parser("filter-response", help="frequency response of an upsampling kernel")
     p.add_argument("--kind", choices=("linear", "nearest", "designed"), required=True)
     p.add_argument("--N", type=response_half_width, default=2,
                    help=f"kernel half-width / resampling factor, 1 to {FILTER_RESPONSE_MAX_N} (default 2)")

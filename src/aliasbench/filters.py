@@ -67,46 +67,6 @@ class FirKernel:
         return bool(np.all(np.abs(left - right) <= 1e-12) and np.all(np.abs(outside) <= 1e-12))
 
 
-@dataclass(frozen=True)
-class FilterDesignSpec:
-    """What to ask of design_fir: cutoff/transition as fractions of Nyquist."""
-
-    cutoff: float
-    transition_width: float = DEFAULT_TRANSITION
-    stopband_atten_db: float = DEFAULT_STOPBAND_DB
-    kind: str = "lowpass"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("lowpass", "highpass"):
-            raise ValueError(f"kind must be lowpass or highpass, got {self.kind!r}")
-        if self.transition_width <= 0:
-            raise ValueError("transition_width must be positive")
-        if not 0.0 < self.cutoff < 1.0:
-            raise ValueError(f"cutoff must be in (0, 1), got {self.cutoff}")
-        if self.cutoff - self.transition_width / 2 <= 0 or self.cutoff + self.transition_width / 2 >= 1:
-            raise ValueError("transition band must fit inside (0, 1)")
-        if self.stopband_atten_db <= 0:
-            raise ValueError("stopband_atten_db must be positive")
-
-
-def resample_filter_spec(
-    factor: int,
-    stopband_atten_db: float = DEFAULT_STOPBAND_DB,
-    base_transition: float = DEFAULT_TRANSITION,
-    kind: str = "lowpass",
-) -> FilterDesignSpec:
-    """Design spec for resampling by an integer factor: cutoff 1/L, with the
-    transition width scaled by 2/L (anchored at 0.05 for L=2)."""
-    if factor < 2:
-        raise ValueError("resampling filters are for factors >= 2")
-    return FilterDesignSpec(
-        cutoff=1.0 / factor,
-        transition_width=base_transition * 2.0 / factor,
-        stopband_atten_db=stopband_atten_db,
-        kind=kind,
-    )
-
-
 def _kaiser_beta(atten_db: float) -> float:
     """Kaiser window beta for a stopband attenuation in dB (Kaiser 1974)."""
     if atten_db > 50:
@@ -117,26 +77,38 @@ def _kaiser_beta(atten_db: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def design_fir(spec: FilterDesignSpec) -> FirKernel:
-    """Kaiser-windowed sinc low-pass (unity DC gain), or its spectral-inversion
-    high-pass complement. Tap count follows the Kaiser length estimate for the
-    requested attenuation and transition width, rounded up to odd. Kernels are
-    cached per spec."""
+def design_fir(
+    factor: int,
+    stopband_atten_db: float = DEFAULT_STOPBAND_DB,
+    base_transition: float = DEFAULT_TRANSITION,
+    highpass: bool = False,
+) -> FirKernel:
+    """Resampling filter for an integer factor L: a Kaiser-windowed sinc
+    low-pass at cutoff 1/L of Nyquist (unity DC gain), or its
+    spectral-inversion high-pass complement. The transition width is
+    base_transition scaled by 2/L, and the tap count follows the Kaiser length
+    estimate, rounded up to odd. Kernels are cached by the arguments as
+    passed, so callers pass them positionally."""
+    if factor < 2:
+        raise ValueError("resampling filters are for factors >= 2")
+    if not 0.0 < base_transition < 1.0:  # the transition band then fits in (0, 1)
+        raise ValueError(f"base_transition must be in (0, 1), got {base_transition}")
+    if stopband_atten_db < 8:
+        raise ValueError(f"stopband attenuation {stopband_atten_db:f} dB is too small for the Kaiser formula")
     # scipy.special.i0 rather than np.i0, whose last bits differ; imported
     # here so that only commands which design a resampling filter load scipy.
     from scipy.special import i0
 
-    atten = spec.stopband_atten_db
-    if atten < 8:
-        raise ValueError(f"stopband attenuation {atten:f} dB is too small for the Kaiser formula")
-    numtaps = math.ceil((atten - 7.95) / 2.285 / (np.pi * spec.transition_width) + 1) | 1
+    cutoff = 1.0 / factor
+    width = base_transition * 2.0 / factor
+    numtaps = math.ceil((stopband_atten_db - 7.95) / 2.285 / (np.pi * width) + 1) | 1
     center = numtaps // 2
     m = np.arange(numtaps, dtype=np.float64) - center
-    beta = _kaiser_beta(atten)
+    beta = _kaiser_beta(stopband_atten_db)
     window = i0(beta * np.sqrt(1 - (m / center) ** 2.0)) / i0(beta)
-    taps = spec.cutoff * np.sinc(spec.cutoff * m) * window
+    taps = cutoff * np.sinc(cutoff * m) * window
     taps /= np.sum(taps)
-    if spec.kind == "highpass":
+    if highpass:
         taps = -taps
         taps[center] += 1.0
     return FirKernel(taps, center)
@@ -184,7 +156,7 @@ def upsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return x
-    y = interpolate(x, design_fir(resample_filter_spec(factor)), factor)
+    y = interpolate(x, design_fir(factor), factor)
     return y.with_samples(y.samples * factor)
 
 
@@ -213,7 +185,7 @@ def downsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return x
-    return decimate(x, design_fir(resample_filter_spec(factor)), factor)
+    return decimate(x, design_fir(factor), factor)
 
 
 def frequency_response(h: FirKernel, n_points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,8 @@ from the test signal's fundamental (never detected from the data):
   the spectral images |n*Fs_in +- k*f0| supplied by the caller.
 
 Every band is read through one routine, band_mask: measure_ahr,
-band_energy and upsamplers.tonal_probe use it alike. The band rule of
-measure_ahr:
+band_energy and upsamplers.tonal_probe use it alike. Every dB level is
+clamped by one, ratio_db. The band rule of measure_ahr:
 
 * a band covers the bins within BAND_HALF_WIDTH_BINS resolution bins of its
   line, and bands are combined as a bin mask, so overlapping bands count once;
@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, NumericError
 from .configio import atomic_write_bytes
 
 #: AHR clamp: numerically silent alias bands report this instead of -inf.
@@ -42,6 +42,9 @@ FLOOR_DB = -120.0
 
 #: Band half-width in analysis-resolution bins (covers the Hann main lobe).
 BAND_HALF_WIDTH_BINS = 4
+
+#: Samples discarded at each edge before any benchmark spectral analysis.
+EDGE_DISCARD = 8192
 
 #: Hard cap on harmonic indices considered anywhere in the bookkeeping.
 K_CAP = 512
@@ -88,23 +91,21 @@ def hann(n: int) -> np.ndarray:
     return w
 
 
-def estimate_spectrum(x: AudioBuffer, window: str = "hann", edge_trim: int = 0) -> SpectrumEstimate:
+def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
     """Single-frame power spectrum of the edge-trimmed signal.
 
-    The frame is windowed (Hann by default; "rect" gives exact Parseval),
-    zero-padded to the next power of two >= 4x its length, and normalized so
-    the bin powers sum to the window-weighted mean signal power: a unit-
-    amplitude sine therefore integrates to ~0.5 regardless of padding.
+    The frame is Hann-windowed, zero-padded to the next power of two >= 4x its
+    length, and normalized so the bin powers sum to the window-weighted mean
+    signal power, sum((x w)^2) / sum(w^2): a unit-amplitude sine therefore
+    integrates to ~0.5 regardless of padding.
     """
-    if window not in ("hann", "rect"):
-        raise ValueError(f"window must be hann or rect, got {window!r}")
     if edge_trim < 0:
         raise ValueError("edge_trim must be >= 0")
     data = x.samples[edge_trim : len(x) - edge_trim]
     n = data.size
     if n < 1024:
         raise ValueError(f"need at least 1024 samples after trimming, got {n}")
-    w = hann(n) if window == "hann" else np.ones(n)
+    w = hann(n)
     nfft = _next_pow2(4 * n)
     spec = np.fft.rfft(data * w, n=nfft)
     power = np.abs(spec) ** 2
@@ -114,6 +115,19 @@ def estimate_spectrum(x: AudioBuffer, window: str = "hann", edge_trim: int = 0) 
     power /= nfft * float(np.sum(w * w))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / x.sample_rate)
     return SpectrumEstimate(freqs, power, nfft, n, x.sample_rate)
+
+
+def ratio_db(num: float, den: float) -> float:
+    """10 log10(num / den) clamped below at FLOOR_DB: the one clamp of every
+    level this package reports. A silent numerator or denominator, or a
+    quotient that underflows, reads FLOOR_DB. A non-finite energy means the
+    spectrum overflowed, and raises NumericError rather than reading as a
+    score."""
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise NumericError(f"non-finite band energy ({num} / {den}): the spectrum overflowed")
+    if num <= 0.0 or den <= 0.0 or num / den == 0.0:
+        return FLOOR_DB
+    return max(FLOOR_DB, 10.0 * math.log10(num / den))
 
 
 def band_mask(s: SpectrumEstimate, centres, half_width: float, exclude=None) -> tuple[np.ndarray, int]:
@@ -184,7 +198,7 @@ def measure_ahr(
     output: AudioBuffer,
     f0: float,
     context: ActivationContext | UpsamplerContext,
-    edge_trim: int = 8192,
+    edge_trim: int = EDGE_DISCARD,
 ) -> AhrMeasurement:
     """AHR of a processed test signal with full band bookkeeping."""
     if f0 <= 0:
@@ -209,11 +223,7 @@ def measure_ahr(
     assert not np.any(hmask & amask), "harmonic and alias bands must be disjoint"
     e_h = float(s.power[hmask].sum())
     e_a = float(s.power[amask].sum())
-    if e_h <= 0.0 or e_a <= 0.0:
-        ahr_db = FLOOR_DB
-    else:
-        ahr_db = max(FLOOR_DB, 10.0 * math.log10(e_a / e_h))
-    return AhrMeasurement(ahr_db, h_count, a_count, e_h, e_a)
+    return AhrMeasurement(ratio_db(e_a, e_h), h_count, a_count, e_h, e_a)
 
 
 @dataclass(frozen=True)
@@ -286,11 +296,14 @@ def spectrogram_export(x: AudioBuffer, frame: int, hop: int, base_path: str | Pa
 
     dB values are relative to the global maximum, clamped to [-100, 0] and
     mapped linearly to pixel values [0, 255]; silence maps to all-zero pixels.
+    An overflowed STFT raises NumericError before any file is written.
     PGM rows run from the highest frequency (top) down to DC.
     """
     base = Path(base_path)
     freqs, times, mags = spectrogram(x, frame, hop)
     peak = mags.max()
+    if not np.isfinite(peak):
+        raise NumericError("non-finite spectrogram magnitude: the spectrum overflowed")
     if peak > 0.0:
         db = 20.0 * np.log10(np.maximum(mags, peak * 1e-10) / peak)
         db = np.clip(db, -100.0, 0.0)

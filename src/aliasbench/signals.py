@@ -26,9 +26,6 @@ WAVEFORMS = ("sine", "sawtooth", "triangle")
 #: Peak level every benchmark segment is normalized to (-1 dBFS).
 BENCH_AMPLITUDE = 10.0 ** (-1.0 / 20.0)
 
-#: Samples discarded at each edge before any benchmark spectral analysis.
-EDGE_DISCARD = 8192
-
 _BENCH_RATE = 44100
 _BENCH_DURATION_S = 5.0
 _MIDI_LO = 60  # C4
@@ -52,7 +49,6 @@ class TestSignalSpec:
     midi_note: int
     duration_s: float = _BENCH_DURATION_S
     sample_rate: int = _BENCH_RATE
-    amplitude: float = BENCH_AMPLITUDE
 
     def __post_init__(self) -> None:
         if self.waveform not in WAVEFORMS:
@@ -65,8 +61,6 @@ class TestSignalSpec:
             raise ValueError("duration_s must be positive")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
 
     @property
     def f0_hz(self) -> float:
@@ -127,7 +121,7 @@ def law_k_values(waveform: str) -> tuple[int, ...]:
 
 
 def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
-    """Additive synthesis of one test signal, peak-normalized to spec.amplitude.
+    """Additive synthesis of one test signal, peak-normalized to BENCH_AMPLITUDE.
 
     The partial sum x = sum_k a_k sin(k theta), theta = 2 pi f0 t, is evaluated
     by Clenshaw's recurrence (Clenshaw 1955): starting from b_{K+1} = b_{K+2}
@@ -170,7 +164,7 @@ def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
             np.multiply(b, theta, out=x[lo : lo + theta.size])
     peak = np.max(np.abs(x)) if n else 0.0
     if peak > 0.0:
-        x *= spec.amplitude / peak
+        x *= BENCH_AMPLITUDE / peak
     return AudioBuffer(x, spec.sample_rate)
 
 

@@ -29,9 +29,8 @@ from .filters import (
     design_fir,
     interp_kernel,
     interpolate,
-    resample_filter_spec,
 )
-from .metrics import FLOOR_DB, BAND_HALF_WIDTH_BINS, band_mask, estimate_spectrum
+from .metrics import BAND_HALF_WIDTH_BINS, EDGE_DISCARD, band_mask, estimate_spectrum, ratio_db
 
 UPSAMPLER_KINDS = ("conv_transpose", "linear", "nearest", "aa_resample")
 
@@ -122,8 +121,7 @@ def upsampler_kernel(spec: UpsamplerSpec) -> tuple[FirKernel, float, float]:
         return interp_kernel("linear", spec.factor), 1.0, 0.0
     if spec.kind == "nearest":
         return interp_kernel("hold", spec.factor), 1.0, 0.0
-    lp = resample_filter_spec(spec.factor, spec.stopband_atten_db, spec.base_transition)
-    return design_fir(lp), float(spec.factor), 0.0
+    return design_fir(spec.factor, spec.stopband_atten_db, spec.base_transition), float(spec.factor), 0.0
 
 
 def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
@@ -146,8 +144,7 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
     bound = 1.0 / math.sqrt(_PRIOR_CONV_TAPS)
     taps = _stream(spec.seed, _DOM_PRIOR_CONV).uniform(-bound, bound, size=_PRIOR_CONV_TAPS)
     prior = interpolate(x, FirKernel(taps, _PRIOR_CONV_TAPS // 2), spec.factor)
-    hp = resample_filter_spec(spec.factor, spec.stopband_atten_db, spec.base_transition, kind="highpass")
-    prior = convolve(prior, design_fir(hp))
+    prior = convolve(prior, design_fir(spec.factor, spec.stopband_atten_db, spec.base_transition, True))
     g_mix, g_prior = _stream(spec.seed, _DOM_PRIOR_GAINS).uniform(0.5, 1.5, size=2)
     return y.with_samples(g_mix * (y.samples + g_prior * prior.samples))
 
@@ -169,7 +166,7 @@ def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[fl
     return tuple(np.unique(f[(f > 0.0) & (f <= factor * input_rate / 2.0)]).tolist())
 
 
-def tonal_probe(output: AudioBuffer, input_rate: int, edge_trim: int = 8192) -> float:
+def tonal_probe(output: AudioBuffer, input_rate: int, edge_trim: int = EDGE_DISCARD) -> float:
     """Tonal-artifact level (dB) in a layer's output for constant input.
 
     Sums band energy at every multiple of the input rate up to the output
@@ -180,8 +177,4 @@ def tonal_probe(output: AudioBuffer, input_rate: int, edge_trim: int = 8192) -> 
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
     out_nyq = output.sample_rate / 2.0
     mask, _ = band_mask(s, input_rate * np.arange(1, int(out_nyq // input_rate) + 1), hw)
-    e_lines = float(s.power[mask].sum())
-    total = s.total_power
-    if e_lines <= 0.0 or total <= 0.0:
-        return FLOOR_DB
-    return max(FLOOR_DB, 10.0 * math.log10(e_lines / total))
+    return ratio_db(float(s.power[mask].sum()), s.total_power)

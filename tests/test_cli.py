@@ -4,15 +4,16 @@ All invocations go through main(argv) in-process; the tiny session benchmark
 keeps the heavy subcommands fast while staying spectrally honest.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import shutil
-import sys
 import tempfile
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aliasbench import cli
+from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpec
 from aliasbench.audio import AudioBuffer
 from aliasbench.bench import DEFAULT_ACTIVATIONS, evaluate
-from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
 from aliasbench.metrics import AhrMeasurement
 
 ACT_CONFIG = """\
@@ -40,14 +42,18 @@ def run(*argv):
     return main(list(argv))
 
 
+def own_options() -> dict[str, tuple[str, ...]]:
+    """Each command's own options, read from the parser, so an option a
+    command drops leaves the fuzz table with it."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: tuple(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for command, p in sub.choices.items()
+    }
+
+
 #: Each command's own options.
-FUZZ_OWN_OPTIONS = {
-    "gen-bench": ("--seed", "--out"),
-    "run-activations": ("--seed", "--threads", "--bench", "--configs", "--out"),
-    "run-upsamplers": ("--seed", "--threads", "--bench", "--factor", "--seeds", "--out"),
-    "sweep": ("--seed", "--config", "--out"),
-    "filter-response": ("--seed", "--kind", "--N", "--out"),
-}
+FUZZ_OWN_OPTIONS = own_options()
 #: Every option of some command, and one of none.
 FUZZ_OPTIONS = sorted(set().union(*FUZZ_OWN_OPTIONS.values())) + ["--frobnicate"]
 FUZZ_VALUES = (-1, 0, 1, 2, 3, 7, 65, 10**12, "x", "", "nan")
@@ -74,9 +80,52 @@ def fuzz_argvs(draw):
             argv += ["--kind", draw(st.sampled_from(("linear", "nearest", "designed")))]
     options = st.sampled_from(FUZZ_OWN_OPTIONS[command]) | st.sampled_from(FUZZ_OPTIONS)
     for option in draw(st.lists(options, max_size=3)):
-        values = [v for v in FUZZ_VALUES if not (option == "--seeds" and isinstance(v, int) and v > 3)]
+        values = [v for v in FUZZ_VALUES if not (option == "--seeds" and isinstance(v, int) and 3 < v <= MAX_CONV_SEEDS)]
         argv += [option, str(draw(st.sampled_from(values)))]
     return argv
+
+
+#: Values the config fuzz draws for each ActivationSpec field that cast and
+#: that the spec accepts. 1e153 overflows only the harmonic energy of the
+#: tiny bench's one-second signals; 1e150 leaves it finite there.
+CONFIG_FLOATS = ("0.1", "1", "2.5", "1e150", "1e153", "1e200", "1e308")
+CONFIG_GOOD = {f.name: CONFIG_FLOATS for f in fields(ActivationSpec) if f.type == "float"} | {
+    "kind": ActivationSpec._KINDS,
+    "adaa_base": ADAA_BASES,
+    "oversample": tuple(str(f) for f in OVERSAMPLE_FACTORS),
+    "name": ("n1", "ok_name"),
+    "table_row": ("true", "False"),
+}
+#: Values that fail a cast or a check for most fields: non-finite floats,
+#: bad casts, an unknown kind and names with a forbidden character.
+CONFIG_BAD = ("nan", "inf", "-inf", "-1", "0", "3", "1.5", "x", "", "yes", "square",
+              "a,b", 'q"r', "p/q", "r\\s")
+#: Lines that are no field of any spec: a comment, and four a parser rejects.
+CONFIG_ODD_LINES = ("# a comment", "no equals sign", "frobnicate = 1", "Kind = elu", " = 1")
+
+
+@st.composite
+def config_texts(draw):
+    """Key = value text of up to three blocks. A block names up to three
+    fields, kind among them or added three times in four; a value casts and
+    passes the spec three times in four. One block in four repeats a line or
+    holds an odd line; endings are LF or CRLF, and one text in four starts
+    with a BOM."""
+    rarely = st.sampled_from((False, False, False, True))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        keys = draw(st.lists(st.sampled_from(sorted(CONFIG_GOOD)), max_size=3, unique=True))
+        if "kind" not in keys and not draw(rarely):
+            keys.insert(0, "kind")
+        lines = [f"{k} = {draw(st.sampled_from(CONFIG_BAD if draw(rarely) else CONFIG_GOOD[k]))}" for k in keys]
+        if lines and draw(rarely):
+            lines.append(draw(st.sampled_from(lines)))
+        if draw(rarely):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(CONFIG_ODD_LINES)))
+        blocks.append(lines)
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    text = (eol * draw(st.integers(2, 3))).join(eol.join(b) for b in blocks) + eol
+    return ("\ufeff" if draw(rarely) else "") + text
 
 
 @pytest.fixture()
@@ -205,6 +254,27 @@ class TestRunActivations:
         rc = run("run-activations", "--bench", str(root), "--configs", str(cfg), "--out", str(out))
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: bad value for {key!r}: {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("leaky_relu", "slope", "1e153"),
+        ("leaky_relu", "slope", "1e200"),
+        ("leaky_relu", "slope", "1e308"),
+        ("elu", "elu_a", "1e308"),
+    ])
+    def test_overflowed_spectrum_is_a_numeric_error(self, tiny_bench, tmp_path, capsys, kind, key, value):
+        """Finite samples whose band energies overflow: inf / inf used to
+        clamp to the best score, and x / inf to raise from log10(0)."""
+        root, _ = tiny_bench
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"kind = {kind}\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = run("run-activations", "--bench", str(root), "--configs", str(cfg), "--out", str(out))
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and errors[0].startswith("numeric error: non-finite band energy")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["Snake,Beta", 'Snake"Beta', "a/b", "a\\b"])
@@ -364,6 +434,30 @@ class TestBenchValidation:
         assert err.startswith("error: ") and "sawtooth, triangle" in err
 
 
+class TestConfigText:
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(("run-activations", "sweep")), text=config_texts())
+    @example(command="run-activations", text="kind = leaky_relu\nslope = 1e153\n")
+    @example(command="run-activations", text="kind = leaky_relu\nslope = 1e200\n")
+    @example(command="sweep", text="kind = elu\nelu_a = 1e308\n")
+    def test_any_config_text_ends_in_a_documented_exit(self, tiny_bench, command, text):
+        """Whatever run-activations --configs or sweep --config reads, the
+        command exits 0, 2 or 4 with at most one error line and no traceback."""
+        root, _ = tiny_bench
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with open("c.cfg", "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            if command == "run-activations":
+                rc = run(command, "--configs", "c.cfg", "--bench", str(root), "--threads", "1", "--out", "out/x.csv")
+            else:
+                rc = run(command, "--config", "c.cfg", "--out", "out")
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in ln for ln in err.getvalue().splitlines()) <= 1
+
+
 class TestSweep:
     def test_custom_config_names_and_numbers_panels(self, tmp_path):
         cfg = tmp_path / "one.cfg"
@@ -374,6 +468,17 @@ class TestSweep:
         assert sorted(p.name for p in out.iterdir()) == ["01_probe.csv", "01_probe.pgm"]
         header = (out / "01_probe.pgm").read_bytes().split(b"255\n", 1)[0]
         assert header == b"P5\n687 513\n"
+
+    def test_overflowed_panel_is_a_numeric_error(self, tmp_path, capsys):
+        """Samples near the float maximum are finite, but their STFT is not;
+        the panel used to be written as silence."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("kind = elu\nelu_a = 1e308\n", encoding="utf-8")
+        out = tmp_path / "panels"
+        assert run("sweep", "--config", str(cfg), "--out", str(out)) == EXIT_NUMERIC
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert errors == ["numeric error: non-finite spectrogram magnitude: the spectrum overflowed"]
+        assert not out.exists()
 
 
 class TestFilterResponse:
@@ -508,27 +613,31 @@ class TestArgumentHandling:
         ("filter-response", "--kind", "linear", "--out", "{out}/x.csv"),
     ])
     def test_negative_seed_rejected(self, tiny_bench, tmp_path, capsys, command):
+        """filter-response draws nothing, so it takes no --seed at all."""
         root, _ = tiny_bench
         out = tmp_path / "out"
         rc = run(*(a.format(bench=root, out=out) for a in command), "--seed", "-1")
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert [ln for ln in err.splitlines() if "error:" in ln] == [
-            f"aliasbench {command[0]}: error: argument --seed: must be at least 0, got -1"
-        ]
+        want = (
+            "aliasbench: error: unrecognized arguments: --seed -1"
+            if command[0] == "filter-response"
+            else f"aliasbench {command[0]}: error: argument --seed: must be at least 0, got -1"
+        )
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [want]
         assert not out.exists()
 
-    def test_seed_count_beyond_an_index_rejected(self, tiny_bench, tmp_path, capsys):
-        """A count SeedSequence.spawn cannot take is a usage error, not an
-        OverflowError after the signals are built."""
+    @pytest.mark.parametrize("count", [str(MAX_CONV_SEEDS + 1), "1000000000000", "100000000000000000000"])
+    def test_seed_count_above_the_cap_rejected(self, tiny_bench, tmp_path, capsys, count):
+        """Each seed is one more ConvTranspose pass over every signal, so a
+        count past MAX_CONV_SEEDS exits 2 before any signal is built, up to
+        counts SeedSequence.spawn could not take."""
         root, _ = tiny_bench
-        rc = run("run-upsamplers", "--bench", str(root), "--seeds", "100000000000000000000",
-                 "--out", str(tmp_path / "x.csv"))
+        rc = run("run-upsamplers", "--bench", str(root), "--seeds", count, "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert [ln for ln in err.splitlines() if "error:" in ln] == [
-            "aliasbench run-upsamplers: error: argument --seeds: must be at most "
-            f"{sys.maxsize - 1}, got 100000000000000000000"
+            f"aliasbench run-upsamplers: error: argument --seeds: must be at most {MAX_CONV_SEEDS}, got {count}"
         ]
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()

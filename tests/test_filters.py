@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from aliasbench.audio import AudioBuffer
 from aliasbench.filters import (
-    FilterDesignSpec,
     FirKernel,
     convolve,
     decimate,
@@ -17,7 +16,6 @@ from aliasbench.filters import (
     frequency_response,
     interp_kernel,
     interpolate,
-    resample_filter_spec,
     upsample_filtered,
     zero_interlace,
 )
@@ -49,8 +47,8 @@ class TestFirKernel:
 
 class TestDesignFir:
     def test_spec_example_stopband(self):
-        """cutoff 0.5, 80 dB, transition 0.05: |H| at 0.575 is below -77 dB."""
-        k = design_fir(FilterDesignSpec(0.5, transition_width=0.05, stopband_atten_db=80.0))
+        """Factor 2 (cutoff 0.5), 80 dB, transition 0.05: |H| at 0.575 is below -77 dB."""
+        k = design_fir(2, 80.0, 0.05)
         omegas, db = response_db(k, 8192)
         at = np.argmin(np.abs(omegas / np.pi - 0.575))
         assert db[at] <= -77.0
@@ -58,18 +56,18 @@ class TestDesignFir:
     def test_benchmark_lowpass_meets_100db(self):
         """The factor-2 resampling filter holds 100 dB everywhere past the
         transition band edge (0.5 + 0.025)."""
-        k = design_fir(resample_filter_spec(2))
+        k = design_fir(2)
         omegas, db = response_db(k, 8192)
         stop = omegas / np.pi >= 0.5 + 0.025 + 1e-9
         assert np.max(db[stop]) <= -97.0
 
     def test_unity_dc_gain(self):
         for factor in (2, 4):
-            k = design_fir(resample_filter_spec(factor))
+            k = design_fir(factor)
             assert abs(20 * np.log10(k.dc_gain)) <= 0.1
 
     def test_odd_length_symmetric(self):
-        k = design_fir(resample_filter_spec(2))
+        k = design_fir(2)
         assert len(k) % 2 == 1
         assert k.center == len(k) // 2
         assert k.is_symmetric
@@ -77,19 +75,22 @@ class TestDesignFir:
     def test_highpass_is_exact_complement(self):
         """Spectral inversion makes H_hp(w) = 1 - H_lp(w) exactly (in the
         zero-phase frame), so the pair sums to one at every frequency."""
-        lp = design_fir(FilterDesignSpec(0.5, kind="lowpass"))
-        hp = design_fir(FilterDesignSpec(0.5, kind="highpass"))
+        lp = design_fir(2)
+        hp = design_fir(2, 100.0, 0.05, True)
         _, h_lp = frequency_response(lp, 1024)
         _, h_hp = frequency_response(hp, 1024)
         assert_allclose(h_lp + h_hp, np.ones(1024), atol=1e-9)
 
     def test_transition_must_fit(self):
-        with pytest.raises(ValueError):
-            FilterDesignSpec(0.99, transition_width=0.05)
+        """The band is base_transition * 2/L wide about 1/L, so it fits in
+        (0, 1) at every factor exactly when base_transition is in (0, 1)."""
+        for base_transition in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="base_transition"):
+                design_fir(2, 100.0, base_transition)
 
     def test_resample_spec_requires_factor_2(self):
         with pytest.raises(ValueError):
-            resample_filter_spec(1)
+            design_fir(1)
 
     @pytest.mark.parametrize("kind", ["lowpass", "highpass"])
     @pytest.mark.parametrize("atten", [100.0, 40.0, 15.0])  # one per Kaiser beta branch
@@ -97,25 +98,25 @@ class TestDesignFir:
     def test_matches_scipy_firwin(self, factor, atten, kind):
         from scipy.signal import firwin, kaiserord
 
-        spec = resample_filter_spec(factor, atten, kind=kind)
-        numtaps, beta = kaiserord(atten, spec.transition_width)
+        numtaps, beta = kaiserord(atten, 0.1 / factor)
         numtaps |= 1
-        want = firwin(numtaps, spec.cutoff, window=("kaiser", beta), scale=True)
+        want = firwin(numtaps, 1.0 / factor, window=("kaiser", beta), scale=True)
         if kind == "highpass":
             want = -want
             want[numtaps // 2] += 1.0
-        k = design_fir(spec)
+        k = design_fir(factor, atten, 0.05, kind == "highpass")
         assert len(k) == numtaps and k.center == numtaps // 2
         assert_allclose(k.taps, want, rtol=0, atol=1e-15)
 
     def test_attenuation_below_kaiser_range_rejected(self):
         with pytest.raises(ValueError, match="too small for the Kaiser formula"):
-            design_fir(FilterDesignSpec(0.5, stopband_atten_db=5.0))
+            design_fir(2, 5.0)
 
     def test_cache_returns_equal_taps(self):
-        a = design_fir(resample_filter_spec(2))
-        b = design_fir(resample_filter_spec(2))
+        a = design_fir(2)
+        b = design_fir(2, 100.0, 0.05, False)
         assert np.array_equal(a.taps, b.taps)
+        assert design_fir(3, 80.0, 0.1) is design_fir(3, 80.0, 0.1)
 
 
 class TestConvolve:
@@ -125,7 +126,7 @@ class TestConvolve:
         fs = 44100
         t = np.arange(8192) / fs
         x = np.sin(2 * np.pi * 1000 * t)
-        y = convolve(AudioBuffer(x, fs), design_fir(resample_filter_spec(2)))
+        y = convolve(AudioBuffer(x, fs), design_fir(2))
         mid = slice(3000, 5000)
         assert_allclose(y.samples[mid], x[mid], atol=1e-4)
 
@@ -187,9 +188,9 @@ class TestResampling:
         """Up by 4 then down by 4 returns the signal (SNR >= 80 dB interior)."""
         fs = 11025
         rng = np.random.default_rng(42)
-        # band-limited noise: filter white noise through the half-band design
+        # band-limited noise: white noise through the factor-3 low-pass (cutoff 1/3 of Nyquist)
         white = AudioBuffer(rng.standard_normal(8192), fs)
-        x = convolve(white, design_fir(FilterDesignSpec(0.4)))
+        x = convolve(white, design_fir(3))
         y = downsample_filtered(upsample_filtered(x, 4), 4)
         assert y.sample_rate == fs
         mid = slice(2000, 6000)
@@ -256,7 +257,7 @@ class TestPolyphase:
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
     def test_downsample_matches_decimated_convolution(self, factor, seed, longer):
         """The resampling low-pass itself, on inputs shorter and longer than it."""
-        h = design_fir(resample_filter_spec(factor))
+        h = design_fir(factor)
         rng = np.random.default_rng(seed)
         n = int(rng.integers(len(h) + 1, 3 * len(h))) if longer else int(rng.integers(factor, len(h)))
         x = AudioBuffer(rng.uniform(-1.0, 1.0, n), POLYPHASE_RATE)
@@ -312,7 +313,7 @@ class TestInterpKernels:
 
 class TestFrequencyResponse:
     def test_symmetric_kernel_evaluates_real(self):
-        k = design_fir(resample_filter_spec(2))
+        k = design_fir(2)
         _, h = frequency_response(k, 512)
         assert np.max(np.abs(h.imag)) <= 1e-9
 

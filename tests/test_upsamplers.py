@@ -10,7 +10,6 @@ from aliasbench.filters import (
     convolve,
     design_fir,
     interp_kernel,
-    resample_filter_spec,
     upsample_filtered,
     zero_interlace,
 )
@@ -63,7 +62,7 @@ class TestUpsamplerKernel:
             assert (gain, bias) == (1.0, 0.0)
         aa = UpsamplerSpec("aa_resample", factor=3, stopband_atten_db=80.0, base_transition=0.1)
         h, gain, bias = upsampler_kernel(aa)
-        assert h is design_fir(resample_filter_spec(3, 80.0, 0.1))
+        assert h is design_fir(3, 80.0, 0.1)
         assert (gain, bias) == (3.0, 0.0)
 
 
@@ -183,7 +182,7 @@ class TestAaResample:
         hi_on = band_energy(s_on, 17000.0, 5000.0)
         assert hi_on >= 1e6 * max(hi_off, 1e-300)
 
-        lp = design_fir(resample_filter_spec(2))
+        lp = design_fir(2)
         low_off = convolve(off, lp).samples[4000:-4000]
         low_on = convolve(on, lp).samples[4000:-4000]
         xcorr = np.dot(low_on, low_off) / np.sqrt(np.dot(low_on, low_on) * np.dot(low_off, low_off))
