@@ -8,7 +8,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -50,6 +50,9 @@ F0_TOLERANCE_HZ = 5e-7
 
 #: One benchmark entry: waveform name, fundamental, signal.
 SignalEntry = tuple[str, float, AudioBuffer]
+#: One benchmark signal before it exists: waveform name, fundamental, and a
+#: zero-argument producer of the signal (a WAV read, or a synthesis).
+SignalSource = tuple[str, float, Callable[[], AudioBuffer]]
 
 
 def derive_seeds(base_seed: int, count: int) -> list[int]:
@@ -77,33 +80,51 @@ def measure_upsampler(spec: UpsamplerSpec, entry: SignalEntry) -> AhrMeasurement
 
 
 def evaluate(
-    entries: Sequence[SignalEntry],
+    sources: Sequence[SignalSource],
     specs: Iterable[Spec],
     measure: Callable[[Spec, SignalEntry], AhrMeasurement],
     threads: int = 1,
 ) -> list[AhrReport]:
-    """One report per spec over all signals. One pool measures every
-    (spec, entry) pair; rows keep the entry order whatever the thread count."""
+    """One report per spec over all signals.
+
+    Each signal is one pool task: it calls the source's producer once, runs
+    every spec on the signal in spec order, returns that signal's rows and
+    drops the buffer. So at most min(threads, signals) signals are alive at
+    once, and rows keep the source order whatever the thread count. When a
+    task raises, the tasks not yet started are cancelled and the error is
+    re-raised.
+    """
     specs = list(specs)
 
-    def row(pair: tuple[Spec, SignalEntry]) -> SignalAhr:
-        spec, entry = pair
-        m = measure(spec, entry)
-        return SignalAhr(entry[0], entry[1], m.ahr_db, m.harmonic_bands, m.alias_bands)
+    def signal_rows(source: SignalSource) -> list[SignalAhr]:
+        waveform, f0, produce = source
+        entry = (waveform, f0, produce())
+        rows = []
+        for spec in specs:
+            m = measure(spec, entry)
+            rows.append(SignalAhr(waveform, f0, m.ahr_db, m.harmonic_bands, m.alias_bands))
+        return rows
 
-    # No more workers than signals, the most one pool per spec could start:
-    # each holds a signal's buffers while it works.
-    with ThreadPoolExecutor(max_workers=min(threads, len(entries)) or 1) as pool:
-        rows = list(pool.map(row, product(specs, entries)))
-    n = len(entries)
-    return [build_report(spec.name, config_hash(spec), rows[i * n : (i + 1) * n]) for i, spec in enumerate(specs)]
+    with ThreadPoolExecutor(max_workers=min(threads, len(sources)) or 1) as pool:
+        futures = [pool.submit(signal_rows, source) for source in sources]
+        try:
+            per_signal = [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [
+        build_report(spec.name, config_hash(spec), [rows[i] for rows in per_signal])
+        for i, spec in enumerate(specs)
+    ]
 
 
-def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[SignalEntry]:
-    """Re-synthesize benchmark signals additively at rate/factor (exact
-    band-limited inputs for the upsampler benchmark, no decimation filter).
+def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[SignalSource]:
+    """Sources that re-synthesize benchmark signals additively at rate/factor
+    (exact band-limited inputs for the upsampler benchmark, no decimation
+    filter).
 
-    Every spec is checked against the factor before any is synthesized.
+    Every spec is checked against the factor before any source is returned;
+    a signal is synthesized only when its producer is called.
     """
     lows = []
     for s in specs:
@@ -123,7 +144,7 @@ def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[Sig
                 f"the input Nyquist ({low.sample_rate / 2:.1f} Hz) at factor {factor}"
             )
         lows.append(low)
-    return [(low.waveform, low.f0_hz, gen_bandlimited(low)) for low in lows]
+    return [(low.waveform, low.f0_hz, partial(gen_bandlimited, low)) for low in lows]
 
 
 def tonal_probe_for(spec: UpsamplerSpec, input_rate: int) -> float:
@@ -143,7 +164,7 @@ class UpsamplerSummaryRow:
 
 
 def upsampler_table(
-    entries: Sequence[SignalEntry],
+    signals: Sequence[TestSignalSpec],
     factor: int,
     n_seeds: int,
     base_seed: int,
@@ -152,11 +173,14 @@ def upsampler_table(
     """The four-row upsampler comparison: ConvTranspose (seed-averaged),
     LinearInterp, NearestInterp, AntiAliasedResample (+ prior-on column).
 
-    Each row is the mean over its group of specs: ConvTranspose's n_seeds
-    seeded layers, or the one spec of any other layer.
+    signals are the benchmark's signals at their own rate; each is
+    re-synthesized at rate/factor (regenerate_entries). Each row is the mean
+    over its group of layer specs: ConvTranspose's n_seeds seeded layers, or
+    the one spec of any other layer.
     """
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
+    sources = regenerate_entries(signals, factor)
     seeds = derive_seeds(base_seed, n_seeds + 1)
     groups = [
         [UpsamplerSpec("conv_transpose", factor=factor, seed=s, name="ConvTranspose", table_row=True)
@@ -170,8 +194,8 @@ def upsampler_table(
         name="AntiAliasedResample_prior",
     )
 
-    all_reports = evaluate(entries, [s for g in groups for s in g] + [aa_prior], measure_upsampler, threads)
-    rate = entries[0][2].sample_rate
+    all_reports = evaluate(sources, [s for g in groups for s in g] + [aa_prior], measure_upsampler, threads)
+    rate = signals[0].sample_rate // factor
     reports = iter(all_reports)
     rows = []
     for group in groups:

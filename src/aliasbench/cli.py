@@ -10,20 +10,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .activations import ActivationSpec, apply_activation
-from .audio import NumericError
+from .audio import AudioBuffer, NumericError
 from .bench import (
     DEFAULT_ACTIVATIONS,
     BenchEntryMeta,
+    SignalSource,
     evaluate,
     load_bench_csv,
     measure_activation,
-    regenerate_entries,
     upsampler_table,
     write_activation_full_csv,
     write_activation_summary_csv,
@@ -114,22 +115,26 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_bench_entries(bench_dir: Path):
+def _read_bench_wav(bench_dir: Path, meta: BenchEntryMeta) -> AudioBuffer:
+    """The WAV of one bench.csv row, checked against the row's rate."""
+    buf = wav_read(bench_dir / meta.path)
+    if buf.sample_rate != meta.sample_rate:
+        raise ConfigError(
+            f"{meta.path}: WAV rate {buf.sample_rate} disagrees with metadata {meta.sample_rate}"
+        )
+    return buf
+
+
+def _load_bench_entries(bench_dir: Path) -> tuple[list[BenchEntryMeta], list[SignalSource]]:
+    """All of bench.csv, validated, and one source per row. A WAV is read
+    only when evaluate asks its source for the signal."""
     metas = load_bench_csv(bench_dir / "bench.csv")
-    entries = []
-    for m in metas:
-        buf = wav_read(bench_dir / m.path)
-        if buf.sample_rate != m.sample_rate:
-            raise ConfigError(
-                f"{m.path}: WAV rate {buf.sample_rate} disagrees with metadata {m.sample_rate}"
-            )
-        entries.append((m.waveform, m.f0_hz, buf))
-    return metas, entries
+    return metas, [(m.waveform, m.f0_hz, partial(_read_bench_wav, bench_dir, m)) for m in metas]
 
 
 def cmd_run_activations(args: argparse.Namespace) -> int:
     bench_dir = Path(args.bench)
-    metas, entries = _load_bench_entries(bench_dir)
+    metas, sources = _load_bench_entries(bench_dir)
     if args.configs:
         configs = load_configs(ActivationSpec, args.configs)
         config_source = str(args.configs)
@@ -137,7 +142,7 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
         configs = list(DEFAULT_ACTIVATIONS)
         config_source = "builtin"
 
-    reports = evaluate(entries, configs, measure_activation, args.threads)
+    reports = evaluate(sources, configs, measure_activation, args.threads)
 
     out = Path(args.out)
     write_activation_summary_csv(out, reports, configs)
@@ -178,10 +183,8 @@ def cmd_run_upsamplers(args: argparse.Namespace) -> int:
         ]
     except ValueError as exc:
         raise ConfigError(f"bench.csv: {exc}") from exc
-    entries = regenerate_entries(specs, args.factor)
-
     rows, reports = upsampler_table(
-        entries,
+        specs,
         factor=args.factor,
         n_seeds=args.seeds,
         base_seed=args.seed,

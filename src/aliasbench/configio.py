@@ -98,7 +98,7 @@ def spec_from_block(cls: type[Spec], block: dict[str, str]) -> Spec:
 
 def load_configs(cls: type[Spec], path: str | Path) -> list[Spec]:
     """Every block of a config file as a spec of type cls."""
-    blocks = parse_blocks(Path(path).read_text(encoding="utf-8"))
+    blocks = parse_blocks(Path(path).read_text(encoding="utf-8-sig"))
     if not blocks:
         raise ConfigError(f"{path}: no config blocks found")
     return [spec_from_block(cls, b) for b in blocks]

@@ -123,19 +123,8 @@ def convolve(x: AudioBuffer, h: FirKernel) -> AudioBuffer:
     return x.with_samples(y[h.center : h.center + len(x)])
 
 
-def zero_interlace(x: AudioBuffer, factor: int) -> AudioBuffer:
-    """Insert factor-1 zeros after each sample; output rate is factor * input rate."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return x
-    y = np.zeros(len(x) * factor)
-    y[::factor] = x.samples
-    return AudioBuffer(y, x.sample_rate * factor)
-
-
 def interpolate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
-    """convolve(zero_interlace(x, factor), h), one polyphase branch at a time:
+    """convolve(x zero-interlaced by factor, h), one polyphase branch at a time:
     output sample L*q + p of the full convolution is branch p, the input
     convolved with taps[p::L], at q."""
     if len(x) == 0:

@@ -3,7 +3,8 @@ summary that prints one line per acceptance criterion.
 
 perfbench/ goes on the import path, so tests use its exact oracles
 (`import oracles`), written apart from the package they check, and read the
-tracer's layer list (`import tracer`).
+tracer's layer list (`import tracer`). zero_interlace is the direct-form
+reference of the polyphase upsampling paths.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from aliasbench.audio import AudioBuffer
 from aliasbench.bench import BenchEntryMeta, write_bench_csv
 from aliasbench.signals import TestSignalSpec, gen_bandlimited
 from aliasbench.wavio import wav_write
@@ -34,6 +37,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, passed, detail in sorted(ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"CRITERION {number:2d}: {status} — {detail}")
+
+
+def zero_interlace(x: AudioBuffer, factor: int) -> AudioBuffer:
+    """Insert factor-1 zeros after each sample; output rate is factor * input
+    rate. The direct form that the polyphase filters.interpolate and
+    upsamplers.apply_upsampler are checked against."""
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    if factor == 1:
+        return x
+    y = np.zeros(len(x) * factor)
+    y[::factor] = x.samples
+    return AudioBuffer(y, x.sample_rate * factor)
 
 
 def make_bench_dir(root, notes=(60, 107), duration_s=1.0, sample_rate=44100):

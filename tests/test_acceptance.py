@@ -2,8 +2,9 @@
 
 Every test computes its measurement, registers a PASS/FAIL line for the
 terminal summary (so a full run always prints the complete scorecard), and
-then asserts. The heavy fixtures build their signals locally and let them go
-out of scope so only the small result tables stay resident.
+then asserts. The heavy fixtures hand evaluate one producer per signal, so a
+signal exists only while its configs run, and only the small result tables
+stay resident.
 
 Criterion 4 ranks the activation table. On overall means (dB) AdaaSnakeBeta
 (-87.12) is below ELU (-60.39) and SnakeBeta (-66.79), both of which are
@@ -19,6 +20,7 @@ derivative at 0 leaves a k^-3 tail.
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 import oracles
@@ -39,24 +41,29 @@ from aliasbench.bench import (
     DEFAULT_ACTIVATIONS,
     evaluate,
     measure_activation,
-    regenerate_entries,
     upsampler_table,
 )
 from aliasbench.cli import EXIT_OK, main
 from aliasbench.filters import frequency_response, interp_kernel
 from aliasbench.metrics import band_energy, estimate_spectrum
-from aliasbench.signals import TestSignalSpec, benchmark_notes, build_benchmark
+from aliasbench.signals import TestSignalSpec, benchmark_notes, gen_bandlimited
 
 TABLE_ACTIVATIONS = ("LeakyReLU", "ELU", "SnakeBeta", "AdaaSnakeBeta")
 WAVEFORM_ORDER = ("sine", "sawtooth", "triangle")
 
 
+def benchmark_specs() -> list[TestSignalSpec]:
+    """The full 144-signal benchmark, in gen-bench's order."""
+    return [TestSignalSpec(waveform, note) for waveform in WAVEFORM_ORDER for note in benchmark_notes()]
+
+
 @pytest.fixture(scope="module")
 def activation_run():
-    """All built-in activation configs over the full 144-signal benchmark."""
-    entries = [(spec.waveform, spec.f0_hz, buf) for spec, buf in build_benchmark()]
+    """All built-in activation configs over the full 144-signal benchmark.
+    Each signal is synthesized when evaluate reaches it."""
+    sources = [(spec.waveform, spec.f0_hz, partial(gen_bandlimited, spec)) for spec in benchmark_specs()]
     t0 = time.perf_counter()
-    reports = evaluate(entries, DEFAULT_ACTIVATIONS, measure_activation, threads=1)
+    reports = evaluate(sources, DEFAULT_ACTIVATIONS, measure_activation, threads=1)
     elapsed = time.perf_counter() - t0
     return {r.module_name: r for r in reports}, elapsed
 
@@ -64,14 +71,8 @@ def activation_run():
 @pytest.fixture(scope="module")
 def upsampler_run():
     """The four upsampler modules at L=2 over the regenerated benchmark."""
-    specs = [
-        TestSignalSpec(waveform, note)
-        for waveform in WAVEFORM_ORDER
-        for note in benchmark_notes()
-    ]
     t0 = time.perf_counter()
-    entries = regenerate_entries(specs, 2)
-    rows, _ = upsampler_table(entries, factor=2, n_seeds=10, base_seed=0, threads=1)
+    rows, _ = upsampler_table(benchmark_specs(), factor=2, n_seeds=10, base_seed=0, threads=1)
     elapsed = time.perf_counter() - t0
     return {row.module: row for row in rows}, elapsed
 

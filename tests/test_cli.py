@@ -13,6 +13,7 @@ import shutil
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +27,7 @@ from aliasbench.audio import AudioBuffer
 from aliasbench.bench import DEFAULT_ACTIVATIONS, evaluate
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
 from aliasbench.metrics import AhrMeasurement
+from aliasbench.wavio import wav_read, wav_write
 
 ACT_CONFIG = """\
 # two cheap nonlinearities
@@ -177,8 +179,8 @@ class TestRunActivations:
                 == out4.with_name("t4_per_signal.csv").read_bytes().split(b"\n", 1)[1])
 
     def test_pool_starts_no_more_workers_than_signals(self):
-        """One pool serves every (config, signal) pair, but a thread count far
-        past the signal count starts one worker per signal, not per pair."""
+        """Each signal is one pool task that runs every config, so a thread
+        count far past the signal count starts one worker per signal."""
         workers = set()
 
         def measure(spec, entry):
@@ -186,10 +188,74 @@ class TestRunActivations:
             time.sleep(0.01)
             return AhrMeasurement(-60.0, 1, 1, 1.0, 1e-6)
 
-        entries = [(w, 440.0, AudioBuffer(np.zeros(8), 8000)) for w in ("sine", "sawtooth", "triangle")]
-        reports = evaluate(entries, DEFAULT_ACTIVATIONS, measure, threads=1000)
+        sources = [(w, 440.0, lambda: AudioBuffer(np.zeros(8), 8000)) for w in ("sine", "sawtooth", "triangle")]
+        reports = evaluate(sources, DEFAULT_ACTIVATIONS, measure, threads=1000)
         assert [r.module_name for r in reports] == [c.name for c in DEFAULT_ACTIVATIONS]
-        assert 1 <= len(workers) <= len(entries)
+        assert 1 <= len(workers) <= len(sources)
+
+    def test_signals_stream_through_the_pool(self):
+        """Each producer is called once, and a signal lives only while its
+        configs run: no more than min(threads, signals) are alive at once,
+        and none outlives evaluate. The rows do not depend on the thread
+        count."""
+        lock = threading.Lock()
+        last = DEFAULT_ACTIVATIONS[-1]
+        rows = {}
+        for threads in (1, 4):
+            calls = [0] * 6
+            alive = peak = 0
+            buffers = []
+
+            def producer(i):
+                def produce():
+                    nonlocal alive, peak
+                    buf = AudioBuffer(np.full(8, float(i)), 8000)
+                    with lock:
+                        calls[i] += 1
+                        alive += 1
+                        peak = max(peak, alive)
+                        buffers.append(weakref.ref(buf))
+                    return buf
+                return produce
+
+            def measure(spec, entry):
+                nonlocal alive
+                time.sleep(0.002)
+                if spec is last:
+                    with lock:
+                        alive -= 1
+                return AhrMeasurement(-10.0 * entry[2].samples[0] - len(spec.name), 1, 1, 1.0, 1e-6)
+
+            sources = [(w, 440.0, producer(i)) for i, w in enumerate(("sine", "sawtooth", "triangle") * 2)]
+            reports = evaluate(sources, DEFAULT_ACTIVATIONS, measure, threads=threads)
+            assert calls == [1] * len(sources)
+            assert alive == 0
+            assert 1 <= peak <= min(threads, len(sources))
+            assert all(ref() is None for ref in buffers)
+            rows[threads] = [r.per_signal for r in reports]
+        assert rows[1] == rows[4]
+
+    def test_a_failing_signal_cancels_the_signals_not_started(self):
+        """A producer that raises ends the run: evaluate re-raises its error,
+        and the signals whose tasks had not started are never produced."""
+        produced = []
+
+        def producer(i):
+            def produce():
+                produced.append(i)
+                if i == 0:
+                    raise OSError("unreadable signal")
+                return AudioBuffer(np.zeros(8), 8000)
+            return produce
+
+        def measure(spec, entry):
+            time.sleep(0.01)
+            return AhrMeasurement(-60.0, 1, 1, 1.0, 1e-6)
+
+        sources = [("sine", 440.0, producer(i)) for i in range(12)]
+        with pytest.raises(OSError, match="unreadable signal"):
+            evaluate(sources, DEFAULT_ACTIVATIONS, measure, threads=2)
+        assert 1 <= len(produced) <= 4
 
     @pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
     def test_threads_default_to_the_cpu_count(self, tiny_bench, act_cfg, tmp_path, monkeypatch, cpus, threads):
@@ -221,14 +287,34 @@ class TestRunActivations:
                  "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_IO
 
-    def test_corrupt_wav_is_an_io_error(self, tiny_bench, tmp_path):
-        root, _ = tiny_bench
-        broken = tmp_path / "broken_bench"
-        shutil.copytree(root, broken)
-        victim = next(broken.glob("*.wav"))
-        victim.write_bytes(victim.read_bytes()[:40])
-        rc = run("run-activations", "--bench", str(broken), "--out", str(tmp_path / "x.csv"))
-        assert rc == EXIT_IO
+    def test_corrupt_wav_is_an_io_error(self, tiny_bench, act_cfg, tmp_path, capsys):
+        """A WAV is read when evaluation reaches it, so a bad one stops the run
+        wherever it sits in bench.csv. A corrupt WAV, first or last, exits 3,
+        and a last WAV whose rate disagrees with its row exits 2. Each prints
+        one error line and no traceback, and writes no output."""
+        root, metas = tiny_bench
+        cases = [
+            (metas[0].path, "truncate", "2", EXIT_IO),
+            (metas[-1].path, "truncate", "1", EXIT_IO),
+            (metas[-1].path, "rate", "1", EXIT_CONFIG),
+        ]
+        for i, (name, damage, threads, want) in enumerate(cases):
+            broken = tmp_path / f"broken{i}"
+            shutil.copytree(root, broken)
+            victim = broken / name
+            if damage == "truncate":
+                victim.write_bytes(victim.read_bytes()[:40])
+            else:
+                wav_write(AudioBuffer(wav_read(victim).samples, 48000), victim)
+            out = tmp_path / f"out{i}"
+            rc = run("run-activations", "--bench", str(broken), "--configs", str(act_cfg),
+                     "--threads", threads, "--out", str(out / "x.csv"))
+            err = capsys.readouterr().err
+            assert rc == want, (name, damage)
+            assert sum("error:" in ln for ln in err.splitlines()) == 1, err
+            assert "Traceback" not in err
+            assert name in err
+            assert not out.exists()
 
     def test_unknown_adaa_base_is_a_config_error(self, tiny_bench, tmp_path, capsys):
         root, _ = tiny_bench
@@ -456,6 +542,28 @@ class TestConfigText:
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
         assert "Traceback" not in err.getvalue()
         assert sum("error:" in ln for ln in err.getvalue().splitlines()) <= 1
+
+
+    @pytest.mark.parametrize("command", ["run-activations", "sweep"])
+    @pytest.mark.parametrize("first_line", ["kind", "comment"])
+    def test_byte_order_mark_is_ignored(self, tiny_bench, tmp_path, command, first_line):
+        """A config file saved with a UTF-8 byte-order mark, before a kind
+        line or before a comment line, reads as the same file without one."""
+        root, _ = tiny_bench
+        text = ACT_CONFIG if first_line == "comment" else ACT_CONFIG.split("\n", 1)[1]
+        cfg = tmp_path / "c.cfg"
+        results = []
+        for i, bom in enumerate(("", "\ufeff")):
+            cfg.write_text(bom + text, encoding="utf-8")
+            out = tmp_path / f"out{i}"
+            if command == "run-activations":
+                rc = run(command, "--configs", str(cfg), "--bench", str(root), "--threads", "1",
+                         "--out", str(out / "x.csv"))
+            else:
+                rc = run(command, "--config", str(cfg), "--out", str(out))
+            results.append((rc, {p.name: p.read_bytes() for p in out.glob("*")}))
+        assert results[0][0] == EXIT_OK
+        assert results[1] == results[0]
 
 
 class TestSweep:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import zero_interlace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -17,7 +18,6 @@ from aliasbench.filters import (
     interp_kernel,
     interpolate,
     upsample_filtered,
-    zero_interlace,
 )
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import zero_interlace
 from numpy.testing import assert_allclose
 
 from aliasbench import upsamplers
@@ -11,7 +12,6 @@ from aliasbench.filters import (
     design_fir,
     interp_kernel,
     upsample_filtered,
-    zero_interlace,
 )
 from aliasbench.metrics import band_energy, estimate_spectrum
 from aliasbench.upsamplers import (
