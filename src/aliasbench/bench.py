@@ -18,6 +18,8 @@ from .activations import ActivationSpec, apply_activation
 from .audio import AudioBuffer
 from .configio import ConfigError, Spec, config_hash, write_csv
 from .metrics import (
+    EDGE_DISCARD,
+    MIN_ANALYSIS_SAMPLES,
     ActivationContext,
     AhrMeasurement,
     AhrReport,
@@ -26,7 +28,7 @@ from .metrics import (
     build_report,
     measure_ahr,
 )
-from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, midi_to_freq
+from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, midi_to_freq, sample_count
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
 
 #: Activation configs evaluated by default. The four table_row entries mirror
@@ -53,6 +55,17 @@ SignalEntry = tuple[str, float, AudioBuffer]
 #: One benchmark signal before it exists: waveform name, fundamental, and a
 #: zero-argument producer of the signal (a WAV read, or a synthesis).
 SignalSource = tuple[str, float, Callable[[], AudioBuffer]]
+
+
+def check_analysable(n_samples: int, what: str) -> None:
+    """Reject a measured signal of n_samples that leaves fewer than
+    MIN_ANALYSIS_SAMPLES once EDGE_DISCARD is cut from each edge."""
+    need = 2 * EDGE_DISCARD + MIN_ANALYSIS_SAMPLES
+    if n_samples < need:
+        raise ConfigError(
+            f"{what}: {n_samples} samples to analyse, fewer than {need} "
+            f"({MIN_ANALYSIS_SAMPLES} once {EDGE_DISCARD} are cut from each edge)"
+        )
 
 
 def derive_seeds(base_seed: int, count: int) -> list[int]:
@@ -123,8 +136,9 @@ def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[Sig
     (exact band-limited inputs for the upsampler benchmark, no decimation
     filter).
 
-    Every spec is checked against the factor before any source is returned;
-    a signal is synthesized only when its producer is called.
+    Every spec is checked against the factor, and its upsampled length
+    against the analysis, before any source is returned; a signal is
+    synthesized only when its producer is called.
     """
     lows = []
     for s in specs:
@@ -143,6 +157,10 @@ def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[Sig
                 f"{s.waveform} note {s.midi_note}: fundamental {low.f0_hz:.2f} Hz is not below "
                 f"the input Nyquist ({low.sample_rate / 2:.1f} Hz) at factor {factor}"
             )
+        check_analysable(
+            factor * sample_count(low.duration_s, low.sample_rate),
+            f"{s.waveform} note {s.midi_note} upsampled from {low.sample_rate} Hz by {factor}",
+        )
         lows.append(low)
     return [(low.waveform, low.f0_hz, partial(gen_bandlimited, low)) for low in lows]
 
@@ -181,13 +199,15 @@ def upsampler_table(
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
     sources = regenerate_entries(signals, factor)
+    rate = signals[0].sample_rate // factor
+    check_analysable(factor * rate, f"tonal probe: 1 s at {rate} Hz upsampled by {factor}")
     seeds = derive_seeds(base_seed, n_seeds + 1)
     groups = [
-        [UpsamplerSpec("conv_transpose", factor=factor, seed=s, name="ConvTranspose", table_row=True)
+        [UpsamplerSpec("conv_transpose", factor=factor, seed=s, name="ConvTranspose")
          for s in seeds[:n_seeds]],
-        [UpsamplerSpec("linear", factor=factor, name="LinearInterp", table_row=True)],
-        [UpsamplerSpec("nearest", factor=factor, name="NearestInterp", table_row=True)],
-        [UpsamplerSpec("aa_resample", factor=factor, name="AntiAliasedResample", table_row=True)],
+        [UpsamplerSpec("linear", factor=factor, name="LinearInterp")],
+        [UpsamplerSpec("nearest", factor=factor, name="NearestInterp")],
+        [UpsamplerSpec("aa_resample", factor=factor, name="AntiAliasedResample")],
     ]
     aa_prior = UpsamplerSpec(
         "aa_resample", factor=factor, seed=seeds[n_seeds], noise_prior=True,
@@ -195,7 +215,6 @@ def upsampler_table(
     )
 
     all_reports = evaluate(sources, [s for g in groups for s in g] + [aa_prior], measure_upsampler, threads)
-    rate = signals[0].sample_rate // factor
     reports = iter(all_reports)
     rows = []
     for group in groups:

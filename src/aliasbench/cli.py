@@ -22,6 +22,7 @@ from .bench import (
     DEFAULT_ACTIVATIONS,
     BenchEntryMeta,
     SignalSource,
+    check_analysable,
     evaluate,
     load_bench_csv,
     measure_activation,
@@ -43,7 +44,7 @@ from .configio import (
 )
 from .filters import design_fir, frequency_response, interp_kernel
 from .metrics import spectrogram_export
-from .signals import TestSignalSpec, build_benchmark, gen_sweep
+from .signals import TestSignalSpec, build_benchmark, gen_sweep, sample_count
 from .wavio import WavError, wav_read, wav_write
 
 EXIT_OK = 0
@@ -116,11 +117,17 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
 
 
 def _read_bench_wav(bench_dir: Path, meta: BenchEntryMeta) -> AudioBuffer:
-    """The WAV of one bench.csv row, checked against the row's rate."""
+    """The WAV of one bench.csv row, checked against the row's rate and
+    duration."""
     buf = wav_read(bench_dir / meta.path)
     if buf.sample_rate != meta.sample_rate:
         raise ConfigError(
             f"{meta.path}: WAV rate {buf.sample_rate} disagrees with metadata {meta.sample_rate}"
+        )
+    n = sample_count(meta.duration_s, meta.sample_rate)
+    if len(buf) != n:
+        raise ConfigError(
+            f"{meta.path}: WAV length {len(buf)} disagrees with metadata {meta.duration_s:g} s ({n} samples)"
         )
     return buf
 
@@ -129,6 +136,10 @@ def _load_bench_entries(bench_dir: Path) -> tuple[list[BenchEntryMeta], list[Sig
     """All of bench.csv, validated, and one source per row. A WAV is read
     only when evaluate asks its source for the signal."""
     metas = load_bench_csv(bench_dir / "bench.csv")
+    for m in metas:
+        check_analysable(
+            sample_count(m.duration_s, m.sample_rate), f"{m.waveform} note {m.midi_note} ({m.path})"
+        )
     return metas, [(m.waveform, m.f0_hz, partial(_read_bench_wav, bench_dir, m)) for m in metas]
 
 

@@ -1,10 +1,11 @@
 """FIR design, zero-interlacing, integer-factor resampling, and the
 interpolation-equivalent kernels of classic upsamplers.
 
-Filters are Kaiser-windowed sincs sized by the standard Kaiser estimate, so
-stopband attenuation and transition width are direct design inputs. All
-kernels are linear-phase; convolution is aligned on the kernel center so
-filtering introduces no net delay.
+The resampling filter depends on the factor L alone: a Kaiser-windowed sinc
+at cutoff 1/L with STOPBAND_DB of attenuation over a transition band
+TRANSITION * 2/L wide, sized by the standard Kaiser estimate. All kernels are
+linear-phase; convolution is aligned on the kernel center so filtering
+introduces no net delay.
 
 Resampling runs polyphase: interpolation convolves the low-rate input with
 each of the L tap phases, and decimation computes only the kept outputs, so
@@ -21,13 +22,13 @@ import numpy as np
 
 from .audio import AudioBuffer
 
-#: Default stopband attenuation (dB) for benchmark resampling filters. Chosen
-#: so filter artifacts sit far below the aliasing levels being measured.
-DEFAULT_STOPBAND_DB = 100.0
+#: Stopband attenuation (dB) of the resampling filter. Chosen so filter
+#: artifacts sit far below the aliasing levels being measured.
+STOPBAND_DB = 100.0
 
-#: Default transition width at factor 2 (fraction of Nyquist); scaled by 2/L
-#: for other factors so the transition stays proportional to the passband.
-DEFAULT_TRANSITION = 0.05
+#: Transition width at factor 2 (fraction of Nyquist); scaled by 2/L for
+#: other factors so the transition stays proportional to the passband.
+TRANSITION = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,44 +68,26 @@ class FirKernel:
         return bool(np.all(np.abs(left - right) <= 1e-12) and np.all(np.abs(outside) <= 1e-12))
 
 
-def _kaiser_beta(atten_db: float) -> float:
-    """Kaiser window beta for a stopband attenuation in dB (Kaiser 1974)."""
-    if atten_db > 50:
-        return 0.1102 * (atten_db - 8.7)
-    if atten_db > 21:
-        return 0.5842 * (atten_db - 21) ** 0.4 + 0.07886 * (atten_db - 21)
-    return 0.0
-
-
 @lru_cache(maxsize=64)
-def design_fir(
-    factor: int,
-    stopband_atten_db: float = DEFAULT_STOPBAND_DB,
-    base_transition: float = DEFAULT_TRANSITION,
-    highpass: bool = False,
-) -> FirKernel:
+def design_fir(factor: int, highpass: bool = False) -> FirKernel:
     """Resampling filter for an integer factor L: a Kaiser-windowed sinc
     low-pass at cutoff 1/L of Nyquist (unity DC gain), or its
     spectral-inversion high-pass complement. The transition width is
-    base_transition scaled by 2/L, and the tap count follows the Kaiser length
+    TRANSITION scaled by 2/L, and the tap count follows the Kaiser length
     estimate, rounded up to odd. Kernels are cached by the arguments as
     passed, so callers pass them positionally."""
     if factor < 2:
         raise ValueError("resampling filters are for factors >= 2")
-    if not 0.0 < base_transition < 1.0:  # the transition band then fits in (0, 1)
-        raise ValueError(f"base_transition must be in (0, 1), got {base_transition}")
-    if stopband_atten_db < 8:
-        raise ValueError(f"stopband attenuation {stopband_atten_db:f} dB is too small for the Kaiser formula")
     # scipy.special.i0 rather than np.i0, whose last bits differ; imported
     # here so that only commands which design a resampling filter load scipy.
     from scipy.special import i0
 
     cutoff = 1.0 / factor
-    width = base_transition * 2.0 / factor
-    numtaps = math.ceil((stopband_atten_db - 7.95) / 2.285 / (np.pi * width) + 1) | 1
+    width = TRANSITION * 2.0 / factor
+    numtaps = math.ceil((STOPBAND_DB - 7.95) / 2.285 / (np.pi * width) + 1) | 1
     center = numtaps // 2
     m = np.arange(numtaps, dtype=np.float64) - center
-    beta = _kaiser_beta(stopband_atten_db)
+    beta = 0.1102 * (STOPBAND_DB - 8.7)  # Kaiser (1974), for attenuations above 50 dB
     window = i0(beta * np.sqrt(1 - (m / center) ** 2.0)) / i0(beta)
     taps = cutoff * np.sinc(cutoff * m) * window
     taps /= np.sum(taps)
@@ -139,8 +122,8 @@ def interpolate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
 
 
 def upsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
-    """Zero-interlace then apply the benchmark resampling low-pass (cutoff
-    1/L, 100 dB stopband), gain-compensated by L. factor 1 is the identity."""
+    """Zero-interlace then apply the resampling low-pass (design_fir),
+    gain-compensated by L. factor 1 is the identity."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:

@@ -46,6 +46,9 @@ BAND_HALF_WIDTH_BINS = 4
 #: Samples discarded at each edge before any benchmark spectral analysis.
 EDGE_DISCARD = 8192
 
+#: Fewest samples a spectrum is estimated from, after edge trimming.
+MIN_ANALYSIS_SAMPLES = 1024
+
 #: Hard cap on harmonic indices considered anywhere in the bookkeeping.
 K_CAP = 512
 
@@ -103,8 +106,8 @@ def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
         raise ValueError("edge_trim must be >= 0")
     data = x.samples[edge_trim : len(x) - edge_trim]
     n = data.size
-    if n < 1024:
-        raise ValueError(f"need at least 1024 samples after trimming, got {n}")
+    if n < MIN_ANALYSIS_SAMPLES:
+        raise ValueError(f"need at least {MIN_ANALYSIS_SAMPLES} samples after trimming, got {n}")
     w = hann(n)
     nfft = _next_pow2(4 * n)
     spec = np.fft.rfft(data * w, n=nfft)

@@ -67,6 +67,12 @@ class TestSignalSpec:
         return midi_to_freq(self.midi_note)
 
 
+def sample_count(duration_s: float, sample_rate: int) -> int:
+    """Length of a duration_s signal at sample_rate: that of every synthesized
+    signal, and of every benchmark WAV."""
+    return int(round(duration_s * sample_rate))
+
+
 def harmonic_cap_hz(sample_rate: int, n_samples: int) -> float:
     """Highest frequency a generated partial may occupy.
 
@@ -137,7 +143,7 @@ def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
     f0 = spec.f0_hz
     if f0 >= spec.sample_rate / 2.0:
         raise ValueError(f"fundamental {f0:.2f} Hz is not below Nyquist ({spec.sample_rate / 2:.1f} Hz)")
-    n = int(round(spec.duration_s * spec.sample_rate))
+    n = sample_count(spec.duration_s, spec.sample_rate)
     ks, amps = partial_series(spec.waveform, f0, harmonic_cap_hz(spec.sample_rate, n))
     x = np.zeros(n)
     if ks.size:
@@ -180,7 +186,7 @@ def gen_sweep(f_start: float, f_end: float, duration_s: float, sample_rate: int)
     for f in (f_start, f_end):
         if not 0.0 < f < sample_rate / 2.0:
             raise ValueError(f"sweep frequency {f} Hz outside (0, Nyquist)")
-    n = int(round(duration_s * sample_rate))
+    n = sample_count(duration_s, sample_rate)
     t = np.arange(n) / sample_rate
     log_ratio = math.log(f_end / f_start)
     if abs(log_ratio) < 1e-12:

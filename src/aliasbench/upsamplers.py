@@ -21,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer
-from .filters import (
-    DEFAULT_STOPBAND_DB,
-    DEFAULT_TRANSITION,
-    FirKernel,
-    convolve,
-    design_fir,
-    interp_kernel,
-    interpolate,
-)
+from .filters import FirKernel, convolve, design_fir, interp_kernel, interpolate
 from .metrics import BAND_HALF_WIDTH_BINS, EDGE_DISCARD, band_mask, estimate_spectrum, ratio_db
 
 UPSAMPLER_KINDS = ("conv_transpose", "linear", "nearest", "aa_resample")
@@ -45,48 +37,32 @@ _DOM_PRIOR_GAINS = 2
 
 @dataclass(frozen=True)
 class UpsamplerSpec:
-    """Which upsampling layer, its factor, seed, and filter parameters."""
+    """Which upsampling layer, its factor, and what it draws at random.
+
+    conv_transpose has 2L seeded taps; aa_resample filters with
+    design_fir(L), which depends on L alone.
+    """
 
     kind: str
     factor: int = 2
-    kernel_size: int = 0  # conv_transpose only; 0 means 2 * factor
     seed: int = 0  # conv_transpose, and aa_resample with noise_prior
-    noise_prior: bool = False  # this and the two filter fields: aa_resample only
-    stopband_atten_db: float = DEFAULT_STOPBAND_DB
-    base_transition: float = DEFAULT_TRANSITION
+    noise_prior: bool = False  # aa_resample only
     name: str = ""
-    table_row: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in UPSAMPLER_KINDS:
             raise ValueError(f"unknown upsampler kind {self.kind!r}, expected one of {UPSAMPLER_KINDS}")
         if self.factor < 2:
             raise ValueError("upsampling factor must be >= 2")
-        if self.kind == "conv_transpose" and self.effective_kernel_size < self.factor:
-            raise ValueError(
-                f"kernel_size {self.effective_kernel_size} must be >= factor {self.factor}"
-            )
         # A setting the kind ignores would change config_hash but no output.
-        if self.kernel_size and self.kind != "conv_transpose":
-            raise ValueError(f"kernel_size applies to conv_transpose only, not {self.kind}")
-        aa_only = {
-            "noise_prior": False,
-            "stopband_atten_db": DEFAULT_STOPBAND_DB,
-            "base_transition": DEFAULT_TRANSITION,
-        }
-        for field, default in aa_only.items():
-            if self.kind != "aa_resample" and getattr(self, field) != default:
-                raise ValueError(f"{field} applies to aa_resample only, not {self.kind}")
+        if self.noise_prior and self.kind != "aa_resample":
+            raise ValueError(f"noise_prior applies to aa_resample only, not {self.kind}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.seed and not (self.kind == "conv_transpose" or self.noise_prior):
             raise ValueError(f"seed applies to conv_transpose and to aa_resample with noise_prior only, not {self.kind}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
-
-    @property
-    def effective_kernel_size(self) -> int:
-        return self.kernel_size if self.kernel_size else 2 * self.factor
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -95,8 +71,8 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def conv_transpose_weights(spec: UpsamplerSpec) -> tuple[np.ndarray, float]:
-    """Seeded weights and bias: uniform in +-1/sqrt(kernel_size)."""
-    k = spec.effective_kernel_size
+    """Seeded weights (2L taps) and bias: uniform in +-1/sqrt(2L)."""
+    k = 2 * spec.factor
     bound = 1.0 / math.sqrt(k)
     rng = _stream(spec.seed, _DOM_CONV_WEIGHTS)
     weights = rng.uniform(-bound, bound, size=k)
@@ -121,7 +97,7 @@ def upsampler_kernel(spec: UpsamplerSpec) -> tuple[FirKernel, float, float]:
         return interp_kernel("linear", spec.factor), 1.0, 0.0
     if spec.kind == "nearest":
         return interp_kernel("hold", spec.factor), 1.0, 0.0
-    return design_fir(spec.factor, spec.stopband_atten_db, spec.base_transition), float(spec.factor), 0.0
+    return design_fir(spec.factor), float(spec.factor), 0.0
 
 
 def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
@@ -144,7 +120,7 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
     bound = 1.0 / math.sqrt(_PRIOR_CONV_TAPS)
     taps = _stream(spec.seed, _DOM_PRIOR_CONV).uniform(-bound, bound, size=_PRIOR_CONV_TAPS)
     prior = interpolate(x, FirKernel(taps, _PRIOR_CONV_TAPS // 2), spec.factor)
-    prior = convolve(prior, design_fir(spec.factor, spec.stopband_atten_db, spec.base_transition, True))
+    prior = convolve(prior, design_fir(spec.factor, True))
     g_mix, g_prior = _stream(spec.seed, _DOM_PRIOR_GAINS).uniform(0.5, 1.5, size=2)
     return y.with_samples(g_mix * (y.samples + g_prior * prior.samples))
 

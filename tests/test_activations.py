@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from aliasbench.activations import (
+    ADAA_BASES,
     ActivationSpec,
-    AntiderivativePair,
     adaa_generic,
     adaa_grad_bounds,
     adaa_snakebeta,
@@ -190,9 +190,16 @@ class TestGenericAdaa:
             )
             assert abs(got[i] - integral / (hi - lo)) <= 1e-8
 
-    def test_mismatched_antiderivative_rejected(self):
-        with pytest.raises(ValueError):
-            AntiderivativePair("broken", lambda x: x, lambda x: x)
+    @pytest.mark.parametrize("kind", ADAA_BASES)
+    def test_builtin_antiderivative_differentiates_back(self, kind):
+        """Central differences of each built-in F recover its f, at default
+        and at other parameters."""
+        grid = np.linspace(-3.0, 3.0, 121)
+        h = 1e-6
+        for params in ({}, dict(alpha=2.0, beta=0.5, slope=0.3, a=1.3)):
+            pair = make_pair(kind, **params)
+            fd = (pair.antiderivative(grid + h) - pair.antiderivative(grid - h)) / (2.0 * h)
+            assert_allclose(fd, pair.f(grid), rtol=0, atol=1e-6)
 
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):

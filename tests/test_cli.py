@@ -18,6 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import make_bench_dir
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -290,13 +291,14 @@ class TestRunActivations:
     def test_corrupt_wav_is_an_io_error(self, tiny_bench, act_cfg, tmp_path, capsys):
         """A WAV is read when evaluation reaches it, so a bad one stops the run
         wherever it sits in bench.csv. A corrupt WAV, first or last, exits 3,
-        and a last WAV whose rate disagrees with its row exits 2. Each prints
-        one error line and no traceback, and writes no output."""
+        and a last WAV whose rate or length disagrees with its row exits 2.
+        Each prints one error line and no traceback, and writes no output."""
         root, metas = tiny_bench
         cases = [
             (metas[0].path, "truncate", "2", EXIT_IO),
             (metas[-1].path, "truncate", "1", EXIT_IO),
             (metas[-1].path, "rate", "1", EXIT_CONFIG),
+            (metas[-1].path, "length", "1", EXIT_CONFIG),
         ]
         for i, (name, damage, threads, want) in enumerate(cases):
             broken = tmp_path / f"broken{i}"
@@ -304,8 +306,10 @@ class TestRunActivations:
             victim = broken / name
             if damage == "truncate":
                 victim.write_bytes(victim.read_bytes()[:40])
-            else:
+            elif damage == "rate":
                 wav_write(AudioBuffer(wav_read(victim).samples, 48000), victim)
+            else:  # one sample short of the row's 1 s
+                wav_write(AudioBuffer(wav_read(victim).samples[:-1], 44100), victim)
             out = tmp_path / f"out{i}"
             rc = run("run-activations", "--bench", str(broken), "--configs", str(act_cfg),
                      "--threads", threads, "--out", str(out / "x.csv"))
@@ -513,6 +517,40 @@ class TestBenchValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
+    def test_signals_too_short_to_analyse_are_a_config_error(self, tmp_path, capsys, command):
+        """0.3 s at 44.1 kHz is 13,230 samples, fewer than the 2 x 8192 edge
+        samples plus 1024 an analysis needs. Both commands reject the first
+        such row before any signal is measured."""
+        bench = tmp_path / "short"
+        make_bench_dir(bench, duration_s=0.3)
+        out = tmp_path / "out" / "x.csv"
+        rc = run(*command, "--bench", str(bench), "--threads", "1", "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [err.strip()]
+        assert err.startswith("error: sine note 60") and "13230 samples" in err
+        assert not out.parent.exists()
+
+    def test_tonal_probe_too_short_to_analyse_is_a_config_error(self, tmp_path, capsys, act_cfg):
+        """At 8 kHz, 5 s signals are long enough at factor 2, but the tonal
+        probe's 1 s at 4 kHz upsampled by 2 gives 8000 samples: run-activations
+        runs, and run-upsamplers is rejected before any signal is measured."""
+        bench = tmp_path / "slow"
+        make_bench_dir(bench, notes=(60, 72), duration_s=5.0, sample_rate=8000)
+        out = tmp_path / "out"
+        rc = run("run-activations", "--bench", str(bench), "--configs", str(act_cfg), "--threads", "1",
+                 "--out", str(out / "act.csv"))
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rc = run("run-upsamplers", "--bench", str(bench), "--seeds", "1", "--threads", "1",
+                 "--out", str(out / "up.csv"))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err == "error: tonal probe: 1 s at 4000 Hz upsampled by 2: 8000 samples to analyse, " \
+                      "fewer than 17408 (1024 once 8192 are cut from each edge)\n"
+        assert not (out / "up.csv").exists()
+
+    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
     def test_missing_waveforms_are_a_config_error(self, sine_only_bench, tmp_path, capsys, command):
         rc = run(*command, "--bench", str(sine_only_bench), "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
@@ -526,6 +564,12 @@ class TestConfigText:
     @example(command="run-activations", text="kind = leaky_relu\nslope = 1e153\n")
     @example(command="run-activations", text="kind = leaky_relu\nslope = 1e200\n")
     @example(command="sweep", text="kind = elu\nelu_a = 1e308\n")
+    @example(command="run-activations", text="kind = adaa_generic\nadaa_base = elu\nelu_a = 1e10\n")
+    @example(command="run-activations", text="kind = adaa_generic\nadaa_base = leaky_relu\nslope = 1e9\n")
+    @example(command="run-activations", text="kind = adaa_generic\nadaa_base = snakebeta\nalpha = 1e6\n")
+    @example(command="sweep", text="kind = adaa_generic\nadaa_base = elu\nelu_a = 1e10\n")
+    @example(command="sweep", text="kind = adaa_generic\nadaa_base = leaky_relu\nslope = 1e9\n")
+    @example(command="sweep", text="kind = adaa_generic\nadaa_base = snakebeta\nalpha = 1e6\n")
     def test_any_config_text_ends_in_a_documented_exit(self, tiny_bench, command, text):
         """Whatever run-activations --configs or sweep --config reads, the
         command exits 0, 2 or 4 with at most one error line and no traceback."""

@@ -6,11 +6,14 @@ option the benchmark passes would break the benchmark; these tests catch it."""
 import importlib
 import inspect
 
+import checks
 import pytest
 import run
 import tracer
 
-from aliasbench.cli import build_parser
+from aliasbench.cli import build_parser, main
+from aliasbench.configio import config_hash
+from aliasbench.upsamplers import UpsamplerSpec
 
 WRAPPED = [(module, fn) for module, fns in tracer.LAYERS.items() for fn in fns]
 
@@ -34,3 +37,16 @@ def test_benchmark_commands_parse(workload):
     parser = build_parser()
     for argv in run.WORKLOADS[workload](seed=1).commands():
         parser.parse_args(argv)
+
+
+def test_upsampler_layers_are_the_table_specs(tiny_bench, tmp_path):
+    """The benchmark checks run-upsamplers against specs it builds itself
+    (checks.upsampler_layers). Their config hashes must be the ones the
+    command writes, or a spec field change would fail every benchmark round."""
+    root, _ = tiny_bench
+    out = tmp_path / "up.csv"
+    assert main(["run-upsamplers", "--bench", str(root), "--seeds", "2", "--threads", "1", "--out", str(out)]) == 0
+    rows = (tmp_path / "up_per_signal.csv").read_text(encoding="utf-8").splitlines()[1:]
+    written = {row.split(",")[1] for row in rows}
+    modelled = {config_hash(UpsamplerSpec(**kw, name=name)) for name, kw in checks.upsampler_layers(2, 2, 0)}
+    assert modelled == written

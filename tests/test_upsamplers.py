@@ -32,9 +32,10 @@ def sine_buffer(freq, duration_s=1.0, rate=RATE):
 
 
 class TestUpsamplerSpec:
-    def test_kernel_size_defaults_to_twice_the_factor(self):
-        assert UpsamplerSpec("conv_transpose", factor=3).effective_kernel_size == 6
-        assert UpsamplerSpec("conv_transpose", factor=3, kernel_size=5).effective_kernel_size == 5
+    def test_conv_transpose_has_twice_the_factor_taps(self):
+        for factor in (2, 3, 5):
+            w, _ = conv_transpose_weights(UpsamplerSpec("conv_transpose", factor=factor, seed=1))
+            assert w.shape == (2 * factor,)
 
     def test_name_defaults_to_kind(self):
         assert UpsamplerSpec("linear").name == "linear"
@@ -45,8 +46,6 @@ class TestUpsamplerSpec:
             UpsamplerSpec("sinc")
         with pytest.raises(ValueError):
             UpsamplerSpec("linear", factor=1)
-        with pytest.raises(ValueError):
-            UpsamplerSpec("conv_transpose", factor=4, kernel_size=3)
 
 
 class TestUpsamplerKernel:
@@ -60,9 +59,8 @@ class TestUpsamplerKernel:
             ref = interp_kernel(shape, 3)
             assert np.array_equal(h.taps, ref.taps) and h.center == ref.center
             assert (gain, bias) == (1.0, 0.0)
-        aa = UpsamplerSpec("aa_resample", factor=3, stopband_atten_db=80.0, base_transition=0.1)
-        h, gain, bias = upsampler_kernel(aa)
-        assert h is design_fir(3, 80.0, 0.1)
+        h, gain, bias = upsampler_kernel(UpsamplerSpec("aa_resample", factor=3))
+        assert h is design_fir(3)
         assert (gain, bias) == (3.0, 0.0)
 
 
@@ -112,17 +110,15 @@ class TestConvTranspose:
         """The weight stream is keyed by (seed, domain) only, so unrelated
         options cannot silently change the draw."""
         w1, b1 = conv_transpose_weights(UpsamplerSpec("conv_transpose", seed=5))
-        w2, b2 = conv_transpose_weights(UpsamplerSpec("conv_transpose", seed=5, name="C", table_row=True))
+        w2, b2 = conv_transpose_weights(UpsamplerSpec("conv_transpose", seed=5, name="C"))
         assert np.array_equal(w1, w2) and b1 == b2
 
-    def test_wrong_kind_and_short_kernel_rejected(self):
-        """The spec is the only input that picks the layer and its kernel, so
-        both faults are rejected before any sample is touched."""
+    def test_wrong_kind_rejected(self):
+        """The spec is the only input that picks the layer, so a bad kind is
+        rejected before any sample is touched."""
         x = sine_buffer(440.0, duration_s=0.01)
         with pytest.raises(ValueError):
             apply_upsampler(x, UpsamplerSpec("transpose"))
-        with pytest.raises(ValueError):
-            apply_upsampler(x, UpsamplerSpec("conv_transpose", factor=3, kernel_size=2))
 
 
 class TestInterpUpsample:
@@ -221,17 +217,11 @@ class TestApplyUpsampler:
         for kind in ("conv_transpose", "linear", "nearest"):
             with pytest.raises(ValueError, match="noise_prior"):
                 UpsamplerSpec(kind, seed=4, noise_prior=True)
-            with pytest.raises(ValueError, match="stopband_atten_db"):
-                UpsamplerSpec(kind, stopband_atten_db=80.0)
-            with pytest.raises(ValueError, match="base_transition"):
-                UpsamplerSpec(kind, base_transition=0.1)
         for kind in ("linear", "nearest", "aa_resample"):
-            with pytest.raises(ValueError, match="kernel_size"):
-                UpsamplerSpec(kind, kernel_size=8)
             with pytest.raises(ValueError, match="seed"):
                 UpsamplerSpec(kind, seed=4)
-        UpsamplerSpec("conv_transpose", kernel_size=8, seed=4)
-        UpsamplerSpec("aa_resample", seed=4, noise_prior=True, stopband_atten_db=80.0, base_transition=0.1)
+        UpsamplerSpec("conv_transpose", seed=4)
+        UpsamplerSpec("aa_resample", seed=4, noise_prior=True)
 
     @pytest.mark.parametrize("kind", ["conv_transpose", "aa_resample"])
     def test_negative_seed_rejected(self, kind):
