@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -28,7 +27,7 @@ from .metrics import (
     build_report,
     measure_ahr,
 )
-from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, midi_to_freq, sample_count
+from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, sample_count
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
 
 #: Activation configs evaluated by default. The four table_row entries mirror
@@ -136,9 +135,10 @@ def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[Sig
     (exact band-limited inputs for the upsampler benchmark, no decimation
     filter).
 
-    Every spec is checked against the factor, and its upsampled length
-    against the analysis, before any source is returned; a signal is
-    synthesized only when its producer is called.
+    Every spec is checked against the factor, at its low rate by
+    TestSignalSpec's own rules and its upsampled length against the
+    analysis, before any source is returned; a signal is synthesized only
+    when its producer is called.
     """
     lows = []
     for s in specs:
@@ -146,17 +146,10 @@ def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[Sig
             raise ConfigError(
                 f"sample rate {s.sample_rate} is not divisible by factor {factor}"
             )
-        low = TestSignalSpec(
-            waveform=s.waveform,
-            midi_note=s.midi_note,
-            duration_s=s.duration_s,
-            sample_rate=s.sample_rate // factor,
-        )
-        if low.f0_hz >= low.sample_rate / 2.0:
-            raise ConfigError(
-                f"{s.waveform} note {s.midi_note}: fundamental {low.f0_hz:.2f} Hz is not below "
-                f"the input Nyquist ({low.sample_rate / 2:.1f} Hz) at factor {factor}"
-            )
+        try:
+            low = replace(s, sample_rate=s.sample_rate // factor)
+        except ValueError as exc:
+            raise ConfigError(f"{s.waveform} note {s.midi_note} at factor {factor}: {exc}") from exc
         check_analysable(
             factor * sample_count(low.duration_s, low.sample_rate),
             f"{s.waveform} note {s.midi_note} upsampled from {low.sample_rate} Hz by {factor}",
@@ -297,65 +290,59 @@ def write_upsampler_summary_csv(path: str | Path, rows: Sequence[UpsamplerSummar
 
 @dataclass(frozen=True)
 class BenchEntryMeta:
-    """One row of the benchmark metadata CSV (index = MIDI note)."""
+    """One row of the benchmark metadata CSV: the signal (index = MIDI
+    note), the f0_hz column that run-activations measures at, and the WAV's
+    path relative to the CSV."""
 
-    waveform: str
-    midi_note: int
+    spec: TestSignalSpec
     f0_hz: float
-    duration_s: float
-    sample_rate: int
     path: str
 
 
+#: The columns of bench.csv, in the order gen-bench writes them.
+BENCH_COLUMNS = ("type", "index", "f0_hz", "duration_s", "sample_rate", "path")
+
+
 def write_bench_csv(path: str | Path, metas: Sequence[BenchEntryMeta]) -> None:
-    header = ["type", "index", "f0_hz", "duration_s", "sample_rate", "path"]
     rows = [
-        [m.waveform, str(m.midi_note), f"{m.f0_hz:.6f}", f"{m.duration_s:.3f}", str(m.sample_rate), m.path]
+        [m.spec.waveform, str(m.spec.midi_note), f"{m.f0_hz:.6f}", f"{m.spec.duration_s:.3f}",
+         str(m.spec.sample_rate), m.path]
         for m in metas
     ]
-    write_csv(path, header, rows)
+    write_csv(path, list(BENCH_COLUMNS), rows)
 
 
 def load_bench_csv(path: str | Path) -> list[BenchEntryMeta]:
+    """Every row of bench.csv as a record whose spec has passed
+    TestSignalSpec's rules. A header that does not name each column once, a
+    row without one cell per column, a cell that does not parse, a signal
+    off the grid and an f0_hz that is not its note's are ConfigErrors."""
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.DictReader(io.StringIO(text))
-    expected = {"type", "index", "f0_hz", "duration_s", "sample_rate", "path"}
-    if reader.fieldnames is None or set(reader.fieldnames) != expected:
+    if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(BENCH_COLUMNS):
         raise ConfigError(f"{path}: unexpected benchmark CSV header {reader.fieldnames}")
     metas = []
     try:
         for row in reader:
-            metas.append(
-                BenchEntryMeta(
-                    waveform=row["type"],
-                    midi_note=int(row["index"]),
-                    f0_hz=float(row["f0_hz"]),
-                    duration_s=float(row["duration_s"]),
-                    sample_rate=int(row["sample_rate"]),
-                    path=row["path"],
-                )
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(BENCH_COLUMNS)} cells")
+            spec = TestSignalSpec(
+                row["type"], int(row["index"]), float(row["duration_s"]), int(row["sample_rate"])
             )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{path}: malformed benchmark CSV: {exc}") from exc
+            metas.append(BenchEntryMeta(spec, float(row["f0_hz"]), row["path"]))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not metas:
         raise ConfigError(f"{path}: empty benchmark metadata")
     for m in metas:
-        if not 0.0 < m.f0_hz < m.sample_rate / 2.0:  # also rejects nan
-            raise ConfigError(
-                f"{path}: {m.waveform} note {m.midi_note}: f0_hz {m.f0_hz} is not in (0, {m.sample_rate / 2:.1f}) Hz"
-            )
         # run-activations measures at this column and run-upsamplers at the
         # note's frequency, so the two must agree.
-        try:
-            note_hz = midi_to_freq(m.midi_note)
-        except OverflowError:  # a note index far above any audible pitch
-            note_hz = math.inf
-        if not abs(m.f0_hz - note_hz) <= F0_TOLERANCE_HZ:
+        if not abs(m.f0_hz - m.spec.f0_hz) <= F0_TOLERANCE_HZ:  # also rejects nan
             raise ConfigError(
-                f"{path}: {m.waveform} note {m.midi_note}: f0_hz {m.f0_hz} is not the note's "
-                f"frequency {note_hz:.6f} Hz"
+                f"{path}: {m.spec.waveform} note {m.spec.midi_note}: f0_hz {m.f0_hz} is not the note's "
+                f"frequency {m.spec.f0_hz:.6f} Hz"
             )
-    present = {m.waveform for m in metas}
+    present = {m.spec.waveform for m in metas}
     missing = [w for w in WAVEFORMS if w not in present]
     if missing:
         raise ConfigError(f"{path}: benchmark has no {', '.join(missing)} signals")

@@ -44,7 +44,7 @@ from .configio import (
 )
 from .filters import design_fir, frequency_response, interp_kernel
 from .metrics import spectrogram_export
-from .signals import TestSignalSpec, build_benchmark, gen_sweep, sample_count
+from .signals import build_benchmark, gen_sweep, sample_count
 from .wavio import WavError, wav_read, wav_write
 
 EXIT_OK = 0
@@ -96,9 +96,7 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
     for spec, buf in build_benchmark():
         name = f"{spec.waveform}_{spec.midi_note:03d}.wav"
         wav_write(buf, out_dir / name)
-        metas.append(
-            BenchEntryMeta(spec.waveform, spec.midi_note, spec.f0_hz, spec.duration_s, spec.sample_rate, name)
-        )
+        metas.append(BenchEntryMeta(spec, spec.f0_hz, name))
     write_bench_csv(out_dir / "bench.csv", metas)
     write_manifest(
         out_dir / "manifest.json",
@@ -119,15 +117,16 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
 def _read_bench_wav(bench_dir: Path, meta: BenchEntryMeta) -> AudioBuffer:
     """The WAV of one bench.csv row, checked against the row's rate and
     duration."""
+    spec = meta.spec
     buf = wav_read(bench_dir / meta.path)
-    if buf.sample_rate != meta.sample_rate:
+    if buf.sample_rate != spec.sample_rate:
         raise ConfigError(
-            f"{meta.path}: WAV rate {buf.sample_rate} disagrees with metadata {meta.sample_rate}"
+            f"{meta.path}: WAV rate {buf.sample_rate} disagrees with metadata {spec.sample_rate}"
         )
-    n = sample_count(meta.duration_s, meta.sample_rate)
+    n = sample_count(spec.duration_s, spec.sample_rate)
     if len(buf) != n:
         raise ConfigError(
-            f"{meta.path}: WAV length {len(buf)} disagrees with metadata {meta.duration_s:g} s ({n} samples)"
+            f"{meta.path}: WAV length {len(buf)} disagrees with metadata {spec.duration_s:g} s ({n} samples)"
         )
     return buf
 
@@ -137,10 +136,9 @@ def _load_bench_entries(bench_dir: Path) -> tuple[list[BenchEntryMeta], list[Sig
     only when evaluate asks its source for the signal."""
     metas = load_bench_csv(bench_dir / "bench.csv")
     for m in metas:
-        check_analysable(
-            sample_count(m.duration_s, m.sample_rate), f"{m.waveform} note {m.midi_note} ({m.path})"
-        )
-    return metas, [(m.waveform, m.f0_hz, partial(_read_bench_wav, bench_dir, m)) for m in metas]
+        s = m.spec
+        check_analysable(sample_count(s.duration_s, s.sample_rate), f"{s.waveform} note {s.midi_note} ({m.path})")
+    return metas, [(m.spec.waveform, m.f0_hz, partial(_read_bench_wav, bench_dir, m)) for m in metas]
 
 
 def cmd_run_activations(args: argparse.Namespace) -> int:
@@ -187,15 +185,8 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
 def cmd_run_upsamplers(args: argparse.Namespace) -> int:
     bench_dir = Path(args.bench)
     metas = load_bench_csv(bench_dir / "bench.csv")
-    try:
-        specs = [
-            TestSignalSpec(m.waveform, m.midi_note, duration_s=m.duration_s, sample_rate=m.sample_rate)
-            for m in metas
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"bench.csv: {exc}") from exc
     rows, reports = upsampler_table(
-        specs,
+        [m.spec for m in metas],
         factor=args.factor,
         n_seeds=args.seeds,
         base_seed=args.seed,

@@ -19,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .audio import AudioBuffer
+from .metrics import K_CAP
 
 # Waveform names in declaration (and benchmark sort) order.
 WAVEFORMS = ("sine", "sawtooth", "triangle")
@@ -41,7 +42,9 @@ def midi_to_freq(note: int) -> float:
 
 @dataclass(frozen=True)
 class TestSignalSpec:
-    """Recipe for one band-limited test signal."""
+    """Recipe for one band-limited test signal: a waveform and note of the
+    benchmark grid, sampled for a duration at a rate. Every rule a signal
+    must meet is checked here, so a spec that exists can be synthesized."""
 
     __test__ = False  # keep pytest from collecting this despite the Test* name
 
@@ -57,10 +60,16 @@ class TestSignalSpec:
             raise ValueError(
                 f"midi_note {self.midi_note} outside the benchmark range [{_MIDI_LO}, {_MIDI_HI}]"
             )
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        # nan fails the comparison; inf, and a finite duration whose sample
+        # count overflows a float, fail the product.
+        if not (self.duration_s > 0 and math.isfinite(self.duration_s * self.sample_rate)):
+            raise ValueError(f"duration_s must be positive with a finite sample count, got {self.duration_s}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if self.f0_hz >= self.sample_rate / 2.0:
+            raise ValueError(
+                f"fundamental {self.f0_hz:.2f} Hz is not below Nyquist ({self.sample_rate / 2:.1f} Hz)"
+            )
 
     @property
     def f0_hz(self) -> float:
@@ -83,6 +92,16 @@ def harmonic_cap_hz(sample_rate: int, n_samples: int) -> float:
     return sample_rate / 2.0 - max(50.0, 4.0 * bin_hz)
 
 
+def harmonic_numbers(waveform: str, k_max: int) -> np.ndarray:
+    """Harmonic numbers k <= k_max of the waveform's Fourier law: sine has
+    k = 1 alone, sawtooth every k, triangle the odd k."""
+    if waveform == "sine":
+        return np.arange(1, min(k_max, 1) + 1)
+    if waveform not in WAVEFORMS:
+        raise ValueError(f"unknown waveform {waveform!r}")
+    return np.arange(1, k_max + 1, 1 if waveform == "sawtooth" else 2)
+
+
 def partial_series(waveform: str, f0: float, cap_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """Harmonic numbers and signed Fourier amplitudes below ``cap_hz``.
 
@@ -90,15 +109,7 @@ def partial_series(waveform: str, f0: float, cap_hz: float) -> tuple[np.ndarray,
     sawtooth: a_k = (2/pi) * (-1)^(k+1) / k
     triangle: a_k = (8/pi^2) * (-1)^((k-1)/2) / k^2   for odd k
     """
-    k_hi = int(math.ceil(cap_hz / f0)) - 1  # strict: a partial exactly at the cap is excluded
-    if waveform == "sine":
-        ks = np.array([1]) if k_hi >= 1 else np.array([], dtype=int)
-    elif waveform == "sawtooth":
-        ks = np.arange(1, k_hi + 1)
-    elif waveform == "triangle":
-        ks = np.arange(1, k_hi + 1, 2)
-    else:
-        raise ValueError(f"unknown waveform {waveform!r}")
+    ks = harmonic_numbers(waveform, int(math.ceil(cap_hz / f0)) - 1)  # strict: none exactly at the cap
     if ks.size == 0:
         return ks, np.array([])
     if waveform == "sine":
@@ -111,19 +122,13 @@ def partial_series(waveform: str, f0: float, cap_hz: float) -> tuple[np.ndarray,
 
 
 def law_k_values(waveform: str) -> tuple[int, ...]:
-    """Harmonic numbers of the waveform's Fourier law, up to k = 512.
+    """Harmonic numbers of the waveform's Fourier law, up to metrics.K_CAP.
 
     Used for image accounting in the upsampler benchmark: an upsampler is
     linear, so only partials actually present in the input can produce
-    images. sine -> (1,); sawtooth -> 1..512; triangle -> odd k up to 511.
+    images.
     """
-    if waveform == "sine":
-        return (1,)
-    if waveform == "sawtooth":
-        return tuple(range(1, 513))
-    if waveform == "triangle":
-        return tuple(range(1, 513, 2))
-    raise ValueError(f"unknown waveform {waveform!r}")
+    return tuple(harmonic_numbers(waveform, K_CAP).tolist())
 
 
 def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
@@ -137,12 +142,9 @@ def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
     cost one large-argument sin per partial. A sine is exactly
     sin(2 pi f0 t) before normalization.
 
-    Deterministic: equal specs produce bit-identical buffers. Rejects
-    fundamentals at or above Nyquist.
+    Deterministic: equal specs produce bit-identical buffers.
     """
     f0 = spec.f0_hz
-    if f0 >= spec.sample_rate / 2.0:
-        raise ValueError(f"fundamental {f0:.2f} Hz is not below Nyquist ({spec.sample_rate / 2:.1f} Hz)")
     n = sample_count(spec.duration_s, spec.sample_rate)
     ks, amps = partial_series(spec.waveform, f0, harmonic_cap_hz(spec.sample_rate, n))
     x = np.zeros(n)

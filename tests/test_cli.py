@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 from aliasbench import cli
 from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpec
 from aliasbench.audio import AudioBuffer
-from aliasbench.bench import DEFAULT_ACTIVATIONS, evaluate
+from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
 from aliasbench.metrics import AhrMeasurement
+from aliasbench.signals import WAVEFORMS, midi_to_freq
 from aliasbench.wavio import wav_read, wav_write
 
 ACT_CONFIG = """\
@@ -129,6 +130,55 @@ def config_texts(draw):
     eol = draw(st.sampled_from(("\n", "\r\n")))
     text = (eol * draw(st.integers(2, 3))).join(eol.join(b) for b in blocks) + eol
     return ("\ufeff" if draw(rarely) else "") + text
+
+
+#: bench.csv of the tiny session bench (conftest.make_bench_dir's defaults), as cells.
+TINY_BENCH_ROWS = [
+    [w, str(n), f"{midi_to_freq(n):.6f}", "1.000", "44100", f"{w}_{n:03d}.wav"] for w in WAVEFORMS for n in (60, 107)
+]
+#: The lines of that bench.csv.
+BENCH_TEXT_LINES = [",".join(BENCH_COLUMNS)] + [",".join(r) for r in TINY_BENCH_ROWS]
+#: Values the bench.csv fuzz draws that pass each column's cast, and at
+#: most 1 s and 44,100 Hz: a valid longer or faster signal would really be
+#: synthesized, and run-upsamplers sizes it from bench.csv alone.
+BENCH_GOOD = {
+    "type": WAVEFORMS,
+    "index": ("60", "72", "107"),
+    "f0_hz": tuple(f"{midi_to_freq(n):.6f}" for n in (60, 72, 107)),
+    "duration_s": ("1.000", "1", "0.5"),
+    "sample_rate": ("44100", "22050"),
+    "path": tuple(r[5] for r in TINY_BENCH_ROWS),
+}
+#: Values that fail a cast or a rule of most columns: bad casts, non-finite
+#: and overflowing numbers, notes off the grid and an unknown waveform.
+BENCH_BAD = ("-1", "0", "nan", "inf", "1e308", "", "x", "59", "108", "square")
+
+
+@st.composite
+def bench_csv_texts(draw):
+    """The tiny bench's bench.csv with up to three cells replaced, a drawn
+    value failing its column one time in two. One text in four repeats a
+    row, and one in four drops a cell of the header or of a row, or repeats
+    a column. Endings are LF or CRLF. A duration_s is never a finite value
+    above 1 s."""
+    rarely = st.sampled_from((False, False, False, True))
+    rows = [list(BENCH_COLUMNS)] + [list(r) for r in TINY_BENCH_ROWS]
+    if draw(rarely):
+        rows.append(list(draw(st.sampled_from(rows[1:]))))
+    for _ in range(draw(st.integers(0, 3))):
+        row, col = draw(st.sampled_from(rows[1:])), draw(st.integers(0, len(BENCH_COLUMNS) - 1))
+        column = BENCH_COLUMNS[col]
+        bad = [v for v in BENCH_BAD if not (column == "duration_s" and v in ("59", "108"))]
+        row[col] = draw(st.sampled_from(bad if draw(st.booleans()) else BENCH_GOOD[column]))
+    if draw(rarely):
+        col = draw(st.integers(0, len(BENCH_COLUMNS) - 1))
+        if draw(st.booleans()):
+            del draw(st.sampled_from(rows))[col]
+        else:
+            for row in rows:
+                row.append(row[col])
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return eol.join(",".join(r) for r in rows) + eol
 
 
 @pytest.fixture()
@@ -462,6 +512,33 @@ class TestRunUpsamplers:
         assert rc == EXIT_CONFIG
 
 
+#: Both table commands, with the options that keep run-upsamplers cheap.
+TABLE_COMMANDS = [("run-activations",), ("run-upsamplers", "--seeds", "1")]
+
+
+def edited_bench(tiny_bench, tmp_path, edit):
+    """A copy of the tiny bench whose bench.csv, as rows of cells with the
+    header first, is edit(rows)."""
+    root, _ = tiny_bench
+    bench = tmp_path / "edited"
+    shutil.copytree(root, bench)
+    rows = [ln.split(",") for ln in (bench / "bench.csv").read_text(encoding="utf-8").splitlines()]
+    (bench / "bench.csv").write_text("\n".join(",".join(r) for r in edit(rows)) + "\n", encoding="utf-8")
+    return bench
+
+
+def expect_config_error(command, bench, tmp_path, capsys) -> str:
+    """Run command on bench; it must exit 2 with one error line and write
+    nothing. Returns the error line."""
+    out = tmp_path / "out" / "x.csv"
+    rc = run(*command, "--bench", str(bench), "--threads", "1", "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.parent.exists()
+    return err
+
+
 class TestBenchValidation:
     @pytest.fixture()
     def sine_only_bench(self, tiny_bench, tmp_path):
@@ -474,7 +551,7 @@ class TestBenchValidation:
         return bench
 
     @pytest.mark.parametrize("f0", ["0", "nan", "30000"])
-    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_bad_f0_is_a_config_error(self, tiny_bench, tmp_path, capsys, command, f0):
         """An f0_hz that is not finite or not in (0, Nyquist) is rejected when
         bench.csv is read, whether or not the command uses it."""
@@ -493,9 +570,9 @@ class TestBenchValidation:
         assert err.startswith("error: ") and "f0_hz" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
-    # sine note 60 is 261.625565 Hz; a note index of 20000 has no float frequency
-    @pytest.mark.parametrize("index,f0", [("60", "300.000000"), ("60", "261.625566"), ("20000", "261.625565")])
-    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
+    # sine note 60 is 261.625565 Hz
+    @pytest.mark.parametrize("index,f0", [("60", "300.000000"), ("60", "261.625566")])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_f0_that_is_not_the_notes_frequency_is_a_config_error(self, tiny_bench, tmp_path, capsys, command, index, f0):
         """run-activations measures at the f0_hz column and run-upsamplers at
         the note's frequency, so a row where the two disagree beyond the
@@ -516,7 +593,47 @@ class TestBenchValidation:
         assert err.startswith("error: ") and "not the note's frequency" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_unknown_waveform_is_a_config_error(self, tiny_bench, tmp_path, capsys, command):
+        """An extra square row, whatever WAV it names, is refused by both
+        commands rather than averaged into a table."""
+        bench = edited_bench(tiny_bench, tmp_path, lambda rows: rows + [["square"] + rows[1][1:]])
+        err = expect_config_error(command, bench, tmp_path, capsys)
+        assert "unknown waveform 'square'" in err
+
+    # a note index of 20000 has no float frequency
+    @pytest.mark.parametrize("index,f0", [("59", f"{midi_to_freq(59):.6f}"), ("108", f"{midi_to_freq(108):.6f}"),
+                                          ("20000", "261.625565")])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_note_outside_the_grid_is_a_config_error(self, tiny_bench, tmp_path, capsys, command, index, f0):
+        """The grid is notes 60..107: a row off it is refused even when its
+        f0_hz is the note's own frequency."""
+        bench = edited_bench(tiny_bench, tmp_path, lambda rows: [rows[0], [rows[1][0], index, f0] + rows[1][3:]] + rows[2:])
+        err = expect_config_error(command, bench, tmp_path, capsys)
+        assert f"midi_note {index} outside the benchmark range [60, 107]" in err
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "1e308"])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_duration_without_a_finite_sample_count_is_a_config_error(self, tiny_bench, tmp_path, capsys, command, duration):
+        """A duration_s whose sample count is not a finite number is refused
+        when bench.csv is read, before any sample count is rounded."""
+        bench = edited_bench(tiny_bench, tmp_path, lambda rows: [rows[0], rows[1][:3] + [duration] + rows[1][4:]] + rows[2:])
+        err = expect_config_error(command, bench, tmp_path, capsys)
+        assert f"duration_s must be positive with a finite sample count, got {float(duration)}" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rows: [rows[0], rows[1][:5]] + rows[2:], "bench.csv: line 2: expected 6 cells"),
+        (lambda rows: [rows[0], rows[1] + ["x"]] + rows[2:], "bench.csv: line 2: expected 6 cells"),
+        (lambda rows: [r + [r[5]] for r in rows], "unexpected benchmark CSV header"),
+    ], ids=["short-row", "long-row", "repeated-column"])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_rows_and_header_of_the_wrong_width_are_a_config_error(self, tiny_bench, tmp_path, capsys, command,
+                                                                   edit, message):
+        """Every column is named once, and every row has one cell per column."""
+        err = expect_config_error(command, edited_bench(tiny_bench, tmp_path, edit), tmp_path, capsys)
+        assert message in err
+
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_signals_too_short_to_analyse_are_a_config_error(self, tmp_path, capsys, command):
         """0.3 s at 44.1 kHz is 13,230 samples, fewer than the 2 x 8192 edge
         samples plus 1024 an analysis needs. Both commands reject the first
@@ -550,12 +667,38 @@ class TestBenchValidation:
                       "fewer than 17408 (1024 once 8192 are cut from each edge)\n"
         assert not (out / "up.csv").exists()
 
-    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--seeds", "1")])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_missing_waveforms_are_a_config_error(self, sine_only_bench, tmp_path, capsys, command):
         rc = run(*command, "--bench", str(sine_only_bench), "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sawtooth, triangle" in err
+
+
+class TestBenchText:
+    @settings(max_examples=120, deadline=None)
+    @given(command=st.sampled_from(TABLE_COMMANDS), text=bench_csv_texts())
+    def test_any_bench_csv_ends_in_a_documented_exit(self, tiny_bench, command, text):
+        """Whatever bench.csv holds, both table commands exit 0, 2 or 3 with
+        at most one error line and no traceback, and write nothing unless
+        they succeed."""
+        root, _ = tiny_bench
+        assert (root / "bench.csv").read_text(encoding="utf-8").splitlines() == BENCH_TEXT_LINES
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            shutil.copytree(root, "bench")
+            with open("bench/bench.csv", "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            with open("c.cfg", "w", encoding="utf-8") as fh:
+                fh.write("kind = leaky_relu\n")
+            options = ("--configs", "c.cfg") if command[0] == "run-activations" else ()
+            rc = run(*command, *options, "--bench", "bench", "--threads", "1", "--out", "out/x.csv")
+            wrote = os.path.exists("out")
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO)
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in ln for ln in err.getvalue().splitlines()) <= 1
+        assert wrote == (rc == EXIT_OK)
 
 
 class TestConfigText:

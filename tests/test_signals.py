@@ -73,6 +73,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TestSignalSpec("sine", 60, duration_s=0.0)
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), 1e308])
+    def test_rejects_duration_without_a_finite_sample_count(self, duration_s):
+        """nan and inf, and 1e308 s whose sample count overflows a float."""
+        with pytest.raises(ValueError, match="duration_s"):
+            TestSignalSpec("sine", 60, duration_s=duration_s)
+
+    @pytest.mark.parametrize("sample_rate", [0, -44100])
+    def test_rejects_nonpositive_sample_rate(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            TestSignalSpec("sine", 60, sample_rate=sample_rate)
+
 
 class TestHarmonicCap:
     def test_long_signal_uses_50hz_guard(self):
@@ -199,9 +210,9 @@ class TestGenBandlimited:
         assert above < 1e-5 * a1
 
     def test_rejects_fundamental_at_or_above_nyquist(self):
-        spec = TestSignalSpec("sine", 96, sample_rate=4000, duration_s=0.5)
-        with pytest.raises(ValueError):
-            gen_bandlimited(spec)
+        """The spec itself is refused, so no signal above Nyquist can be asked for."""
+        with pytest.raises(ValueError, match="not below Nyquist"):
+            TestSignalSpec("sine", 96, sample_rate=4000, duration_s=0.5)
 
     def test_deterministic(self):
         spec = TestSignalSpec("triangle", 80, duration_s=0.5)

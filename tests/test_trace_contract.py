@@ -11,8 +11,10 @@ import pytest
 import run
 import tracer
 
+from aliasbench.bench import load_bench_csv
 from aliasbench.cli import build_parser, main
 from aliasbench.configio import config_hash
+from aliasbench.signals import TestSignalSpec
 from aliasbench.upsamplers import UpsamplerSpec
 
 WRAPPED = [(module, fn) for module, fns in tracer.LAYERS.items() for fn in fns]
@@ -37,6 +39,17 @@ def test_benchmark_commands_parse(workload):
     parser = build_parser()
     for argv in run.WORKLOADS[workload](seed=1).commands():
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("workload", ["activations", "upsamplers"])
+def test_benchmark_bench_csv_loads(workload, tmp_path):
+    """The bench.csv the benchmark writes for a table command passes every
+    rule the command reads it by, one row per signal in order: a rule it
+    failed would fail every round."""
+    signals = run.WORKLOADS[workload](seed=1).signals
+    run.write_bench(tmp_path / "bench", signals, with_wavs=False)
+    metas = load_bench_csv(tmp_path / "bench" / "bench.csv")
+    assert [m.spec for m in metas] == [TestSignalSpec(w, n) for w, n in signals]
 
 
 def test_upsampler_layers_are_the_table_specs(tiny_bench, tmp_path):
