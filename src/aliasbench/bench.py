@@ -1,5 +1,6 @@
-"""Benchmark orchestration: run module configs over the test-signal set,
-aggregate AHR reports, and write the table-style CSV outputs."""
+"""Benchmark orchestration: turn bench.csv rows into signal sources, run
+module configs over them, aggregate AHR reports, and write the table-style
+CSV outputs."""
 
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .metrics import (
 )
 from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, sample_count
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
+from .wavio import wav_read
 
 #: Activation configs evaluated by default. The four table_row entries mirror
 #: the activation comparison table; the rest are the oversampling sweep.
@@ -111,11 +113,7 @@ def evaluate(
     def signal_rows(source: SignalSource) -> list[SignalAhr]:
         waveform, f0, produce = source
         entry = (waveform, f0, produce())
-        rows = []
-        for spec in specs:
-            m = measure(spec, entry)
-            rows.append(SignalAhr(waveform, f0, m.ahr_db, m.harmonic_bands, m.alias_bands))
-        return rows
+        return [SignalAhr(waveform, f0, measure(spec, entry).ahr_db) for spec in specs]
 
     with ThreadPoolExecutor(max_workers=min(threads, len(sources)) or 1) as pool:
         futures = [pool.submit(signal_rows, source) for source in sources]
@@ -130,7 +128,36 @@ def evaluate(
     ]
 
 
-def regenerate_entries(specs: Iterable[TestSignalSpec], factor: int) -> list[SignalSource]:
+def _read_bench_wav(bench_dir: Path, meta: BenchEntryMeta) -> AudioBuffer:
+    """The WAV of one bench.csv row, checked against the row's rate and
+    duration."""
+    spec = meta.spec
+    buf = wav_read(bench_dir / meta.path)
+    if buf.sample_rate != spec.sample_rate:
+        raise ConfigError(
+            f"{meta.path}: WAV rate {buf.sample_rate} disagrees with metadata {spec.sample_rate}"
+        )
+    n = sample_count(spec.duration_s, spec.sample_rate)
+    if len(buf) != n:
+        raise ConfigError(
+            f"{meta.path}: WAV length {len(buf)} disagrees with metadata {spec.duration_s:g} s ({n} samples)"
+        )
+    return buf
+
+
+def wav_sources(bench_dir: Path) -> list[SignalSource]:
+    """Sources that read the benchmark's WAVs, one per bench.csv row. All of
+    bench.csv is checked, by load_bench_csv and each row's length against
+    the analysis, before any source is returned; a WAV is read only when
+    its producer is called."""
+    metas = load_bench_csv(bench_dir / "bench.csv")
+    for m in metas:
+        s = m.spec
+        check_analysable(sample_count(s.duration_s, s.sample_rate), f"{s.waveform} note {s.midi_note} ({m.path})")
+    return [(m.spec.waveform, m.f0_hz, partial(_read_bench_wav, bench_dir, m)) for m in metas]
+
+
+def synth_sources(specs: Iterable[TestSignalSpec], factor: int) -> list[SignalSource]:
     """Sources that re-synthesize benchmark signals additively at rate/factor
     (exact band-limited inputs for the upsampler benchmark, no decimation
     filter).
@@ -185,13 +212,13 @@ def upsampler_table(
     LinearInterp, NearestInterp, AntiAliasedResample (+ prior-on column).
 
     signals are the benchmark's signals at their own rate; each is
-    re-synthesized at rate/factor (regenerate_entries). Each row is the mean
+    re-synthesized at rate/factor (synth_sources). Each row is the mean
     over its group of layer specs: ConvTranspose's n_seeds seeded layers, or
     the one spec of any other layer.
     """
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
-    sources = regenerate_entries(signals, factor)
+    sources = synth_sources(signals, factor)
     rate = signals[0].sample_rate // factor
     check_analysable(factor * rate, f"tonal probe: 1 s at {rate} Hz upsampled by {factor}")
     seeds = derive_seeds(base_seed, n_seeds + 1)
@@ -227,6 +254,12 @@ def upsampler_table(
     return rows, all_reports
 
 
+def _type_cells(per_type: dict[str, float], average: float, digits: int) -> list[str]:
+    """The per-waveform columns of a table row, then its average, each to
+    digits decimals."""
+    return [f"{per_type[w]:.{digits}f}" for w in WAVEFORMS] + [f"{average:.{digits}f}"]
+
+
 def write_per_signal_csv(path: str | Path, reports: Iterable[AhrReport]) -> None:
     header = ["module_name", "config_hash", "waveform", "f0_hz", "ahr_db"]
     rows = []
@@ -244,27 +277,21 @@ def write_activation_summary_csv(path: str | Path, reports: Sequence[AhrReport],
     """
     header = ["module", "sine_db", "sawtooth_db", "triangle_db", "average_db"]
     table_only = any(c.table_row for c in configs)
-    rows = []
-    for rep, spec in zip(reports, configs):
-        if table_only and not spec.table_row:
-            continue
-        rows.append(
-            [rep.module_name]
-            + [f"{rep.per_type_mean_db[w]:.2f}" for w in WAVEFORMS]
-            + [f"{rep.overall_mean_db:.2f}"]
-        )
+    rows = [
+        [rep.module_name] + _type_cells(rep.per_type_mean_db, rep.overall_mean_db, 2)
+        for rep, spec in zip(reports, configs)
+        if spec.table_row or not table_only
+    ]
     write_csv(path, header, rows)
 
 
 def write_activation_full_csv(path: str | Path, reports: Sequence[AhrReport], configs: Sequence[ActivationSpec]) -> None:
     header = ["module", "config_hash", "oversample", "sine_db", "sawtooth_db", "triangle_db", "average_db"]
-    rows = []
-    for rep, spec in zip(reports, configs):
-        rows.append(
-            [rep.module_name, rep.config_hash, str(spec.oversample)]
-            + [f"{rep.per_type_mean_db[w]:.6f}" for w in WAVEFORMS]
-            + [f"{rep.overall_mean_db:.6f}"]
-        )
+    rows = [
+        [rep.module_name, rep.config_hash, str(spec.oversample)]
+        + _type_cells(rep.per_type_mean_db, rep.overall_mean_db, 6)
+        for rep, spec in zip(reports, configs)
+    ]
     write_csv(path, header, rows)
 
 
@@ -273,18 +300,16 @@ def write_upsampler_summary_csv(path: str | Path, rows: Sequence[UpsamplerSummar
         "module", "sine_db", "sawtooth_db", "triangle_db", "average_db",
         "prior_on_average_db", "tonal_line_db", "seed_std_db",
     ]
-    out = []
-    for r in rows:
-        out.append(
-            [r.module]
-            + [f"{r.per_type_db[w]:.2f}" for w in WAVEFORMS]
-            + [
-                f"{r.average_db:.2f}",
-                "" if r.prior_on_average_db is None else f"{r.prior_on_average_db:.2f}",
-                f"{r.tonal_line_db:.2f}",
-                "" if r.seed_std_db is None else f"{r.seed_std_db:.4f}",
-            ]
-        )
+    out = [
+        [r.module]
+        + _type_cells(r.per_type_db, r.average_db, 2)
+        + [
+            "" if r.prior_on_average_db is None else f"{r.prior_on_average_db:.2f}",
+            f"{r.tonal_line_db:.2f}",
+            "" if r.seed_std_db is None else f"{r.seed_std_db:.4f}",
+        ]
+        for r in rows
+    ]
     write_csv(path, header, out)
 
 

@@ -10,19 +10,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .activations import ActivationSpec, apply_activation
-from .audio import AudioBuffer, NumericError
+from .audio import NumericError
 from .bench import (
     DEFAULT_ACTIVATIONS,
     BenchEntryMeta,
-    SignalSource,
-    check_analysable,
     evaluate,
     load_bench_csv,
     measure_activation,
@@ -32,6 +30,7 @@ from .bench import (
     write_bench_csv,
     write_per_signal_csv,
     write_upsampler_summary_csv,
+    wav_sources,
 )
 from .configio import (
     ConfigError,
@@ -43,9 +42,9 @@ from .configio import (
     write_manifest,
 )
 from .filters import design_fir, frequency_response, interp_kernel
-from .metrics import spectrogram_export
-from .signals import build_benchmark, gen_sweep, sample_count
-from .wavio import WavError, wav_read, wav_write
+from .metrics import AhrReport, spectrogram_export
+from .signals import build_benchmark, gen_sweep
+from .wavio import WavError, wav_write
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,36 +113,39 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_bench_wav(bench_dir: Path, meta: BenchEntryMeta) -> AudioBuffer:
-    """The WAV of one bench.csv row, checked against the row's rate and
-    duration."""
-    spec = meta.spec
-    buf = wav_read(bench_dir / meta.path)
-    if buf.sample_rate != spec.sample_rate:
-        raise ConfigError(
-            f"{meta.path}: WAV rate {buf.sample_rate} disagrees with metadata {spec.sample_rate}"
-        )
-    n = sample_count(spec.duration_s, spec.sample_rate)
-    if len(buf) != n:
-        raise ConfigError(
-            f"{meta.path}: WAV length {len(buf)} disagrees with metadata {spec.duration_s:g} s ({n} samples)"
-        )
-    return buf
-
-
-def _load_bench_entries(bench_dir: Path) -> tuple[list[BenchEntryMeta], list[SignalSource]]:
-    """All of bench.csv, validated, and one source per row. A WAV is read
-    only when evaluate asks its source for the signal."""
-    metas = load_bench_csv(bench_dir / "bench.csv")
-    for m in metas:
-        s = m.spec
-        check_analysable(sample_count(s.duration_s, s.sample_rate), f"{s.waveform} note {s.midi_note} ({m.path})")
-    return metas, [(m.spec.waveform, m.f0_hz, partial(_read_bench_wav, bench_dir, m)) for m in metas]
+def _write_run_files(args: argparse.Namespace, command: str, n_signals: int, reports: list[AhrReport],
+                     tables: dict[str, Callable[[Path], None]], **fields) -> None:
+    """Write a table command's files: tables by file-name suffix (the
+    summary's "" at --out, any other at <stem><suffix>.csv), then
+    <stem>_per_signal.csv and <stem>_manifest.json. The summary is written
+    first, so an --out with no file name fails as an I/O error before any
+    sibling path is derived from it. The manifest holds the keys both
+    commands share, the command's own fields and each file's SHA-256."""
+    out = Path(args.out)
+    written = []
+    for suffix, write in {**tables, "_per_signal": lambda p: write_per_signal_csv(p, reports)}.items():
+        path = out.with_name(f"{out.stem}{suffix}.csv") if suffix else out
+        write(path)
+        written.append(path)
+    bench_dir = Path(args.bench)
+    write_manifest(
+        out.with_name(out.stem + "_manifest.json"),
+        {
+            "command": command,
+            "version": __version__,
+            "bench_dir": str(bench_dir),
+            "bench_csv_sha256": file_sha256(bench_dir / "bench.csv"),
+            "seed": args.seed,
+            "threads": args.threads,
+            "signals": n_signals,
+            "outputs": {p.name: file_sha256(p) for p in written},
+            **fields,
+        },
+    )
 
 
 def cmd_run_activations(args: argparse.Namespace) -> int:
-    bench_dir = Path(args.bench)
-    metas, sources = _load_bench_entries(bench_dir)
+    sources = wav_sources(Path(args.bench))
     if args.configs:
         configs = load_configs(ActivationSpec, args.configs)
         config_source = str(args.configs)
@@ -152,39 +154,21 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
         config_source = "builtin"
 
     reports = evaluate(sources, configs, measure_activation, args.threads)
-
-    out = Path(args.out)
-    write_activation_summary_csv(out, reports, configs)
-    per_signal = out.with_name(out.stem + "_per_signal.csv")
-    full = out.with_name(out.stem + "_full.csv")
-    write_per_signal_csv(per_signal, reports)
-    write_activation_full_csv(full, reports, configs)
-    write_manifest(
-        out.with_name(out.stem + "_manifest.json"),
-        {
-            "command": "run-activations",
-            "version": __version__,
-            "bench_dir": str(bench_dir),
-            "bench_csv_sha256": file_sha256(bench_dir / "bench.csv"),
-            "config_source": config_source,
-            "configs": [
-                {"name": c.name, "hash": config_hash(c), "spec": serialize_spec(c)} for c in configs
-            ],
-            "seed": args.seed,
-            "threads": args.threads,
-            "signals": len(metas),
-            "outputs": {p.name: file_sha256(p) for p in (out, per_signal, full)},
-        },
+    _write_run_files(
+        args, "run-activations", len(sources), reports,
+        {"": lambda p: write_activation_summary_csv(p, reports, configs),
+         "_full": lambda p: write_activation_full_csv(p, reports, configs)},
+        config_source=config_source,
+        configs=[{"name": c.name, "hash": config_hash(c), "spec": serialize_spec(c)} for c in configs],
     )
     for rep in reports:
         print(f"{rep.module_name:>24s}  average {rep.overall_mean_db:8.2f} dB")
-    print(f"wrote {out}")
+    print(f"wrote {Path(args.out)}")
     return EXIT_OK
 
 
 def cmd_run_upsamplers(args: argparse.Namespace) -> int:
-    bench_dir = Path(args.bench)
-    metas = load_bench_csv(bench_dir / "bench.csv")
+    metas = load_bench_csv(Path(args.bench) / "bench.csv")
     rows, reports = upsampler_table(
         [m.spec for m in metas],
         factor=args.factor,
@@ -192,29 +176,12 @@ def cmd_run_upsamplers(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         threads=args.threads,
     )
-
-    out = Path(args.out)
-    write_upsampler_summary_csv(out, rows)
-    per_signal = out.with_name(out.stem + "_per_signal.csv")
-    write_per_signal_csv(per_signal, reports)
-    write_manifest(
-        out.with_name(out.stem + "_manifest.json"),
-        {
-            "command": "run-upsamplers",
-            "version": __version__,
-            "bench_dir": str(bench_dir),
-            "bench_csv_sha256": file_sha256(bench_dir / "bench.csv"),
-            "factor": args.factor,
-            "conv_seeds": args.seeds,
-            "seed": args.seed,
-            "threads": args.threads,
-            "signals": len(metas),
-            "outputs": {p.name: file_sha256(p) for p in (out, per_signal)},
-        },
-    )
+    _write_run_files(args, "run-upsamplers", len(metas), reports,
+                     {"": lambda p: write_upsampler_summary_csv(p, rows)},
+                     factor=args.factor, conv_seeds=args.seeds)
     for row in rows:
         print(f"{row.module:>24s}  average {row.average_db:8.2f} dB  tonal {row.tonal_line_db:8.2f} dB")
-    print(f"wrote {out}")
+    print(f"wrote {Path(args.out)}")
     return EXIT_OK
 
 

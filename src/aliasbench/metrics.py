@@ -69,10 +69,6 @@ class SpectrumEstimate:
         return self.sample_rate / self.data_len
 
     @property
-    def bin_hz(self) -> float:
-        return self.sample_rate / self.fft_size
-
-    @property
     def total_power(self) -> float:
         return float(self.power.sum())
 
@@ -234,8 +230,6 @@ class SignalAhr:
     waveform: str
     f0_hz: float
     ahr_db: float
-    harmonic_bands: int
-    alias_bands: int
 
 
 @dataclass(frozen=True)
@@ -247,8 +241,6 @@ class AhrReport:
     per_signal: tuple[SignalAhr, ...]
     per_type_mean_db: dict[str, float]
     overall_mean_db: float
-    harmonic_band_count: int
-    alias_band_count: int
 
 
 def build_report(module_name: str, config_hash: str, entries: list[SignalAhr]) -> AhrReport:
@@ -265,8 +257,6 @@ def build_report(module_name: str, config_hash: str, entries: list[SignalAhr]) -
         per_signal=tuple(entries),
         per_type_mean_db=per_type,
         overall_mean_db=float(np.mean([e.ahr_db for e in entries])),
-        harmonic_band_count=sum(e.harmonic_bands for e in entries),
-        alias_band_count=sum(e.alias_bands for e in entries),
     )
 
 

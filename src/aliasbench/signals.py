@@ -34,6 +34,10 @@ _MIDI_HI = 107  # B7
 #: Samples per block of the synthesis recurrence; its buffers stay in cache.
 _SYNTH_BLOCK = 16384
 
+#: Most samples a test signal may have (47.5 s at 44.1 kHz), and its highest
+#: rate: run-upsamplers' tonal probe is one second at rate/L, upsampled by L.
+MAX_SIGNAL_SAMPLES = 1 << 21
+
 
 def midi_to_freq(note: int) -> float:
     """Equal-tempered frequency of a MIDI note number (A4 = 69 = 440 Hz)."""
@@ -66,6 +70,10 @@ class TestSignalSpec:
             raise ValueError(f"duration_s must be positive with a finite sample count, got {self.duration_s}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if self.sample_rate > MAX_SIGNAL_SAMPLES:
+            raise ValueError(f"sample_rate {self.sample_rate} is above {MAX_SIGNAL_SAMPLES}")
+        if sample_count(self.duration_s, self.sample_rate) > MAX_SIGNAL_SAMPLES:
+            raise ValueError(f"duration_s {self.duration_s:g} at {self.sample_rate} Hz is above {MAX_SIGNAL_SAMPLES} samples")
         if self.f0_hz >= self.sample_rate / 2.0:
             raise ValueError(
                 f"fundamental {self.f0_hz:.2f} Hz is not below Nyquist ({self.sample_rate / 2:.1f} Hz)"

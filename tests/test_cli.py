@@ -6,6 +6,7 @@ keeps the heavy subcommands fast while staying spectrally honest.
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -139,8 +140,9 @@ TINY_BENCH_ROWS = [
 #: The lines of that bench.csv.
 BENCH_TEXT_LINES = [",".join(BENCH_COLUMNS)] + [",".join(r) for r in TINY_BENCH_ROWS]
 #: Values the bench.csv fuzz draws that pass each column's cast, and at
-#: most 1 s and 44,100 Hz: a valid longer or faster signal would really be
-#: synthesized, and run-upsamplers sizes it from bench.csv alone.
+#: most 1 s and 44,100 Hz: a valid longer or faster signal, up to
+#: signals.MAX_SIGNAL_SAMPLES, would really be synthesized, and
+#: run-upsamplers sizes it from bench.csv alone.
 BENCH_GOOD = {
     "type": WAVEFORMS,
     "index": ("60", "72", "107"),
@@ -150,8 +152,9 @@ BENCH_GOOD = {
     "path": tuple(r[5] for r in TINY_BENCH_ROWS),
 }
 #: Values that fail a cast or a rule of most columns: bad casts, non-finite
-#: and overflowing numbers, notes off the grid and an unknown waveform.
-BENCH_BAD = ("-1", "0", "nan", "inf", "1e308", "", "x", "59", "108", "square")
+#: and overflowing numbers, durations and rates above
+#: signals.MAX_SIGNAL_SAMPLES, notes off the grid and an unknown waveform.
+BENCH_BAD = ("-1", "0", "nan", "inf", "1e308", "1e300", "1000000000000000000", "", "x", "59", "108", "square")
 
 
 @st.composite
@@ -159,8 +162,9 @@ def bench_csv_texts(draw):
     """The tiny bench's bench.csv with up to three cells replaced, a drawn
     value failing its column one time in two. One text in four repeats a
     row, and one in four drops a cell of the header or of a row, or repeats
-    a column. Endings are LF or CRLF. A duration_s is never a finite value
-    above 1 s."""
+    a column. Endings are LF or CRLF. A duration_s of 59 or 108 is never
+    drawn: 59 s at 22,050 Hz is within signals.MAX_SIGNAL_SAMPLES, so it
+    would really be synthesized."""
     rarely = st.sampled_from((False, False, False, True))
     rows = [list(BENCH_COLUMNS)] + [list(r) for r in TINY_BENCH_ROWS]
     if draw(rarely):
@@ -633,6 +637,21 @@ class TestBenchValidation:
         err = expect_config_error(command, edited_bench(tiny_bench, tmp_path, edit), tmp_path, capsys)
         assert message in err
 
+    @pytest.mark.parametrize("column,value,message", [
+        (3, "1e300", "duration_s 1e+300 at 44100 Hz is above 2097152 samples"),
+        (4, "1000000000000000000", "sample_rate 1000000000000000000 is above 2097152"),
+    ], ids=["duration_s", "sample_rate"])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_signal_above_the_size_bound_is_a_config_error(self, tiny_bench, tmp_path, capsys, command,
+                                                           column, value, message):
+        """run-upsamplers sizes each synthesis from bench.csv alone, so a row
+        of more than signals.MAX_SIGNAL_SAMPLES samples, or at a higher rate,
+        is refused on both commands when bench.csv is read, and the message
+        prints no sample count."""
+        bench = edited_bench(tiny_bench, tmp_path, lambda rows: [rows[0], rows[1][:column] + [value] + rows[1][column + 1:]] + rows[2:])
+        err = expect_config_error(command, bench, tmp_path, capsys)
+        assert err == f"error: {bench / 'bench.csv'}: line 2: {message}\n"
+
     @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_signals_too_short_to_analyse_are_a_config_error(self, tmp_path, capsys, command):
         """0.3 s at 44.1 kHz is 13,230 samples, fewer than the 2 x 8192 edge
@@ -673,6 +692,31 @@ class TestBenchValidation:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sawtooth, triangle" in err
+
+
+#: The keys of every table command's manifest.
+SHARED_MANIFEST_KEYS = {"command", "version", "bench_dir", "bench_csv_sha256", "seed", "threads", "signals", "outputs"}
+
+
+class TestRunManifest:
+    @pytest.mark.parametrize("command,own_keys,written", [
+        ("run-activations", {"config_source", "configs"}, {"t.csv", "t_per_signal.csv", "t_full.csv"}),
+        ("run-upsamplers", {"factor", "conv_seeds"}, {"t.csv", "t_per_signal.csv"}),
+    ], ids=["run-activations", "run-upsamplers"])
+    def test_manifest_records_the_run(self, tiny_bench, act_cfg, tmp_path, command, own_keys, written):
+        """The manifest holds the shared keys and the command's own, the
+        bench.csv it read, and the SHA-256 of each file written beside it."""
+        root, metas = tiny_bench
+        options = ("--configs", str(act_cfg)) if command == "run-activations" else ("--seeds", "1")
+        out = tmp_path / "run"
+        assert run(command, *options, "--bench", str(root), "--threads", "1", "--out", str(out / "t.csv")) == EXIT_OK
+        manifest = json.loads((out / "t_manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest) == SHARED_MANIFEST_KEYS | own_keys
+        assert {p.name for p in out.iterdir()} == written | {"t_manifest.json"}
+        assert manifest["outputs"] == {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written}
+        assert manifest["bench_csv_sha256"] == hashlib.sha256((root / "bench.csv").read_bytes()).hexdigest()
+        assert (manifest["command"], manifest["bench_dir"], manifest["signals"], manifest["seed"], manifest["threads"]) \
+            == (command, str(root), len(metas), 0, 1)
 
 
 class TestBenchText:

@@ -9,6 +9,7 @@ from scipy.signal import hilbert
 
 from aliasbench.signals import (
     BENCH_AMPLITUDE,
+    MAX_SIGNAL_SAMPLES,
     TestSignalSpec,
     WAVEFORMS,
     benchmark_notes,
@@ -83,6 +84,22 @@ class TestSpecValidation:
     def test_rejects_nonpositive_sample_rate(self, sample_rate):
         with pytest.raises(ValueError, match="sample_rate"):
             TestSignalSpec("sine", 60, sample_rate=sample_rate)
+
+    @pytest.mark.parametrize("duration_s,sample_rate,field", [
+        (1e300, 44100, "duration_s"),
+        ((MAX_SIGNAL_SAMPLES + 1) / 44100, 44100, "duration_s"),
+        (1.0, 10**18, "sample_rate"),
+        (0.5, MAX_SIGNAL_SAMPLES + 1, "sample_rate"),
+    ])
+    def test_rejects_a_signal_above_the_size_bound(self, duration_s, sample_rate, field):
+        """More than MAX_SIGNAL_SAMPLES samples, or a higher rate, is refused
+        before anything is allocated."""
+        with pytest.raises(ValueError, match=f"{field} .* above {MAX_SIGNAL_SAMPLES}"):
+            TestSignalSpec("sine", 60, duration_s=duration_s, sample_rate=sample_rate)
+
+    def test_the_size_bound_itself_is_allowed(self):
+        TestSignalSpec("sine", 60, duration_s=MAX_SIGNAL_SAMPLES / 44100)
+        TestSignalSpec("sine", 60, duration_s=1.0, sample_rate=MAX_SIGNAL_SAMPLES)
 
 
 class TestHarmonicCap:

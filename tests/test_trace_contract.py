@@ -5,6 +5,9 @@ option the benchmark passes would break the benchmark; these tests catch it."""
 
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 
 import checks
 import pytest
@@ -16,6 +19,9 @@ from aliasbench.cli import build_parser, main
 from aliasbench.configio import config_hash
 from aliasbench.signals import TestSignalSpec
 from aliasbench.upsamplers import UpsamplerSpec
+
+#: Every per-layer figure the benchmark declares.
+DECLARED_LAYERS = {m["name"] for m in json.loads((run.ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 
 WRAPPED = [(module, fn) for module, fns in tracer.LAYERS.items() for fn in fns]
 
@@ -63,3 +69,25 @@ def test_upsampler_layers_are_the_table_specs(tiny_bench, tmp_path):
     written = {row.split(",")[1] for row in rows}
     modelled = {config_hash(UpsamplerSpec(**kw, name=name)) for name, kw in checks.upsampler_layers(2, 2, 0)}
     assert modelled == written
+
+
+@pytest.mark.parametrize("command,configs", [(["run-activations"], 7), (["run-upsamplers", "--seeds", "2"], 6)],
+                         ids=["run-activations", "run-upsamplers --seeds 2"])
+def test_traced_table_commands_keep_their_counts(tiny_bench, tmp_path, command, configs):
+    """A traced round reads measure_ahr's band counts, the context's k_cap
+    and input_rate and the spectrum's fft_size, and checks the harmonic
+    bands against their closed form. Nothing else reads some of these, so
+    only a traced run shows that one went."""
+    root, metas = tiny_bench
+    trace = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, tracer.__file__, str(trace), *command, "--bench", str(root), "--threads", "1",
+         "--out", str(tmp_path / "out.csv")],
+        env=run.child_env(), cwd=run.ROOT, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    layers, records = tracer.layer_metrics([trace], run_s=0.0)
+    assert len(records) == configs * len(metas)
+    assert run.band_problems(records) == []
+    assert layers["metrics.bands.harmonic"] == sum(r["harmonic"] for r in records) > 0
+    assert set(layers) <= DECLARED_LAYERS
