@@ -42,7 +42,7 @@ from .configio import (
     write_manifest,
 )
 from .filters import design_fir, frequency_response, interp_kernel
-from .metrics import AhrReport, spectrogram_export
+from .metrics import ANALYSIS, AhrReport, spectrogram_export
 from .signals import build_benchmark, gen_sweep
 from .wavio import WavError, wav_write
 
@@ -52,11 +52,12 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 #: glibc mallopt (parameter, value) pairs that main() sets (_keep_freed_memory).
-#: Each spectrum allocates an 8 MiB complex rfft output (2^19 + 1 bins; 16 MiB
-#: for an upsampled signal) plus pocketfft's work buffer of the same size, and
-#: a c4 config holds 7 MiB upsampled signals. By default glibc serves such
-#: blocks by mmap, or trims them off the heap top once freed, so every call
-#: faults 7-16 MiB of zeroed pages in again.
+#: An oversampled activation allocates several blocks the size of its signal at
+#: the high rate: 3.4 MiB at c2 and 6.7 MiB at c4 for a 5 s signal. By default
+#: glibc serves such blocks by mmap, or trims them off the heap top once freed,
+#: so every call faults them in again: 8 AdaaSnakeBeta c2 calls fault 59,200
+#: pages without this policy and 1 with it. A 2^18-point AHR spectrum's 2 MiB
+#: blocks stay in the heap under the defaults too.
 _MALLOPT = (
     (-3, 32 << 20),  # M_MMAP_THRESHOLD: every such block comes from the heap
     (-1, 64 << 20),  # M_TRIM_THRESHOLD: freed blocks stay there for the next call
@@ -120,7 +121,8 @@ def _write_run_files(args: argparse.Namespace, command: str, n_signals: int, rep
     <stem>_per_signal.csv and <stem>_manifest.json. The summary is written
     first, so an --out with no file name fails as an I/O error before any
     sibling path is derived from it. The manifest holds the keys both
-    commands share, the command's own fields and each file's SHA-256."""
+    commands share (metrics.ANALYSIS among them), the command's own fields
+    and each file's SHA-256."""
     out = Path(args.out)
     written = []
     for suffix, write in {**tables, "_per_signal": lambda p: write_per_signal_csv(p, reports)}.items():
@@ -138,6 +140,7 @@ def _write_run_files(args: argparse.Namespace, command: str, n_signals: int, rep
             "seed": args.seed,
             "threads": args.threads,
             "signals": n_signals,
+            "analysis": dict(ANALYSIS),
             "outputs": {p.name: file_sha256(p) for p in written},
             **fields,
         },

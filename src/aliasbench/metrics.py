@@ -1,9 +1,10 @@
 """Spectral analysis and the aliasing-to-harmonic ratio (AHR).
 
 AHR = 10 log10(E_alias / E_harmonic) in dB; more negative is better. Energies
-are collected from a single long Hann-windowed FFT in narrow bands around the
-expected harmonic and alias line positions, which are computed analytically
-from the test signal's fundamental (never detected from the data):
+are collected from a single long Kaiser-windowed FFT in narrow bands around
+the expected harmonic and alias line positions, which are computed
+analytically from the test signal's fundamental (never detected from the
+data):
 
 * activation context -- harmonics k*f0 below Nyquist; aliases are the folds
   of k*f0 at and above Nyquist (reflection about 0 and Nyquist);
@@ -21,6 +22,12 @@ clamped by one, ratio_db. The band rule of measure_ahr:
 
 The measurement is therefore insensitive to output gain and (for signals
 periodic in the analysis frame) to time shifts.
+
+The analysis, ANALYSIS, is a periodic Kaiser window at beta = 5 pi with no
+zero padding. beta = pi NW is Kaiser's approximation of the NW = 5 Slepian
+window: its main lobe spans about +-5.1 resolution bins, which a 6-bin band
+covers, and its sidelobes stay below -119 dB, so an alias band a few bins
+from a strong harmonic reads aliasing, not that harmonic's leakage.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -40,8 +48,14 @@ from .configio import atomic_write_bytes
 #: AHR clamp: numerically silent alias bands report this instead of -inf.
 FLOOR_DB = -120.0
 
-#: Band half-width in analysis-resolution bins (covers the Hann main lobe).
-BAND_HALF_WIDTH_BINS = 4
+#: The AHR analysis, recorded as is in both table commands' manifests: the
+#: window and its Kaiser beta (5 pi), the band half-width in resolution bins,
+#: and the zero-padding factor (nfft is the next power of two >= zero_pad * n).
+ANALYSIS = MappingProxyType({"window": "kaiser", "beta": 5.0 * math.pi, "half_width_bins": 6, "zero_pad": 1})
+
+#: Band half-width in analysis-resolution bins: covers the Kaiser main lobe
+#: (+-sqrt(1 + (beta/pi)^2) = +-5.1 bins).
+BAND_HALF_WIDTH_BINS = ANALYSIS["half_width_bins"]
 
 #: Samples discarded at each edge before any benchmark spectral analysis.
 EDGE_DISCARD = 8192
@@ -90,13 +104,23 @@ def hann(n: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=16)
+def kaiser(n: int) -> np.ndarray:
+    """Periodic (DFT-even) Kaiser window of length n at ANALYSIS's beta,
+    read-only and cached per length."""
+    w = np.kaiser(n + 1, ANALYSIS["beta"])[:-1]
+    w.flags.writeable = False
+    return w
+
+
 def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
     """Single-frame power spectrum of the edge-trimmed signal.
 
-    The frame is Hann-windowed, zero-padded to the next power of two >= 4x its
-    length, and normalized so the bin powers sum to the window-weighted mean
-    signal power, sum((x w)^2) / sum(w^2): a unit-amplitude sine therefore
-    integrates to ~0.5 regardless of padding.
+    The frame is windowed with kaiser(n), zero-padded only up to the next
+    power of two >= its length (ANALYSIS's zero_pad is 1), and normalized so
+    the bin powers sum to the window-weighted mean signal power,
+    sum((x w)^2) / sum(w^2): a unit-amplitude sine therefore integrates to
+    ~0.5 regardless of padding.
     """
     if edge_trim < 0:
         raise ValueError("edge_trim must be >= 0")
@@ -104,8 +128,8 @@ def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
     n = data.size
     if n < MIN_ANALYSIS_SAMPLES:
         raise ValueError(f"need at least {MIN_ANALYSIS_SAMPLES} samples after trimming, got {n}")
-    w = hann(n)
-    nfft = _next_pow2(4 * n)
+    w = kaiser(n)
+    nfft = _next_pow2(ANALYSIS["zero_pad"] * n)
     spec = np.fft.rfft(data * w, n=nfft)
     power = np.abs(spec) ** 2
     power *= 2.0

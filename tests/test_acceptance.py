@@ -7,12 +7,12 @@ signal exists only while its configs run, and only the small result tables
 stay resident.
 
 Criterion 4 ranks the activation table. On overall means (dB) AdaaSnakeBeta
-(-87.12) is below ELU (-60.39) and SnakeBeta (-66.79), both of which are
-below LeakyReLU (-40.20) by at least 10 dB. ELU and SnakeBeta are ranked per
+(-90.38) is below ELU (-61.49) and SnakeBeta (-69.11), both of which are
+below LeakyReLU (-40.36) by at least 10 dB. ELU and SnakeBeta are ranked per
 waveform (measured / exact line-power oracle): ELU wins on sawtooth
-(-32.54 / -32.54 against -22.99 / -22.99) and triangle (-70.14 / -71.50
-against -67.27 / -68.73); SnakeBeta wins on sine (-110.10 / -115.60 against
--78.48 / -80.44), and the measured sine order must match the oracle's. At
+(-32.54 / -32.54 against -22.99 / -22.99) and triangle (-71.50 / -71.50
+against -68.73 / -68.73); SnakeBeta wins on sine (-115.60 / -115.60 against
+-80.44 / -80.44), and the measured sine order must match the oracle's. At
 alpha = beta = 1, SnakeBeta's harmonics on a sine are Bessel values
 J_2m(1.78) that fall faster than any power of k, while ELU's jump in second
 derivative at 0 leaves a k^-3 tail.
@@ -179,33 +179,31 @@ class TestCriterion4:
     def test_activation_table_ordering(self, activation_run):
         """Activation-table ranking, leg by leg (measured / oracle, dB).
 
-        Overall means: AdaaSnakeBeta (-87.12) below both ELU (-60.39 /
-        -61.49) and SnakeBeta (-66.79 / -69.11), both of those below
-        LeakyReLU (-40.20), and LeakyReLU at least 10 dB worse than every
+        Overall means: AdaaSnakeBeta (-90.38) below both ELU (-61.49 /
+        -61.49) and SnakeBeta (-69.11 / -69.11), both of those below
+        LeakyReLU (-40.36), and LeakyReLU at least 10 dB worse than every
         other row.
 
         ELU against SnakeBeta is ranked per waveform, because the exact line
         powers rank the two differently per waveform:
 
         * sawtooth: ELU (-32.54 / -32.54) < SnakeBeta (-22.99 / -22.99);
-        * triangle: ELU (-70.14 / -71.50) < SnakeBeta (-67.27 / -68.73);
-        * sine: SnakeBeta (-110.10 / -115.60) < ELU (-78.48 / -80.44), and
+        * triangle: ELU (-71.50 / -71.50) < SnakeBeta (-68.73 / -68.73);
+        * sine: SnakeBeta (-115.60 / -115.60) < ELU (-80.44 / -80.44), and
           the measured order must equal the order of the oracle means.
 
         The sine leg is physics. At alpha = beta = 1, SnakeBeta on
         A sin(theta) is A sin(theta) + (1 - cos(2A sin(theta)))/2, whose
         harmonics are the Bessel values J_2m(2A), 2A = 1.78, which fall
         faster than any power of k. ELU's second derivative jumps at 0, so
-        its harmonics fall only as k^-3. The sine gap (35.2 dB oracle, 31.6 dB
-        measured) outweighs ELU's sawtooth and triangle wins, so SnakeBeta
-        has the lower overall mean.
+        its harmonics fall only as k^-3. The sine gap (35.2 dB) outweighs
+        ELU's sawtooth and triangle wins, so SnakeBeta has the lower overall
+        mean.
 
         The sine oracle means are computed here with perfbench/oracles.py's
         dense single-period FFT. The sawtooth and triangle oracle values come
         from the same bookkeeping fed the partials of partial_series with
-        gen_bandlimited's peak normalization. The measured sine column sits
-        above the oracle because alias bands close to a harmonic also collect
-        its window leakage; the sine leg compares orders, not values.
+        gen_bandlimited's peak normalization.
         """
         reports, elapsed = activation_run
         means = {name: reports[name].overall_mean_db for name in TABLE_ACTIVATIONS}

@@ -695,7 +695,9 @@ class TestBenchValidation:
 
 
 #: The keys of every table command's manifest.
-SHARED_MANIFEST_KEYS = {"command", "version", "bench_dir", "bench_csv_sha256", "seed", "threads", "signals", "outputs"}
+SHARED_MANIFEST_KEYS = {
+    "command", "version", "bench_dir", "bench_csv_sha256", "seed", "threads", "signals", "analysis", "outputs",
+}
 
 
 class TestRunManifest:
@@ -705,7 +707,8 @@ class TestRunManifest:
     ], ids=["run-activations", "run-upsamplers"])
     def test_manifest_records_the_run(self, tiny_bench, act_cfg, tmp_path, command, own_keys, written):
         """The manifest holds the shared keys and the command's own, the
-        bench.csv it read, and the SHA-256 of each file written beside it."""
+        bench.csv it read, the AHR analysis, and the SHA-256 of each file
+        written beside it."""
         root, metas = tiny_bench
         options = ("--configs", str(act_cfg)) if command == "run-activations" else ("--seeds", "1")
         out = tmp_path / "run"
@@ -717,6 +720,7 @@ class TestRunManifest:
         assert manifest["bench_csv_sha256"] == hashlib.sha256((root / "bench.csv").read_bytes()).hexdigest()
         assert (manifest["command"], manifest["bench_dir"], manifest["signals"], manifest["seed"], manifest["threads"]) \
             == (command, str(root), len(metas), 0, 1)
+        assert manifest["analysis"] == {"window": "kaiser", "beta": 15.707963267948966, "half_width_bins": 6, "zero_pad": 1}
 
 
 class TestBenchText:

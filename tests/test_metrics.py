@@ -20,7 +20,18 @@ from numpy.testing import assert_allclose
 
 from aliasbench.activations import ActivationSpec, apply_activation
 from aliasbench.audio import AudioBuffer, NumericError
+from aliasbench.bench import (
+    DEFAULT_ACTIVATIONS,
+    derive_seeds,
+    evaluate,
+    measure_activation,
+    measure_upsampler,
+    synth_sources,
+    wav_sources,
+)
+from aliasbench.cli import EXIT_OK, main
 from aliasbench.metrics import (
+    ANALYSIS,
     BAND_HALF_WIDTH_BINS,
     FLOOR_DB,
     K_CAP,
@@ -35,6 +46,7 @@ from aliasbench.metrics import (
     estimate_spectrum,
     fold_frequency,
     hann,
+    kaiser,
     measure_ahr,
     ratio_db,
     spectrogram,
@@ -42,12 +54,14 @@ from aliasbench.metrics import (
 )
 from aliasbench.signals import (
     BENCH_AMPLITUDE,
+    WAVEFORMS,
     TestSignalSpec,
+    benchmark_notes,
     gen_bandlimited,
     gen_sweep,
     midi_to_freq,
 )
-from aliasbench.upsamplers import image_frequencies
+from aliasbench.upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies
 
 RATE = 44100
 
@@ -71,6 +85,31 @@ class TestHann:
             w[0] = 1.0
 
 
+class TestKaiser:
+    @pytest.mark.parametrize("n", [1024, 4097, 204116])
+    def test_is_the_periodic_kaiser_window_at_the_analysis_beta(self, n):
+        """kaiser(n) is the first n points of the symmetric (n + 1)-point
+        window: w[k] = I0(beta sqrt(1 - (2k/n - 1)^2)) / I0(beta)."""
+        k = np.arange(n)
+        expect = np.i0(ANALYSIS["beta"] * np.sqrt(1.0 - (2.0 * k / n - 1.0) ** 2)) / np.i0(ANALYSIS["beta"])
+        assert_allclose(kaiser(n), expect, rtol=1e-12, atol=1e-300)
+
+    def test_cached_window_is_read_only(self):
+        w = kaiser(4096)
+        assert kaiser(4096) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    def test_band_holds_the_main_lobe(self):
+        """A band of BAND_HALF_WIDTH_BINS holds all but 1e-12 of an off-grid
+        sine's power, and a band 8 bins away reads below -119 dB."""
+        x = sine_buffer(1000.3)
+        s = estimate_spectrum(x)
+        hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
+        assert_allclose(band_energy(s, 1000.3, hw), s.total_power, rtol=1e-12)
+        assert band_energy(s, 1000.3 + 8 * s.resolution_hz, s.resolution_hz) < 10 ** -11.9 * s.total_power
+
+
 class TestEstimateSpectrum:
     def test_unit_sine_total_power(self):
         """Bins sum to the window-weighted mean power: 0.5 for a unit sine."""
@@ -86,20 +125,20 @@ class TestEstimateSpectrum:
         assert np.all(s.power <= 1e-30)
 
     def test_bins_sum_to_the_windowed_power(self):
-        """Parseval through the Hann window: the bins sum to sum((x w)^2) / sum(w^2)."""
+        """Parseval through the analysis window: the bins sum to sum((x w)^2) / sum(w^2)."""
         rng = np.random.default_rng(42)
         v = rng.standard_normal(5000)
-        w = hann(v.size)
+        w = kaiser(v.size)
         s = estimate_spectrum(AudioBuffer(v, 8000))
         assert_allclose(s.total_power, np.sum((v * w) ** 2) / np.sum(w * w), rtol=1e-12)
 
     def test_zero_padding_and_resolution(self):
-        """nfft is the next power of two >= 4x the trimmed length."""
+        """nfft is the next power of two >= the trimmed length: no zero padding beyond it."""
         s = estimate_spectrum(AudioBuffer(np.zeros(10000), RATE), edge_trim=500)
         assert s.data_len == 9000
-        assert s.fft_size == 65536
+        assert s.fft_size == 16384
         assert_allclose(s.resolution_hz, RATE / 9000)
-        assert len(s.bin_freqs) == len(s.power) == 65536 // 2 + 1
+        assert len(s.bin_freqs) == len(s.power) == 16384 // 2 + 1
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
@@ -429,6 +468,55 @@ class TestAhrOracle:
         _, scale = oracles.reference_signal("sine", 107)
         exact = oracles.activation_ahr(oracles.MEMORYLESS[name], "sine", 107, scale)
         assert abs(measured - exact) <= 0.05
+
+    def test_memoryless_grid_matches_the_oracle_through_wavs(self, tmp_path):
+        """Every LeakyReLU, ELU and SnakeBeta (c=1) cell of the 144-signal
+        benchmark, read from its WAV as run-activations reads it, is within
+        0.5 dB of the exact line powers, or within 0.5 dB of the floor where
+        the exact value clamps (perfbench's rule). A Hann analysis with 4-bin
+        bands and 4x padding left 27 of these 432 cells off, by up to 65.7 dB:
+        alias bands a few bins from a strong harmonic collected its sidelobes."""
+        assert main(["gen-bench", "--out", str(tmp_path)]) == EXIT_OK
+        configs = [spec for spec in DEFAULT_ACTIVATIONS if spec.name in oracles.MEMORYLESS]
+        reports = evaluate(wav_sources(tmp_path), configs, measure_activation, threads=2)
+        scales = {}
+        off = []
+        for report in reports:
+            for row in report.per_signal:
+                note = oracles.freq_note(row.f0_hz)
+                if (row.waveform, note) not in scales:
+                    scales[row.waveform, note] = oracles.reference_signal(row.waveform, note)[1]
+                exact = oracles.activation_ahr(
+                    oracles.MEMORYLESS[report.module_name], row.waveform, note, scales[row.waveform, note])
+                floored = exact <= FLOOR_DB and row.ahr_db <= FLOOR_DB + 0.5
+                if abs(row.ahr_db - exact) > 0.5 and not floored:
+                    off.append(f"{report.module_name} {row.waveform} {note}: {row.ahr_db:.2f} vs {exact:.2f} dB")
+        assert sum(len(r.per_signal) for r in reports) == 432
+        assert not off, off
+
+    def test_upsampler_grid_matches_the_oracle(self):
+        """Every cell of the four upsampler kinds at L = 2 on the 144-signal
+        benchmark is within 0.01 dB of the exact image-line powers, taken
+        from each layer's impulse response."""
+        factor, rate_in = 2, RATE // 2
+        specs = [TestSignalSpec(w, note) for w in WAVEFORMS for note in benchmark_notes()]
+        layers = [
+            UpsamplerSpec("conv_transpose", factor=factor, seed=derive_seeds(0, 1)[0]),
+            UpsamplerSpec("linear", factor=factor),
+            UpsamplerSpec("nearest", factor=factor),
+            UpsamplerSpec("aa_resample", factor=factor),
+        ]
+        reports = evaluate(synth_sources(specs, factor), layers, measure_upsampler, threads=2)
+        off = []
+        for layer, report in zip(layers, reports):
+            h, _ = oracles.impulse_response(lambda x: apply_upsampler(AudioBuffer(x, rate_in), layer).samples, rate_in)
+            for row in report.per_signal:
+                note = oracles.freq_note(row.f0_hz)
+                exact = oracles.upsampler_ahr(h, factor, row.waveform, note, rate_in, round(5.0 * rate_in))
+                if abs(row.ahr_db - exact) > 0.01:
+                    off.append(f"{layer.kind} {row.waveform} {note}: {row.ahr_db:.4f} vs {exact:.4f} dB")
+        assert sum(len(r.per_signal) for r in reports) == 576
+        assert not off, off
 
 
 class TestBuildReport:

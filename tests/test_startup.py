@@ -4,8 +4,9 @@ resampling filter is designed, scipy.signal by filter-response. These tests
 run each command in a fresh interpreter and read its sys.modules.
 
 On glibc, main() also sets an allocator policy that keeps freed blocks in the
-heap, so repeated spectra stop faulting fresh pages in; the last tests count
-those faults in a fresh interpreter, with and without the policy."""
+heap, so repeated oversampled activations stop faulting fresh pages in; the
+last tests count those faults in a fresh interpreter, with and without the
+policy."""
 
 import json
 import os
@@ -62,28 +63,30 @@ def on_glibc() -> bool:
 glibc_only = pytest.mark.skipif(not on_glibc(), reason="the allocator policy is set on glibc only")
 
 
-#: Faults allowed across 8 spectra once the heap is warm. Under glibc's
-#: defaults each spectrum of this buffer faults about 6,000 pages in again.
+#: Faults allowed across 8 calls once the heap is warm. Under glibc's defaults
+#: each 2x-oversampled ADAA SnakeBeta call of this buffer faults about 7,400
+#: pages in again; with the policy, 8 calls fault about 1.
 FAULT_BUDGET = 2048
 
 
-def spectrum_faults(policy: bool) -> int:
-    """Minor page faults of 8 spectra of a 220,500-sample buffer, after 4 warm-up ones."""
+def activation_faults(policy: bool) -> int:
+    """Minor page faults of 8 AdaaSnakeBeta c2 calls on a 220,500-sample buffer, after 4 warm-up ones."""
     script = f"""
 import resource, sys
 sys.path.insert(0, {SRC!r})
 import numpy as np
 from aliasbench import cli
+from aliasbench.activations import ActivationSpec, apply_activation
 from aliasbench.audio import AudioBuffer
-from aliasbench.metrics import estimate_spectrum
 if {policy}:
     cli._keep_freed_memory()
 x = AudioBuffer(np.sin(0.1 * np.arange(220500)), 44100)
+spec = ActivationSpec("adaa_snakebeta", oversample=2)
 for _ in range(4):
-    estimate_spectrum(x, edge_trim=8192)
+    apply_activation(x, spec)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(8):
-    estimate_spectrum(x, edge_trim=8192)
+    apply_activation(x, spec)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
@@ -91,11 +94,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 @glibc_only
-def test_allocator_policy_stops_spectra_from_faulting():
-    assert spectrum_faults(policy=True) < FAULT_BUDGET
+def test_allocator_policy_stops_oversampled_activations_from_faulting():
+    assert activation_faults(policy=True) < FAULT_BUDGET
 
 
 @glibc_only
-def test_spectra_fault_without_the_allocator_policy():
+def test_oversampled_activations_fault_without_the_allocator_policy():
     """The control: glibc's defaults exceed the budget, so the test above bites."""
-    assert spectrum_faults(policy=False) > FAULT_BUDGET
+    assert activation_faults(policy=False) > FAULT_BUDGET
