@@ -130,12 +130,15 @@ def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
         raise ValueError(f"need at least {MIN_ANALYSIS_SAMPLES} samples after trimming, got {n}")
     w = kaiser(n)
     nfft = _next_pow2(ANALYSIS["zero_pad"] * n)
-    spec = np.fft.rfft(data * w, n=nfft)
-    power = np.abs(spec) ** 2
-    power *= 2.0
-    power[0] /= 2.0
-    power[-1] /= 2.0  # nfft is even, so the last bin is Nyquist
-    power /= nfft * float(np.sum(w * w))
+    # Finite samples near the float maximum overflow here; ratio_db turns the
+    # non-finite band energies into one NumericError, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = np.fft.rfft(data * w, n=nfft)
+        power = np.abs(spec) ** 2
+        power *= 2.0
+        power[0] /= 2.0
+        power[-1] /= 2.0  # nfft is even, so the last bin is Nyquist
+        power /= nfft * float(np.sum(w * w))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / x.sample_rate)
     return SpectrumEstimate(freqs, power, nfft, n, x.sample_rate)
 
@@ -300,9 +303,11 @@ def spectrogram(x: AudioBuffer, frame: int, hop: int) -> tuple[np.ndarray, np.nd
     padded[:n] = x.samples
     w = hann(frame)
     cols = np.empty((frame // 2 + 1, n_frames))
-    for i in range(n_frames):
-        seg = padded[i * hop : i * hop + frame]
-        cols[:, i] = np.abs(np.fft.rfft(seg * w))
+    # Overflow is reported once, as spectrogram_export's NumericError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_frames):
+            seg = padded[i * hop : i * hop + frame]
+            cols[:, i] = np.abs(np.fft.rfft(seg * w))
     freqs = np.fft.rfftfreq(frame, d=1.0 / x.sample_rate)
     times = np.arange(n_frames) * hop / x.sample_rate
     return freqs, times, cols

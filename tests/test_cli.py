@@ -345,12 +345,15 @@ class TestRunActivations:
     def test_corrupt_wav_is_an_io_error(self, tiny_bench, act_cfg, tmp_path, capsys):
         """A WAV is read when evaluation reaches it, so a bad one stops the run
         wherever it sits in bench.csv. A corrupt WAV, first or last, exits 3,
-        and a last WAV whose rate or length disagrees with its row exits 2.
-        Each prints one error line and no traceback, and writes no output."""
+        as does one whose data chunk is cut short (it is not read as a short
+        signal), and a last WAV whose rate or length disagrees with its row
+        exits 2. Each prints one error line and no traceback, and writes no
+        output."""
         root, metas = tiny_bench
         cases = [
             (metas[0].path, "truncate", "2", EXIT_IO),
             (metas[-1].path, "truncate", "1", EXIT_IO),
+            (metas[-1].path, "cut", "1", EXIT_IO),
             (metas[-1].path, "rate", "1", EXIT_CONFIG),
             (metas[-1].path, "length", "1", EXIT_CONFIG),
         ]
@@ -360,6 +363,8 @@ class TestRunActivations:
             victim = broken / name
             if damage == "truncate":
                 victim.write_bytes(victim.read_bytes()[:40])
+            elif damage == "cut":  # 10 bytes short: mid-sample, inside the data chunk
+                victim.write_bytes(victim.read_bytes()[:-10])
             elif damage == "rate":
                 wav_write(AudioBuffer(wav_read(victim).samples, 48000), victim)
             else:  # one sample short of the row's 1 s
@@ -369,7 +374,9 @@ class TestRunActivations:
                      "--threads", threads, "--out", str(out / "x.csv"))
             err = capsys.readouterr().err
             assert rc == want, (name, damage)
-            assert sum("error:" in ln for ln in err.splitlines()) == 1, err
+            errors = [ln for ln in err.splitlines() if "error:" in ln]
+            assert len(errors) == 1, err
+            assert errors[0].startswith("I/O error:" if want == EXIT_IO else "error:")
             assert "Traceback" not in err
             assert name in err
             assert not out.exists()
@@ -406,6 +413,7 @@ class TestRunActivations:
         ("leaky_relu", "slope", "1e308"),
         ("elu", "elu_a", "1e308"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_spectrum_is_a_numeric_error(self, tiny_bench, tmp_path, capsys, kind, key, value):
         """Finite samples whose band energies overflow: inf / inf used to
         clamp to the best score, and x / inf to raise from log10(0)."""
@@ -812,6 +820,7 @@ class TestSweep:
         header = (out / "01_probe.pgm").read_bytes().split(b"255\n", 1)[0]
         assert header == b"P5\n687 513\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_panel_is_a_numeric_error(self, tmp_path, capsys):
         """Samples near the float maximum are finite, but their STFT is not;
         the panel used to be written as silence."""

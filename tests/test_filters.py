@@ -1,5 +1,7 @@
 """Tests for FIR design and integer-factor resampling."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import zero_interlace
@@ -12,6 +14,7 @@ from aliasbench.filters import (
     STOPBAND_DB,
     TRANSITION,
     FirKernel,
+    _i0,
     convolve,
     decimate,
     design_fir,
@@ -96,11 +99,57 @@ class TestDesignFir:
         assert len(k) == numtaps and k.center == numtaps // 2
         assert_allclose(k.taps, want, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("highpass", [False, True])
+    def test_taps_match_the_scipy_i0_design(self, highpass):
+        """Every tap, for every factor 2..64, equals the design written with
+        scipy.special.i0 for the Kaiser window."""
+        from scipy.special import i0
+
+        for factor in range(2, 65):
+            width = TRANSITION * 2.0 / factor
+            numtaps = math.ceil((STOPBAND_DB - 7.95) / 2.285 / (np.pi * width) + 1) | 1
+            center = numtaps // 2
+            m = np.arange(numtaps, dtype=np.float64) - center
+            beta = 0.1102 * (STOPBAND_DB - 8.7)
+            window = i0(beta * np.sqrt(1 - (m / center) ** 2.0)) / i0(beta)
+            want = 1.0 / factor * np.sinc(1.0 / factor * m) * window
+            want /= np.sum(want)
+            if highpass:
+                want = -want
+                want[center] += 1.0
+            k = design_fir(factor, highpass)
+            assert k.center == center and np.array_equal(k.taps, want), factor
+
     def test_cache_returns_equal_taps(self):
         a = design_fir(2)
         b = design_fir(2, False)
         assert np.array_equal(a.taps, b.taps)
         assert design_fir(3) is design_fir(3)
+
+
+class TestI0:
+    """_i0 is the Cephes routine with libm's exp, so it equals
+    scipy.special.i0 in every bit on both of its branches."""
+
+    def test_dense_grid_matches_scipy(self):
+        from scipy.special import i0
+
+        x = np.linspace(0.0, 12.0, 240_001)
+        assert np.array_equal(_i0(x), i0(x))
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 8.0), (8.0, 40.0)])
+    def test_random_points_match_scipy(self, lo, hi):
+        from scipy.special import i0
+
+        x = np.random.default_rng(17).uniform(lo, hi, 100_000)
+        assert np.array_equal(_i0(x), i0(x))
+
+    def test_branch_edges_and_scalars(self):
+        from scipy.special import i0
+
+        x = np.array([0.0, np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0), 0.1102 * (STOPBAND_DB - 8.7)])
+        assert np.array_equal(_i0(x), i0(x))
+        assert _i0(x[-1]) == i0(x[-1])
 
 
 class TestConvolve:

@@ -1,7 +1,7 @@
-"""Commands start on numpy alone. scipy is loaded only where it is used:
-scipy.io by the commands that read or write WAVs, scipy.special when a
-resampling filter is designed, scipy.signal by filter-response. These tests
-run each command in a fresh interpreter and read its sys.modules.
+"""Commands start and run on numpy alone: filter-response is the one command
+that loads scipy (scipy.signal, for freqz). WAV I/O and the resampling
+filter's Bessel window are written on numpy. These tests run each command in
+a fresh interpreter and read its sys.modules.
 
 On glibc, main() also sets an allocator policy that keeps freed blocks in the
 heap, so repeated oversampled activations stop faulting fresh pages in; the
@@ -39,18 +39,26 @@ def test_importing_the_cli_loads_no_scipy():
     assert scipy_modules_after("import aliasbench.cli") == set()
 
 
-def test_run_upsamplers_loads_neither_scipy_signal_nor_scipy_io(tiny_bench, tmp_path):
+@pytest.mark.parametrize("command", [
+    ("gen-bench", "--out", "{tmp}/bench"),
+    ("run-activations", "--bench", "{bench}", "--out", "{tmp}/a.csv"),
+    ("run-upsamplers", "--bench", "{bench}", "--seeds", "1", "--out", "{tmp}/u2.csv"),
+    ("run-upsamplers", "--bench", "{bench}", "--seeds", "1", "--factor", "3", "--out", "{tmp}/u3.csv"),
+    ("sweep", "--out", "{tmp}/sweep"),
+], ids=["gen-bench", "run-activations", "run-upsamplers-L2", "run-upsamplers-L3", "sweep"])
+def test_command_loads_no_scipy(tiny_bench, tmp_path, command):
+    """Every command but filter-response reads, writes and resamples on
+    numpy alone; run-activations' built-in set and sweep's panels design the
+    2x and 4x resampling filters, and run-upsamplers the one of its factor."""
     root, _ = tiny_bench
-    loaded = scipy_modules_after(
-        cli_run("run-upsamplers", "--bench", str(root), "--seeds", "1", "--out", str(tmp_path / "u.csv"))
-    )
-    assert "scipy.signal" not in loaded and "scipy.io" not in loaded
+    argv = [a.format(tmp=tmp_path, bench=root) for a in command]
+    assert scipy_modules_after(cli_run(*argv)) == set()
 
 
-def test_run_activations_does_not_load_scipy_signal(tiny_bench, tmp_path):
-    root, _ = tiny_bench
-    loaded = scipy_modules_after(cli_run("run-activations", "--bench", str(root), "--out", str(tmp_path / "a.csv")))
-    assert "scipy.signal" not in loaded
+def test_filter_response_loads_scipy_signal(tmp_path):
+    """The control: the probe sees scipy where a command does load it."""
+    argv = ("filter-response", "--kind", "designed", "--out", str(tmp_path / "r.csv"))
+    assert "scipy.signal" in scipy_modules_after(cli_run(*argv))
 
 
 def on_glibc() -> bool:
