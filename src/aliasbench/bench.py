@@ -1,6 +1,6 @@
-"""Benchmark orchestration: turn bench.csv rows into signal sources, run
-module configs over them, aggregate AHR reports, and write the table-style
-CSV outputs."""
+"""Benchmark orchestration: synthesize the signals that bench.csv rows name,
+run module configs over them, aggregate AHR reports, and write the
+table-style CSV outputs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +29,6 @@ from .metrics import (
 )
 from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, sample_count
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
-from .wavio import wav_read
 
 #: Activation configs evaluated by default. The four table_row entries mirror
 #: the activation comparison table; the rest are the oversampling sweep.
@@ -51,12 +49,6 @@ TONAL_PROBE_VALUE = 0.5
 #: rounding of the column's %.6f format.
 F0_TOLERANCE_HZ = 5e-7
 
-#: One benchmark entry: waveform name, fundamental, signal.
-SignalEntry = tuple[str, float, AudioBuffer]
-#: One benchmark signal before it exists: waveform name, fundamental, and a
-#: zero-argument producer of the signal (a WAV read, or a synthesis).
-SignalSource = tuple[str, float, Callable[[], AudioBuffer]]
-
 
 def check_analysable(n_samples: int, what: str) -> None:
     """Reject a measured signal of n_samples that leaves fewer than
@@ -75,48 +67,45 @@ def derive_seeds(base_seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(count)]
 
 
-def measure_activation(spec: ActivationSpec, entry: SignalEntry) -> AhrMeasurement:
+def measure_activation(spec: ActivationSpec, signal: TestSignalSpec, x: AudioBuffer) -> AhrMeasurement:
     """AHR of one signal through an activation: aliases are folded harmonics."""
-    _, f0, x = entry
-    return measure_ahr(apply_activation(x, spec), f0, ActivationContext())
+    return measure_ahr(apply_activation(x, spec), signal.f0_hz, ActivationContext())
 
 
-def measure_upsampler(spec: UpsamplerSpec, entry: SignalEntry) -> AhrMeasurement:
+def measure_upsampler(spec: UpsamplerSpec, signal: TestSignalSpec, x: AudioBuffer) -> AhrMeasurement:
     """AHR of one (low-rate) signal through an upsampler: aliases are the
     images of the waveform's partials."""
-    waveform, f0, x = entry
     y = apply_upsampler(x, spec)
     context = UpsamplerContext(
         input_rate=x.sample_rate,
-        alias_freqs=image_frequencies(f0, spec.factor, x.sample_rate, law_k_values(waveform)),
+        alias_freqs=image_frequencies(signal.f0_hz, spec.factor, x.sample_rate, law_k_values(signal.waveform)),
     )
-    return measure_ahr(y, f0, context)
+    return measure_ahr(y, signal.f0_hz, context)
 
 
 def evaluate(
-    sources: Sequence[SignalSource],
+    signals: Sequence[TestSignalSpec],
     specs: Iterable[Spec],
-    measure: Callable[[Spec, SignalEntry], AhrMeasurement],
+    measure: Callable[[Spec, TestSignalSpec, AudioBuffer], AhrMeasurement],
     threads: int = 1,
 ) -> list[AhrReport]:
     """One report per spec over all signals.
 
-    Each signal is one pool task: it calls the source's producer once, runs
-    every spec on the signal in spec order, returns that signal's rows and
-    drops the buffer. So at most min(threads, signals) signals are alive at
-    once, and rows keep the source order whatever the thread count. When a
-    task raises, the tasks not yet started are cancelled and the error is
+    Each signal is one pool task: it synthesizes the signal once, runs every
+    spec on it in spec order, returns that signal's rows and drops the
+    buffer. So at most min(threads, signals) signals are alive at once, and
+    rows keep the signal order whatever the thread count. When a task
+    raises, the tasks not yet started are cancelled and the error is
     re-raised.
     """
     specs = list(specs)
 
-    def signal_rows(source: SignalSource) -> list[SignalAhr]:
-        waveform, f0, produce = source
-        entry = (waveform, f0, produce())
-        return [SignalAhr(waveform, f0, measure(spec, entry).ahr_db) for spec in specs]
+    def signal_rows(signal: TestSignalSpec) -> list[SignalAhr]:
+        x = gen_bandlimited(signal)
+        return [SignalAhr(signal.waveform, signal.f0_hz, measure(spec, signal, x).ahr_db) for spec in specs]
 
-    with ThreadPoolExecutor(max_workers=min(threads, len(sources)) or 1) as pool:
-        futures = [pool.submit(signal_rows, source) for source in sources]
+    with ThreadPoolExecutor(max_workers=min(threads, len(signals)) or 1) as pool:
+        futures = [pool.submit(signal_rows, signal) for signal in signals]
         try:
             per_signal = [f.result() for f in futures]
         except BaseException:
@@ -128,46 +117,17 @@ def evaluate(
     ]
 
 
-def _read_bench_wav(bench_dir: Path, meta: BenchEntryMeta) -> AudioBuffer:
-    """The WAV of one bench.csv row, checked against the row's rate and
-    duration."""
-    spec = meta.spec
-    buf = wav_read(bench_dir / meta.path)
-    if buf.sample_rate != spec.sample_rate:
-        raise ConfigError(
-            f"{meta.path}: WAV rate {buf.sample_rate} disagrees with metadata {spec.sample_rate}"
-        )
-    n = sample_count(spec.duration_s, spec.sample_rate)
-    if len(buf) != n:
-        raise ConfigError(
-            f"{meta.path}: WAV length {len(buf)} disagrees with metadata {spec.duration_s:g} s ({n} samples)"
-        )
-    return buf
+def input_signals(specs: Iterable[TestSignalSpec], factor: int) -> list[TestSignalSpec]:
+    """The benchmark signals at the input rate of a module of this
+    upsampling factor: each spec at rate/factor, where it is synthesized
+    additively (exact band-limited inputs, no decimation filter).
+    Activations take factor 1.
 
-
-def wav_sources(bench_dir: Path) -> list[SignalSource]:
-    """Sources that read the benchmark's WAVs, one per bench.csv row. All of
-    bench.csv is checked, by load_bench_csv and each row's length against
-    the analysis, before any source is returned; a WAV is read only when
-    its producer is called."""
-    metas = load_bench_csv(bench_dir / "bench.csv")
-    for m in metas:
-        s = m.spec
-        check_analysable(sample_count(s.duration_s, s.sample_rate), f"{s.waveform} note {s.midi_note} ({m.path})")
-    return [(m.spec.waveform, m.f0_hz, partial(_read_bench_wav, bench_dir, m)) for m in metas]
-
-
-def synth_sources(specs: Iterable[TestSignalSpec], factor: int) -> list[SignalSource]:
-    """Sources that re-synthesize benchmark signals additively at rate/factor
-    (exact band-limited inputs for the upsampler benchmark, no decimation
-    filter).
-
-    Every spec is checked against the factor, at its low rate by
-    TestSignalSpec's own rules and its upsampled length against the
-    analysis, before any source is returned; a signal is synthesized only
-    when its producer is called.
+    Every spec is checked before any signal is synthesized: at rate/factor
+    by TestSignalSpec's own rules, and its length at the module's output
+    rate against the analysis.
     """
-    lows = []
+    inputs = []
     for s in specs:
         if s.sample_rate % factor:
             raise ConfigError(
@@ -177,12 +137,11 @@ def synth_sources(specs: Iterable[TestSignalSpec], factor: int) -> list[SignalSo
             low = replace(s, sample_rate=s.sample_rate // factor)
         except ValueError as exc:
             raise ConfigError(f"{s.waveform} note {s.midi_note} at factor {factor}: {exc}") from exc
-        check_analysable(
-            factor * sample_count(low.duration_s, low.sample_rate),
-            f"{s.waveform} note {s.midi_note} upsampled from {low.sample_rate} Hz by {factor}",
-        )
-        lows.append(low)
-    return [(low.waveform, low.f0_hz, partial(gen_bandlimited, low)) for low in lows]
+        where = f"upsampled from {low.sample_rate} Hz by {factor}" if factor > 1 else f"at {s.sample_rate} Hz"
+        check_analysable(factor * sample_count(low.duration_s, low.sample_rate),
+                         f"{s.waveform} note {s.midi_note} {where}")
+        inputs.append(low)
+    return inputs
 
 
 def tonal_probe_for(spec: UpsamplerSpec, input_rate: int) -> float:
@@ -212,13 +171,13 @@ def upsampler_table(
     LinearInterp, NearestInterp, AntiAliasedResample (+ prior-on column).
 
     signals are the benchmark's signals at their own rate; each is
-    re-synthesized at rate/factor (synth_sources). Each row is the mean
+    synthesized at rate/factor (input_signals). Each row is the mean
     over its group of layer specs: ConvTranspose's n_seeds seeded layers, or
     the one spec of any other layer.
     """
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
-    sources = synth_sources(signals, factor)
+    inputs = input_signals(signals, factor)
     rate = signals[0].sample_rate // factor
     check_analysable(factor * rate, f"tonal probe: 1 s at {rate} Hz upsampled by {factor}")
     seeds = derive_seeds(base_seed, n_seeds + 1)
@@ -234,7 +193,7 @@ def upsampler_table(
         name="AntiAliasedResample_prior",
     )
 
-    all_reports = evaluate(sources, [s for g in groups for s in g] + [aa_prior], measure_upsampler, threads)
+    all_reports = evaluate(inputs, [s for g in groups for s in g] + [aa_prior], measure_upsampler, threads)
     reports = iter(all_reports)
     rows = []
     for group in groups:
@@ -316,11 +275,9 @@ def write_upsampler_summary_csv(path: str | Path, rows: Sequence[UpsamplerSummar
 @dataclass(frozen=True)
 class BenchEntryMeta:
     """One row of the benchmark metadata CSV: the signal (index = MIDI
-    note), the f0_hz column that run-activations measures at, and the WAV's
-    path relative to the CSV."""
+    note) and the WAV's path relative to the CSV."""
 
     spec: TestSignalSpec
-    f0_hz: float
     path: str
 
 
@@ -330,7 +287,7 @@ BENCH_COLUMNS = ("type", "index", "f0_hz", "duration_s", "sample_rate", "path")
 
 def write_bench_csv(path: str | Path, metas: Sequence[BenchEntryMeta]) -> None:
     rows = [
-        [m.spec.waveform, str(m.spec.midi_note), f"{m.f0_hz:.6f}", f"{m.spec.duration_s:.3f}",
+        [m.spec.waveform, str(m.spec.midi_note), f"{m.spec.f0_hz:.6f}", f"{m.spec.duration_s:.3f}",
          str(m.spec.sample_rate), m.path]
         for m in metas
     ]
@@ -354,19 +311,21 @@ def load_bench_csv(path: str | Path) -> list[BenchEntryMeta]:
             spec = TestSignalSpec(
                 row["type"], int(row["index"]), float(row["duration_s"]), int(row["sample_rate"])
             )
-            metas.append(BenchEntryMeta(spec, float(row["f0_hz"]), row["path"]))
+            # No command measures at this column: both synthesize each signal
+            # at its note's frequency. bench.csv is input from outside the
+            # program, and a row whose f0_hz is not its note's frequency does
+            # not say which signal it means, so it is refused.
+            f0 = float(row["f0_hz"])
+            if not abs(f0 - spec.f0_hz) <= F0_TOLERANCE_HZ:  # also rejects nan
+                raise ValueError(
+                    f"{spec.waveform} note {spec.midi_note}: f0_hz {f0} is not the note's "
+                    f"frequency {spec.f0_hz:.6f} Hz"
+                )
+            metas.append(BenchEntryMeta(spec, row["path"]))
     except ValueError as exc:
         raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not metas:
         raise ConfigError(f"{path}: empty benchmark metadata")
-    for m in metas:
-        # run-activations measures at this column and run-upsamplers at the
-        # note's frequency, so the two must agree.
-        if not abs(m.f0_hz - m.spec.f0_hz) <= F0_TOLERANCE_HZ:  # also rejects nan
-            raise ConfigError(
-                f"{path}: {m.spec.waveform} note {m.spec.midi_note}: f0_hz {m.f0_hz} is not the note's "
-                f"frequency {m.spec.f0_hz:.6f} Hz"
-            )
     present = {m.spec.waveform for m in metas}
     missing = [w for w in WAVEFORMS if w not in present]
     if missing:

@@ -22,6 +22,7 @@ from .bench import (
     DEFAULT_ACTIVATIONS,
     BenchEntryMeta,
     evaluate,
+    input_signals,
     load_bench_csv,
     measure_activation,
     upsampler_table,
@@ -30,7 +31,6 @@ from .bench import (
     write_bench_csv,
     write_per_signal_csv,
     write_upsampler_summary_csv,
-    wav_sources,
 )
 from .configio import (
     ConfigError,
@@ -96,7 +96,7 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
     for spec, buf in build_benchmark():
         name = f"{spec.waveform}_{spec.midi_note:03d}.wav"
         wav_write(buf, out_dir / name)
-        metas.append(BenchEntryMeta(spec, spec.f0_hz, name))
+        metas.append(BenchEntryMeta(spec, name))
     write_bench_csv(out_dir / "bench.csv", metas)
     write_manifest(
         out_dir / "manifest.json",
@@ -148,7 +148,7 @@ def _write_run_files(args: argparse.Namespace, command: str, n_signals: int, rep
 
 
 def cmd_run_activations(args: argparse.Namespace) -> int:
-    sources = wav_sources(Path(args.bench))
+    signals = input_signals([m.spec for m in load_bench_csv(Path(args.bench) / "bench.csv")], 1)
     if args.configs:
         configs = load_configs(ActivationSpec, args.configs)
         config_source = str(args.configs)
@@ -156,9 +156,9 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
         configs = list(DEFAULT_ACTIVATIONS)
         config_source = "builtin"
 
-    reports = evaluate(sources, configs, measure_activation, args.threads)
+    reports = evaluate(signals, configs, measure_activation, args.threads)
     _write_run_files(
-        args, "run-activations", len(sources), reports,
+        args, "run-activations", len(signals), reports,
         {"": lambda p: write_activation_summary_csv(p, reports, configs),
          "_full": lambda p: write_activation_full_csv(p, reports, configs)},
         config_source=config_source,
@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_bench)
 
     p = sub.add_parser("run-activations", parents=[common, threaded], help="AHR comparison of activation configs")
-    p.add_argument("--bench", required=True, help="benchmark directory from gen-bench")
+    p.add_argument("--bench", required=True,
+                   help="benchmark directory from gen-bench; only its bench.csv is read, and each signal is synthesized")
     p.add_argument("--configs", default=None, help="key=value config blocks (default: built-in set)")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.set_defaults(func=cmd_run_activations)

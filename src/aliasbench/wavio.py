@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, NumericError
 from .configio import atomic_write_bytes
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -68,7 +68,8 @@ def wav_read(path: str | Path) -> AudioBuffer:
     Float files are returned as-is; integer PCM is scaled to [-1, 1)
     (16-bit by 1/32768, 32-bit and left-justified 24-bit by 1/2^31, 8-bit
     as (x - 128)/128). Chunks other than fmt and data are skipped. A
-    malformed, truncated or unsupported file raises WavError.
+    malformed, truncated or unsupported file raises WavError, and a NaN or
+    Inf sample NumericError; both name the file.
     """
     path = Path(path)
     try:
@@ -83,7 +84,10 @@ def wav_read(path: str | Path) -> AudioBuffer:
     samples = np.frombuffer(data, dtype=dtype).astype(np.float64)
     samples -= offset
     samples *= scale
-    return AudioBuffer(samples, rate)
+    try:
+        return AudioBuffer(samples, rate)
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
 
 
 def _parse(path: Path, blob: memoryview) -> tuple[int, tuple[str, float, float], memoryview]:

@@ -61,7 +61,7 @@ def make_bench_dir(root, notes=(60, 107), duration_s=1.0, sample_rate=44100):
             spec = TestSignalSpec(waveform, note, duration_s=duration_s, sample_rate=sample_rate)
             name = f"{waveform}_{note:03d}.wav"
             wav_write(gen_bandlimited(spec), root / name)
-            metas.append(BenchEntryMeta(spec, spec.f0_hz, name))
+            metas.append(BenchEntryMeta(spec, name))
     write_bench_csv(root / "bench.csv", metas)
     return metas
 

@@ -2,9 +2,9 @@
 
 Every test computes its measurement, registers a PASS/FAIL line for the
 terminal summary (so a full run always prints the complete scorecard), and
-then asserts. The heavy fixtures hand evaluate one producer per signal, so a
-signal exists only while its configs run, and only the small result tables
-stay resident.
+then asserts. The heavy fixtures hand evaluate the signal specs, as both
+table commands do, so a signal exists only while its configs run, and only
+the small result tables stay resident.
 
 Criterion 4 ranks the activation table. On overall means (dB) AdaaSnakeBeta
 (-90.38) is below ELU (-61.49) and SnakeBeta (-69.11), both of which are
@@ -20,7 +20,6 @@ derivative at 0 leaves a k^-3 tail.
 
 import json
 import time
-from functools import partial
 
 import numpy as np
 import oracles
@@ -40,13 +39,14 @@ from aliasbench.audio import AudioBuffer
 from aliasbench.bench import (
     DEFAULT_ACTIVATIONS,
     evaluate,
+    input_signals,
     measure_activation,
     upsampler_table,
 )
 from aliasbench.cli import EXIT_OK, main
 from aliasbench.filters import frequency_response, interp_kernel
 from aliasbench.metrics import band_energy, estimate_spectrum
-from aliasbench.signals import TestSignalSpec, benchmark_notes, gen_bandlimited
+from aliasbench.signals import TestSignalSpec, benchmark_notes
 
 TABLE_ACTIVATIONS = ("LeakyReLU", "ELU", "SnakeBeta", "AdaaSnakeBeta")
 WAVEFORM_ORDER = ("sine", "sawtooth", "triangle")
@@ -59,11 +59,11 @@ def benchmark_specs() -> list[TestSignalSpec]:
 
 @pytest.fixture(scope="module")
 def activation_run():
-    """All built-in activation configs over the full 144-signal benchmark.
-    Each signal is synthesized when evaluate reaches it."""
-    sources = [(spec.waveform, spec.f0_hz, partial(gen_bandlimited, spec)) for spec in benchmark_specs()]
+    """All built-in activation configs over the full 144-signal benchmark,
+    on run-activations' signal path. Each signal is synthesized when evaluate
+    reaches it."""
     t0 = time.perf_counter()
-    reports = evaluate(sources, DEFAULT_ACTIVATIONS, measure_activation, threads=1)
+    reports = evaluate(input_signals(benchmark_specs(), 1), DEFAULT_ACTIVATIONS, measure_activation, threads=1)
     elapsed = time.perf_counter() - t0
     return {r.module_name: r for r in reports}, elapsed
 

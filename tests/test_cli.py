@@ -29,8 +29,7 @@ from aliasbench.audio import AudioBuffer
 from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
 from aliasbench.metrics import AhrMeasurement
-from aliasbench.signals import WAVEFORMS, midi_to_freq
-from aliasbench.wavio import wav_read, wav_write
+from aliasbench.signals import WAVEFORMS, TestSignalSpec, midi_to_freq
 
 ACT_CONFIG = """\
 # two cheap nonlinearities
@@ -233,26 +232,26 @@ class TestRunActivations:
         assert (out1.with_name("t1_per_signal.csv").read_bytes().split(b"\n", 1)[1]
                 == out4.with_name("t4_per_signal.csv").read_bytes().split(b"\n", 1)[1])
 
-    def test_pool_starts_no_more_workers_than_signals(self):
+    def test_pool_starts_no_more_workers_than_signals(self, monkeypatch):
         """Each signal is one pool task that runs every config, so a thread
         count far past the signal count starts one worker per signal."""
         workers = set()
 
-        def measure(spec, entry):
+        def measure(spec, signal, x):
             workers.add(threading.get_ident())
             time.sleep(0.01)
             return AhrMeasurement(-60.0, 1, 1, 1.0, 1e-6)
 
-        sources = [(w, 440.0, lambda: AudioBuffer(np.zeros(8), 8000)) for w in ("sine", "sawtooth", "triangle")]
-        reports = evaluate(sources, DEFAULT_ACTIVATIONS, measure, threads=1000)
+        monkeypatch.setattr("aliasbench.bench.gen_bandlimited", lambda signal: AudioBuffer(np.zeros(8), 8000))
+        signals = [TestSignalSpec(w, 69) for w in WAVEFORMS]
+        reports = evaluate(signals, DEFAULT_ACTIVATIONS, measure, threads=1000)
         assert [r.module_name for r in reports] == [c.name for c in DEFAULT_ACTIVATIONS]
-        assert 1 <= len(workers) <= len(sources)
+        assert 1 <= len(workers) <= len(signals)
 
-    def test_signals_stream_through_the_pool(self):
-        """Each producer is called once, and a signal lives only while its
-        configs run: no more than min(threads, signals) are alive at once,
-        and none outlives evaluate. The rows do not depend on the thread
-        count."""
+    def test_signals_stream_through_the_pool(self, monkeypatch):
+        """Each signal is synthesized once, and lives only while its configs
+        run: no more than min(threads, signals) are alive at once, and none
+        outlives evaluate. The rows do not depend on the thread count."""
         lock = threading.Lock()
         last = DEFAULT_ACTIVATIONS[-1]
         rows = {}
@@ -261,55 +260,54 @@ class TestRunActivations:
             alive = peak = 0
             buffers = []
 
-            def producer(i):
-                def produce():
-                    nonlocal alive, peak
-                    buf = AudioBuffer(np.full(8, float(i)), 8000)
-                    with lock:
-                        calls[i] += 1
-                        alive += 1
-                        peak = max(peak, alive)
-                        buffers.append(weakref.ref(buf))
-                    return buf
-                return produce
+            def synthesize(signal):
+                nonlocal alive, peak
+                i = signal.midi_note - 60
+                buf = AudioBuffer(np.full(8, float(i)), 8000)
+                with lock:
+                    calls[i] += 1
+                    alive += 1
+                    peak = max(peak, alive)
+                    buffers.append(weakref.ref(buf))
+                return buf
 
-            def measure(spec, entry):
+            def measure(spec, signal, x):
                 nonlocal alive
                 time.sleep(0.002)
                 if spec is last:
                     with lock:
                         alive -= 1
-                return AhrMeasurement(-10.0 * entry[2].samples[0] - len(spec.name), 1, 1, 1.0, 1e-6)
+                return AhrMeasurement(-10.0 * x.samples[0] - len(spec.name), 1, 1, 1.0, 1e-6)
 
-            sources = [(w, 440.0, producer(i)) for i, w in enumerate(("sine", "sawtooth", "triangle") * 2)]
-            reports = evaluate(sources, DEFAULT_ACTIVATIONS, measure, threads=threads)
-            assert calls == [1] * len(sources)
+            monkeypatch.setattr("aliasbench.bench.gen_bandlimited", synthesize)
+            signals = [TestSignalSpec(w, 60 + i) for i, w in enumerate(WAVEFORMS * 2)]
+            reports = evaluate(signals, DEFAULT_ACTIVATIONS, measure, threads=threads)
+            assert calls == [1] * len(signals)
             assert alive == 0
-            assert 1 <= peak <= min(threads, len(sources))
+            assert 1 <= peak <= min(threads, len(signals))
             assert all(ref() is None for ref in buffers)
             rows[threads] = [r.per_signal for r in reports]
         assert rows[1] == rows[4]
 
-    def test_a_failing_signal_cancels_the_signals_not_started(self):
-        """A producer that raises ends the run: evaluate re-raises its error,
-        and the signals whose tasks had not started are never produced."""
+    def test_a_failing_signal_cancels_the_signals_not_started(self, monkeypatch):
+        """A synthesis that raises ends the run: evaluate re-raises its error,
+        and the signals whose tasks had not started are never synthesized."""
         produced = []
 
-        def producer(i):
-            def produce():
-                produced.append(i)
-                if i == 0:
-                    raise OSError("unreadable signal")
-                return AudioBuffer(np.zeros(8), 8000)
-            return produce
+        def synthesize(signal):
+            produced.append(signal.midi_note)
+            if signal.midi_note == 60:
+                raise OSError("unreadable signal")
+            return AudioBuffer(np.zeros(8), 8000)
 
-        def measure(spec, entry):
+        def measure(spec, signal, x):
             time.sleep(0.01)
             return AhrMeasurement(-60.0, 1, 1, 1.0, 1e-6)
 
-        sources = [("sine", 440.0, producer(i)) for i in range(12)]
+        monkeypatch.setattr("aliasbench.bench.gen_bandlimited", synthesize)
+        signals = [TestSignalSpec("sine", 60 + i) for i in range(12)]
         with pytest.raises(OSError, match="unreadable signal"):
-            evaluate(sources, DEFAULT_ACTIVATIONS, measure, threads=2)
+            evaluate(signals, DEFAULT_ACTIVATIONS, measure, threads=2)
         assert 1 <= len(produced) <= 4
 
     @pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
@@ -342,44 +340,31 @@ class TestRunActivations:
                  "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_IO
 
-    def test_corrupt_wav_is_an_io_error(self, tiny_bench, act_cfg, tmp_path, capsys):
-        """A WAV is read when evaluation reaches it, so a bad one stops the run
-        wherever it sits in bench.csv. A corrupt WAV, first or last, exits 3,
-        as does one whose data chunk is cut short (it is not read as a short
-        signal), and a last WAV whose rate or length disagrees with its row
-        exits 2. Each prints one error line and no traceback, and writes no
-        output."""
+    def test_wavs_are_not_read(self, tiny_bench, act_cfg, tmp_path):
+        """run-activations synthesizes every signal from bench.csv, as
+        run-upsamplers does. A copy of the bench with every WAV deleted, and
+        one with a WAV truncated, give the intact bench's output files byte
+        for byte; the manifests differ only in bench_dir."""
         root, metas = tiny_bench
-        cases = [
-            (metas[0].path, "truncate", "2", EXIT_IO),
-            (metas[-1].path, "truncate", "1", EXIT_IO),
-            (metas[-1].path, "cut", "1", EXIT_IO),
-            (metas[-1].path, "rate", "1", EXIT_CONFIG),
-            (metas[-1].path, "length", "1", EXIT_CONFIG),
-        ]
-        for i, (name, damage, threads, want) in enumerate(cases):
-            broken = tmp_path / f"broken{i}"
-            shutil.copytree(root, broken)
-            victim = broken / name
-            if damage == "truncate":
-                victim.write_bytes(victim.read_bytes()[:40])
-            elif damage == "cut":  # 10 bytes short: mid-sample, inside the data chunk
-                victim.write_bytes(victim.read_bytes()[:-10])
-            elif damage == "rate":
-                wav_write(AudioBuffer(wav_read(victim).samples, 48000), victim)
-            else:  # one sample short of the row's 1 s
-                wav_write(AudioBuffer(wav_read(victim).samples[:-1], 44100), victim)
-            out = tmp_path / f"out{i}"
-            rc = run("run-activations", "--bench", str(broken), "--configs", str(act_cfg),
-                     "--threads", threads, "--out", str(out / "x.csv"))
-            err = capsys.readouterr().err
-            assert rc == want, (name, damage)
-            errors = [ln for ln in err.splitlines() if "error:" in ln]
-            assert len(errors) == 1, err
-            assert errors[0].startswith("I/O error:" if want == EXIT_IO else "error:")
-            assert "Traceback" not in err
-            assert name in err
-            assert not out.exists()
+        no_wavs, truncated = tmp_path / "no_wavs", tmp_path / "truncated"
+        for copy in (no_wavs, truncated):
+            shutil.copytree(root, copy)
+        for m in metas:
+            (no_wavs / m.path).unlink()
+        victim = truncated / metas[-1].path
+        victim.write_bytes(victim.read_bytes()[:40])
+        outputs = []
+        for bench_dir in (root, no_wavs, truncated):
+            out = tmp_path / "out" / bench_dir.name / "x.csv"
+            assert run("run-activations", "--bench", str(bench_dir), "--configs", str(act_cfg),
+                       "--threads", "1", "--out", str(out)) == EXIT_OK
+            files = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+            manifest = json.loads(files.pop("x_manifest.json"))
+            assert manifest.pop("bench_dir") == str(bench_dir)
+            outputs.append((files, manifest))
+        assert len(outputs[0][0]) == 3
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_unknown_adaa_base_is_a_config_error(self, tiny_bench, tmp_path, capsys):
         root, _ = tiny_bench
@@ -586,9 +571,9 @@ class TestBenchValidation:
     @pytest.mark.parametrize("index,f0", [("60", "300.000000"), ("60", "261.625566")])
     @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_f0_that_is_not_the_notes_frequency_is_a_config_error(self, tiny_bench, tmp_path, capsys, command, index, f0):
-        """run-activations measures at the f0_hz column and run-upsamplers at
-        the note's frequency, so a row where the two disagree beyond the
-        column's rounding is rejected."""
+        """Both commands measure at the note's frequency and read no f0_hz,
+        but bench.csv is outside input: a row whose column disagrees with
+        its note beyond the column's rounding is rejected."""
         root, _ = tiny_bench
         bench = tmp_path / "wrong_f0"
         shutil.copytree(root, bench)
@@ -660,19 +645,23 @@ class TestBenchValidation:
         err = expect_config_error(command, bench, tmp_path, capsys)
         assert err == f"error: {bench / 'bench.csv'}: line 2: {message}\n"
 
-    @pytest.mark.parametrize("command", TABLE_COMMANDS)
-    def test_signals_too_short_to_analyse_are_a_config_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,where", [
+        (TABLE_COMMANDS[0], "at 44100 Hz"),
+        (TABLE_COMMANDS[1], "upsampled from 22050 Hz by 2"),
+    ], ids=["run-activations", "run-upsamplers"])
+    def test_signals_too_short_to_analyse_are_a_config_error(self, tmp_path, capsys, command, where):
         """0.3 s at 44.1 kHz is 13,230 samples, fewer than the 2 x 8192 edge
         samples plus 1024 an analysis needs. Both commands reject the first
-        such row before any signal is measured."""
+        such row before any signal is measured, each naming the rate the
+        row is measured at."""
         bench = tmp_path / "short"
         make_bench_dir(bench, duration_s=0.3)
         out = tmp_path / "out" / "x.csv"
         rc = run(*command, "--bench", str(bench), "--threads", "1", "--out", str(out))
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
-        assert [ln for ln in err.splitlines() if "error:" in ln] == [err.strip()]
-        assert err.startswith("error: sine note 60") and "13230 samples" in err
+        assert err == f"error: sine note 60 {where}: 13230 samples to analyse, " \
+                      "fewer than 17408 (1024 once 8192 are cut from each edge)\n"
         assert not out.parent.exists()
 
     def test_tonal_probe_too_short_to_analyse_is_a_config_error(self, tmp_path, capsys, act_cfg):

@@ -2,6 +2,7 @@
 and agreement with scipy.io.wavfile, which the reader and writer replace."""
 
 import io
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -120,6 +121,19 @@ class TestErrorPaths:
         path = tmp_path / "stereo.wav"
         wavfile.write(path, 8000, np.zeros((100, 2), dtype=np.float32))
         with pytest.raises(WavError):
+            wav_read(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_names_the_file(self, tmp_path, value):
+        """A float file whose sample 1000 is not finite raises NumericError
+        with the file's name, as every other unreadable file names it."""
+        path = tmp_path / "nan_at_1000.wav"
+        wav_write(AudioBuffer(np.zeros(2000), 8000), path)
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - 4 * 2000 + 4 * 1000  # the data chunk ends the file
+        blob[at : at + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NumericError, match=f"^{re.escape(str(path))}: buffer contains NaN or Inf samples$"):
             wav_read(path)
 
 
