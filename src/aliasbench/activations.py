@@ -42,7 +42,8 @@ def _sinc(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     small = np.abs(u) < _TAYLOR_CUTOFF
     safe = np.where(small, 1.0, u)
-    y = np.asarray(np.sin(safe) / safe)  # asarray: a 0-d input gives a numpy scalar
+    y = np.asarray(np.sin(safe))  # asarray: a 0-d input gives a numpy scalar
+    y /= safe
     us = u[small]  # the series only where it is used
     u2 = us * us
     y[small] = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
@@ -70,11 +71,22 @@ def _as_result(y: np.ndarray):
     return float(y) if y.ndim == 0 else y
 
 
+def _fresh(*operands) -> np.ndarray:
+    """An uninitialised float64 array of the operands' broadcast shape."""
+    return np.empty(np.broadcast_shapes(*(np.shape(a) for a in operands)))
+
+
 def snakebeta(x, alpha=1.0, beta=1.0):
     """x + sin^2(alpha x)/beta."""
     _check_ab(alpha, beta)
     x = np.asarray(x, dtype=np.float64)
-    return _as_result(x + np.sin(alpha * x) ** 2 / beta)
+    # In place on one fresh array, in the expression's operation order.
+    y = np.multiply(alpha, x, out=_fresh(x, alpha, beta))
+    np.sin(y, out=y)
+    np.square(y, out=y)
+    y /= beta
+    y += x
+    return _as_result(y)
 
 
 def snakebeta_antiderivative(x, alpha=1.0, beta=1.0):
@@ -90,9 +102,20 @@ def adaa_snakebeta(x_t, x_prev, alpha=1.0, beta=1.0):
     _check_ab(alpha, beta)
     x_t = np.asarray(x_t, dtype=np.float64)
     x_prev = np.asarray(x_prev, dtype=np.float64)
-    s = x_t + x_prev
-    d = x_t - x_prev
-    y = 0.5 / beta + 0.5 * s - np.cos(alpha * s) * _sinc(alpha * d) / (2.0 * beta)
+    # y = 0.5/beta + 0.5 s - cos(alpha s) sinc(alpha d) / (2 beta), with
+    # s = x_t + x_prev and d = x_t - x_prev, in that operation order on three
+    # fresh arrays.
+    y = np.add(x_t, x_prev, out=_fresh(x_t, x_prev, alpha, beta))
+    u = np.subtract(x_t, x_prev, out=np.empty_like(y))
+    u *= alpha
+    u = _sinc(u)
+    c = np.multiply(alpha, y, out=np.empty_like(y))
+    np.cos(c, out=c)
+    c *= u
+    c /= 2.0 * beta
+    y *= 0.5
+    y += 0.5 / beta
+    y -= c
     return _as_result(y)
 
 

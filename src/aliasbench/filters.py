@@ -12,6 +12,10 @@ scipy.special.i0 in every bit without loading scipy.
 Resampling runs polyphase: interpolation convolves the low-rate input with
 each of the L tap phases, and decimation computes only the kept outputs, so
 no product with an interlaced zero or a discarded sample is ever formed.
+The resampling filter is a Nyquist(L) filter: the sinc is exactly zero at
+every L-th tap off the center, so the phase that holds the center tap is that
+one tap, and filtering with it is a scaled copy of the input, not a
+convolution.
 """
 
 from __future__ import annotations
@@ -139,6 +143,7 @@ def design_fir(factor: int, highpass: bool = False) -> FirKernel:
     # _i0, not np.i0: the taps match scipy.special.i0's window in every bit.
     window = _i0(beta * np.sqrt(1 - (m / center) ** 2.0)) / _i0(beta)
     taps = cutoff * np.sinc(cutoff * m) * window
+    taps[(m % factor == 0) & (m != 0)] = 0.0  # sinc's exact zeros; np.sinc leaves ~1e-17
     taps /= np.sum(taps)
     if highpass:
         taps = -taps
@@ -165,8 +170,14 @@ def interpolate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
         raise ValueError("factor must be >= 1")
     full = np.zeros(factor * (len(x) + -(-len(h) // factor)))
     for p in range(min(factor, len(h))):
-        branch = np.convolve(x.samples, h.taps[p::factor])
-        full[p::factor][: branch.size] = branch
+        taps = h.taps[p::factor]
+        nonzero = np.flatnonzero(taps)
+        if nonzero.size == 1:  # a scaled, shifted copy, written in place
+            j = nonzero[0]
+            np.multiply(x.samples, taps[j], out=full[p::factor][j : j + len(x)])
+        elif nonzero.size:
+            branch = np.convolve(x.samples, taps)
+            full[p::factor][: branch.size] = branch
     return AudioBuffer(full[h.center : h.center + factor * len(x)], x.sample_rate * factor)
 
 
@@ -194,9 +205,17 @@ def decimate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
     y = np.zeros(-(-len(x) // factor))
     for p in range(min(factor, len(h))):
         shift, phase = divmod(h.center - p, factor)
-        branch = np.convolve(x.samples[phase::factor], h.taps[p::factor])
-        lo, hi = max(0, -shift), min(y.size, branch.size - shift)
-        y[lo:hi] += branch[lo + shift : hi + shift]
+        taps, xs = h.taps[p::factor], x.samples[phase::factor]
+        nonzero = np.flatnonzero(taps)
+        if nonzero.size == 1:  # a scaled, shifted copy: kept output k reads xs[k + shift - j]
+            j = nonzero[0]
+            lo, hi = max(0, j - shift), min(y.size, xs.size + j - shift)
+            if lo < hi:
+                y[lo:hi] += taps[j] * xs[lo + shift - j : hi + shift - j]
+        elif nonzero.size:
+            branch = np.convolve(xs, taps)
+            lo, hi = max(0, -shift), min(y.size, branch.size - shift)
+            y[lo:hi] += branch[lo + shift : hi + shift]
     return AudioBuffer(y, x.sample_rate // factor)
 
 

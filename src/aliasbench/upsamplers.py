@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, NumericError
 from .filters import FirKernel, convolve, design_fir, interp_kernel, interpolate
 from .metrics import BAND_HALF_WIDTH_BINS, EDGE_DISCARD, band_mask, estimate_spectrum, ratio_db
 
@@ -110,11 +110,16 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
     """
     h, gain, bias = upsampler_kernel(spec)
     y = interpolate(x, h, spec.factor)
-    # In place: y's array is this call's own, and a finite gain and bias keep
-    # it finite. A new buffer would cost two more passes and a finite check.
+    # In place: y's array is this call's own. A finite gain and bias can still
+    # overflow it near the float max, so overflow raises here instead of a
+    # second finite check, which a new buffer would cost with two more passes.
     out = y.samples
-    out *= gain
-    out += bias
+    try:
+        with np.errstate(over="raise"):
+            out *= gain
+            out += bias
+    except FloatingPointError as exc:
+        raise NumericError(f"{spec.name}: output overflowed applying gain {gain} and bias {bias}") from exc
     if spec.kind != "aa_resample" or not spec.noise_prior:
         return y
     bound = 1.0 / math.sqrt(_PRIOR_CONV_TAPS)

@@ -123,6 +123,77 @@ class TestAdaaSnakeBeta:
         assert np.max(np.abs(y)) <= 5.0 + 1 / 0.5 + 1.0
 
 
+def _old_snakebeta(x, alpha, beta):
+    """snakebeta as the out-of-place expression it is computed in place from."""
+    return x + np.sin(alpha * x) ** 2 / beta
+
+
+def _old_adaa_snakebeta(x_t, x_prev, alpha, beta):
+    """adaa_snakebeta as the out-of-place expression, over the same _sinc
+    series below |u| = 1e-4."""
+    s, d = x_t + x_prev, x_t - x_prev
+    u = alpha * d
+    small = np.abs(u) < 1e-4
+    safe = np.where(small, 1.0, u)
+    sinc = np.sin(safe) / safe
+    u2 = u[small] * u[small]
+    sinc[small] = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
+    return 0.5 / beta + 0.5 * s - np.cos(alpha * s) * sinc / (2.0 * beta)
+
+
+class TestInPlaceKernels:
+    """snakebeta and adaa_snakebeta run in place on fresh arrays; they must
+    equal their out-of-place expressions in every bit and leave their inputs
+    alone."""
+
+    PARAMS = [(1.0, 1.0), (3.0, 0.5), (0.2, 7.0), (1.7, 2.3)]
+
+    @staticmethod
+    def grid():
+        """x_t and x_prev over [-8, 8], a third of the pairs with
+        |x_t - x_prev| at 1e-12 .. 1e-3, so alpha*d falls on both sides of
+        the Taylor cutoff."""
+        rng = np.random.default_rng(19)
+        x_t = np.concatenate([rng.uniform(-8.0, 8.0, 30000), np.linspace(-3.0, 3.0, 1001)])
+        x_prev = rng.uniform(-8.0, 8.0, x_t.size)
+        near = slice(0, 10000)
+        x_prev[near] = x_t[near] + rng.choice([-1.0, 1.0], 10000) * np.logspace(-12, -3, 10000)
+        return x_t, x_prev
+
+    @pytest.mark.parametrize("alpha,beta", PARAMS)
+    def test_snakebeta_equals_the_expression_bit_for_bit(self, alpha, beta):
+        x, _ = self.grid()
+        kept = x.copy()
+        assert snakebeta(x, alpha, beta).tobytes() == _old_snakebeta(x, alpha, beta).tobytes()
+        assert np.array_equal(x, kept)
+
+    @pytest.mark.parametrize("alpha,beta", PARAMS)
+    def test_adaa_equals_the_expression_bit_for_bit(self, alpha, beta):
+        x_t, x_prev = self.grid()
+        assert np.sum(np.abs(alpha * (x_t - x_prev)) < 1e-4) > 1000
+        kept = x_t.copy(), x_prev.copy()
+        got = adaa_snakebeta(x_t, x_prev, alpha, beta)
+        assert got.tobytes() == _old_adaa_snakebeta(x_t, x_prev, alpha, beta).tobytes()
+        assert np.array_equal(x_t, kept[0]) and np.array_equal(x_prev, kept[1])
+
+    def test_parameter_arrays_broadcast(self):
+        rng = np.random.default_rng(3)
+        x_t, x_prev = rng.uniform(-3.0, 3.0, (2, 400))
+        alpha, beta = rng.uniform(0.1, 3.0, (2, 400))
+        got = adaa_snakebeta(x_t, x_prev, alpha, beta)
+        assert got.tobytes() == _old_adaa_snakebeta(x_t, x_prev, alpha, beta).tobytes()
+        seg = rng.uniform(-3.0, 3.0, (400, 16))
+        got = snakebeta(seg, alpha[:, None], beta[:, None])
+        assert got.tobytes() == _old_snakebeta(seg, alpha[:, None], beta[:, None]).tobytes()
+        assert snakebeta(1.0, 1.0, np.array([1.0, 2.0])).shape == (2,)
+
+    @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.asarray(0.3)])
+    def test_scalars_give_floats(self, x):
+        assert type(snakebeta(x)) is float
+        assert type(adaa_snakebeta(x, 0.1)) is float
+        assert type(adaa_snakebeta(x, x)) is float
+
+
 class TestAdaaSnakeBetaGrad:
     def test_degenerate_origin(self):
         assert_allclose(adaa_snakebeta_grad(0.0, 0.0), (0.5, 0.5), atol=1e-15)

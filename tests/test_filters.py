@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import zero_interlace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -102,7 +102,8 @@ class TestDesignFir:
     @pytest.mark.parametrize("highpass", [False, True])
     def test_taps_match_the_scipy_i0_design(self, highpass):
         """Every tap, for every factor 2..64, equals the design written with
-        scipy.special.i0 for the Kaiser window."""
+        scipy.special.i0 for the Kaiser window, with the sinc's zeros at
+        m = jL (j != 0) set exactly before normalising."""
         from scipy.special import i0
 
         for factor in range(2, 65):
@@ -113,12 +114,34 @@ class TestDesignFir:
             beta = 0.1102 * (STOPBAND_DB - 8.7)
             window = i0(beta * np.sqrt(1 - (m / center) ** 2.0)) / i0(beta)
             want = 1.0 / factor * np.sinc(1.0 / factor * m) * window
+            want[(m % factor == 0) & (m != 0)] = 0.0
             want /= np.sum(want)
             if highpass:
                 want = -want
                 want[center] += 1.0
             k = design_fir(factor, highpass)
             assert k.center == center and np.array_equal(k.taps, want), factor
+
+    @pytest.mark.parametrize("highpass", [False, True])
+    @pytest.mark.parametrize("factor", range(2, 9))
+    def test_taps_are_exactly_zero_at_every_lth_offset(self, factor, highpass):
+        """Nyquist(L): the taps at center +- jL, j != 0, are exactly 0.0, so
+        the phase holding the center has that one nonzero tap."""
+        k = design_fir(factor, highpass)
+        zeros = np.r_[k.center % factor : len(k) : factor]
+        zeros = zeros[zeros != k.center]
+        assert zeros.size and np.all(k.taps[zeros] == 0.0)
+        assert k.taps[k.center] != 0.0
+        assert np.count_nonzero(k.taps) == len(k) - zeros.size
+
+    @pytest.mark.parametrize("factor", range(2, 9))
+    def test_upsampled_on_grid_samples_are_a_scaled_copy(self, factor):
+        """Output samples L*q of upsample_filtered are the input times the
+        center tap times L, in every bit."""
+        x = np.random.default_rng(factor).uniform(-1.0, 1.0, 1000)
+        k = design_fir(factor)
+        y = upsample_filtered(AudioBuffer(x, POLYPHASE_RATE), factor).samples
+        assert y[::factor].tobytes() == ((x * k.taps[k.center]) * factor).tobytes()
 
     def test_cache_returns_equal_taps(self):
         a = design_fir(2)
@@ -253,10 +276,20 @@ POLYPHASE_RATE = 40320
 @st.composite
 def interpolation_cases(draw):
     """A factor, a random kernel with any centre, and an input shorter or
-    longer than the kernel."""
+    longer than the kernel. Some kernels have one phase cut to a single
+    nonzero tap, as the resampling filter's centre phase is, or to no
+    nonzero tap at all."""
     factor = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     taps = rng.uniform(-1.0, 1.0, draw(st.integers(1, 40)))
+    phase_taps = draw(st.sampled_from(["all", "one", "none"]))
+    if phase_taps != "all":
+        branch = taps[draw(st.integers(0, min(factor, taps.size) - 1)) :: factor]  # a view
+        j = draw(st.integers(0, branch.size - 1))
+        kept = branch[j]
+        branch[:] = 0.0
+        if phase_taps == "one":
+            branch[j] = kept
     center = draw(st.integers(0, taps.size - 1))
     x = rng.uniform(-1.0, 1.0, draw(st.integers(1, 60)))
     return factor, FirKernel(taps, center), AudioBuffer(x, POLYPHASE_RATE)
@@ -278,6 +311,10 @@ class TestPolyphase:
 
     @settings(deadline=None)
     @given(interpolation_cases())
+    # A single-tap phase whose tap lies past every kept output.
+    @example(
+        (2, FirKernel(np.array([0, 1, 0, 0, 0, 0, 0, 0, 0.5, 0, 0, 0]), 0), AudioBuffer(np.arange(1.0, 7.0), POLYPHASE_RATE))
+    )
     def test_decimate_matches_decimated_convolution(self, case):
         factor, h, x = case
         x = AudioBuffer(np.resize(x.samples, max(len(x), factor)), x.sample_rate)

@@ -6,7 +6,7 @@ from conftest import zero_interlace
 from numpy.testing import assert_allclose
 
 from aliasbench import upsamplers
-from aliasbench.audio import AudioBuffer
+from aliasbench.audio import AudioBuffer, NumericError
 from aliasbench.filters import (
     convolve,
     design_fir,
@@ -222,6 +222,14 @@ class TestApplyUpsampler:
                 UpsamplerSpec(kind, seed=4)
         UpsamplerSpec("conv_transpose", seed=4)
         UpsamplerSpec("aa_resample", seed=4, noise_prior=True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gain_is_a_numeric_error(self):
+        """A finite input near the float max overflows under aa_resample's
+        gain L: NumericError, never an output holding inf."""
+        x = AudioBuffer(np.full(4096, 1.7e308), 100)
+        with pytest.raises(NumericError, match="overflowed"):
+            apply_upsampler(x, UpsamplerSpec("aa_resample"))
 
     @pytest.mark.parametrize("kind", ["conv_transpose", "aa_resample"])
     def test_negative_seed_rejected(self, kind):
