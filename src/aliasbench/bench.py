@@ -272,38 +272,33 @@ def write_upsampler_summary_csv(path: str | Path, rows: Sequence[UpsamplerSummar
     write_csv(path, header, out)
 
 
-@dataclass(frozen=True)
-class BenchEntryMeta:
-    """One row of the benchmark metadata CSV: the signal (index = MIDI
-    note) and the WAV's path relative to the CSV."""
-
-    spec: TestSignalSpec
-    path: str
+def wav_name(spec: TestSignalSpec) -> str:
+    """The file name gen-bench gives a signal's WAV, relative to bench.csv."""
+    return f"{spec.waveform}_{spec.midi_note:03d}.wav"
 
 
 #: The columns of bench.csv, in the order gen-bench writes them.
 BENCH_COLUMNS = ("type", "index", "f0_hz", "duration_s", "sample_rate", "path")
 
 
-def write_bench_csv(path: str | Path, metas: Sequence[BenchEntryMeta]) -> None:
+def write_bench_csv(path: str | Path, specs: Sequence[TestSignalSpec]) -> None:
     rows = [
-        [m.spec.waveform, str(m.spec.midi_note), f"{m.spec.f0_hz:.6f}", f"{m.spec.duration_s:.3f}",
-         str(m.spec.sample_rate), m.path]
-        for m in metas
+        [s.waveform, str(s.midi_note), f"{s.f0_hz:.6f}", f"{s.duration_s:.3f}", str(s.sample_rate), wav_name(s)]
+        for s in specs
     ]
     write_csv(path, list(BENCH_COLUMNS), rows)
 
 
-def load_bench_csv(path: str | Path) -> list[BenchEntryMeta]:
-    """Every row of bench.csv as a record whose spec has passed
-    TestSignalSpec's rules. A header that does not name each column once, a
+def load_bench_csv(path: str | Path) -> list[TestSignalSpec]:
+    """The signal of every row of bench.csv, each past TestSignalSpec's
+    rules. A header that does not name each column once, a
     row without one cell per column, a cell that does not parse, a signal
     off the grid and an f0_hz that is not its note's are ConfigErrors."""
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(BENCH_COLUMNS):
         raise ConfigError(f"{path}: unexpected benchmark CSV header {reader.fieldnames}")
-    metas = []
+    specs = []
     try:
         for row in reader:
             if None in row or None in row.values():
@@ -321,13 +316,13 @@ def load_bench_csv(path: str | Path) -> list[BenchEntryMeta]:
                     f"{spec.waveform} note {spec.midi_note}: f0_hz {f0} is not the note's "
                     f"frequency {spec.f0_hz:.6f} Hz"
                 )
-            metas.append(BenchEntryMeta(spec, row["path"]))
+            specs.append(spec)
     except ValueError as exc:
         raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not metas:
+    if not specs:
         raise ConfigError(f"{path}: empty benchmark metadata")
-    present = {m.spec.waveform for m in metas}
+    present = {s.waveform for s in specs}
     missing = [w for w in WAVEFORMS if w not in present]
     if missing:
         raise ConfigError(f"{path}: benchmark has no {', '.join(missing)} signals")
-    return metas
+    return specs

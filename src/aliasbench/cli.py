@@ -20,12 +20,12 @@ from .activations import ActivationSpec, apply_activation
 from .audio import NumericError
 from .bench import (
     DEFAULT_ACTIVATIONS,
-    BenchEntryMeta,
     evaluate,
     input_signals,
     load_bench_csv,
     measure_activation,
     upsampler_table,
+    wav_name,
     write_activation_full_csv,
     write_activation_summary_csv,
     write_bench_csv,
@@ -92,12 +92,11 @@ DEFAULT_SWEEP_PANELS: tuple[tuple[str, ActivationSpec | None], ...] = (
 
 def cmd_gen_bench(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    metas: list[BenchEntryMeta] = []
+    specs = []
     for spec, buf in build_benchmark():
-        name = f"{spec.waveform}_{spec.midi_note:03d}.wav"
-        wav_write(buf, out_dir / name)
-        metas.append(BenchEntryMeta(spec, name))
-    write_bench_csv(out_dir / "bench.csv", metas)
+        wav_write(buf, out_dir / wav_name(spec))
+        specs.append(spec)
+    write_bench_csv(out_dir / "bench.csv", specs)
     write_manifest(
         out_dir / "manifest.json",
         {
@@ -105,12 +104,12 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
             "version": __version__,
             "note_grid": "loguniform48",  # the only grid; the key keeps manifests' bytes
             "seed": args.seed,
-            "signals": len(metas),
-            "files": {m.path: file_sha256(out_dir / m.path) for m in metas},
+            "signals": len(specs),
+            "files": {wav_name(s): file_sha256(out_dir / wav_name(s)) for s in specs},
             "bench_csv_sha256": file_sha256(out_dir / "bench.csv"),
         },
     )
-    print(f"wrote {len(metas)} signals to {out_dir}")
+    print(f"wrote {len(specs)} signals to {out_dir}")
     return EXIT_OK
 
 
@@ -148,7 +147,7 @@ def _write_run_files(args: argparse.Namespace, command: str, n_signals: int, rep
 
 
 def cmd_run_activations(args: argparse.Namespace) -> int:
-    signals = input_signals([m.spec for m in load_bench_csv(Path(args.bench) / "bench.csv")], 1)
+    signals = input_signals(load_bench_csv(Path(args.bench) / "bench.csv"), 1)
     if args.configs:
         configs = load_configs(ActivationSpec, args.configs)
         config_source = str(args.configs)
@@ -171,15 +170,15 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
 
 
 def cmd_run_upsamplers(args: argparse.Namespace) -> int:
-    metas = load_bench_csv(Path(args.bench) / "bench.csv")
+    specs = load_bench_csv(Path(args.bench) / "bench.csv")
     rows, reports = upsampler_table(
-        [m.spec for m in metas],
+        specs,
         factor=args.factor,
         n_seeds=args.seeds,
         base_seed=args.seed,
         threads=args.threads,
     )
-    _write_run_files(args, "run-upsamplers", len(metas), reports,
+    _write_run_files(args, "run-upsamplers", len(specs), reports,
                      {"": lambda p: write_upsampler_summary_csv(p, rows)},
                      factor=args.factor, conv_seeds=args.seeds)
     for row in rows:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, NumericError
 
 #: Stopband attenuation (dB) of the resampling filter. Chosen so filter
 #: artifacts sit far below the aliasing levels being measured.
@@ -151,19 +151,12 @@ def design_fir(factor: int, highpass: bool = False) -> FirKernel:
     return FirKernel(taps, center)
 
 
-def convolve(x: AudioBuffer, h: FirKernel) -> AudioBuffer:
-    """Filter with zero-delay alignment on h.center; edges are zero-padded and
-    the output has the same length as the input."""
-    if len(x) == 0:
-        raise ValueError("cannot convolve an empty buffer")
-    y = np.convolve(x.samples, h.taps)
-    return x.with_samples(y[h.center : h.center + len(x)])
-
-
 def interpolate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
-    """convolve(x zero-interlaced by factor, h), one polyphase branch at a time:
-    output sample L*q + p of the full convolution is branch p, the input
-    convolved with taps[p::L], at q."""
+    """Filter x zero-interlaced by factor with h, aligned on h.center (zero
+    delay, zero-padded edges, output length factor * len(x)); factor 1 is
+    plain filtering. It runs one polyphase branch at a time: output sample
+    L*q + p of the full convolution is branch p, the input convolved with
+    taps[p::L], at q."""
     if len(x) == 0:
         raise ValueError("cannot convolve an empty buffer")
     if factor < 1:
@@ -189,13 +182,20 @@ def upsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
     if factor == 1:
         return x
     y = interpolate(x, design_fir(factor), factor)
-    return y.with_samples(y.samples * factor)
+    out = y.samples  # interpolate's own fresh array: scaled in place, as apply_upsampler does
+    try:
+        with np.errstate(over="raise"):
+            out *= factor
+    except FloatingPointError as exc:
+        raise NumericError(f"upsampling by {factor} overflowed applying gain {factor}") from exc
+    return y
 
 
 def decimate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
-    """convolve(x, h) at every factor-th sample, computing only those: kept
-    output k reads full-convolution sample c + L*k, where tap phase p meets
-    only input phase (c - p) mod L, so each phase is one short convolution."""
+    """interpolate(x, h, 1) at every factor-th sample, computing only those:
+    kept output k reads full-convolution sample c + L*k, where tap phase p
+    meets only input phase (c - p) mod L, so each phase is one short
+    convolution."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if len(x) < factor:

@@ -1,12 +1,13 @@
 """The four upsampling layers under study.
 
 Every layer is one path: zero-interlace by L, filter with an FIR kernel, then
-y * gain + bias. Only the kernel differs (upsampler_kernel). conv_transpose:
-seeded random weights and bias -- the aliasing- and tonal-artifact-prone
-baseline. linear/nearest: the fixed short kernels of classic interpolation,
-which attenuate images only mildly. aa_resample: a proper low-pass (optionally
-with a deterministic noise prior filling the empty high band), which
-suppresses images to the filter's stopband.
+y * gain + bias. Only the kernel, gain and bias differ (upsampler_kernel),
+and they describe the layer completely. conv_transpose: seeded random weights
+and bias -- the aliasing- and tonal-artifact-prone baseline. linear/nearest:
+the fixed short kernels of classic interpolation, which attenuate images only
+mildly. aa_resample: a proper low-pass, which suppresses images to the
+filter's stopband; with noise_prior, a seeded high-pass path fills the empty
+high band, and being linear and time-invariant it is part of the same kernel.
 
 All layers output length L * len(input) at rate L * input rate, and all
 randomness is drawn from counter-based streams keyed by (seed, domain), so
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, NumericError
-from .filters import FirKernel, convolve, design_fir, interp_kernel, interpolate
+from .filters import FirKernel, design_fir, interp_kernel, interpolate
 from .metrics import BAND_HALF_WIDTH_BINS, EDGE_DISCARD, band_mask, estimate_spectrum, ratio_db
 
 UPSAMPLER_KINDS = ("conv_transpose", "linear", "nearest", "aa_resample")
@@ -88,7 +89,12 @@ def upsampler_kernel(spec: UpsamplerSpec) -> tuple[FirKernel, float, float]:
     artifact once a later stage folds it across band edges; the cyclic
     polyphase gain mismatch is what creates the spectral images.
     linear/nearest: the triangle and hold kernels of classic interpolation.
-    aa_resample: the resampling low-pass at cutoff 1/L, gain-compensated by L.
+    aa_resample: the resampling low-pass h at cutoff 1/L, gain-compensated by
+    L. With noise_prior, a deterministic noise-like path fills the otherwise
+    empty high band: the kernel is L*h, padded by 3 zeros on each side, plus
+    g_prior * conv(t7, h_hp), with t7 the 7 seeded taps centred on the middle
+    one and h_hp = design_fir(L, True); the gain is g_mix. Both gains are
+    seeded unit-mean draws.
     """
     if spec.kind == "conv_transpose":
         weights, bias = conv_transpose_weights(spec)
@@ -97,17 +103,20 @@ def upsampler_kernel(spec: UpsamplerSpec) -> tuple[FirKernel, float, float]:
         return interp_kernel("linear", spec.factor), 1.0, 0.0
     if spec.kind == "nearest":
         return interp_kernel("hold", spec.factor), 1.0, 0.0
-    return design_fir(spec.factor), float(spec.factor), 0.0
+    h = design_fir(spec.factor)
+    if not spec.noise_prior:
+        return h, float(spec.factor), 0.0
+    bound = 1.0 / math.sqrt(_PRIOR_CONV_TAPS)
+    t7 = _stream(spec.seed, _DOM_PRIOR_CONV).uniform(-bound, bound, size=_PRIOR_CONV_TAPS)
+    g_mix, g_prior = _stream(spec.seed, _DOM_PRIOR_GAINS).uniform(0.5, 1.5, size=2)
+    pad = _PRIOR_CONV_TAPS // 2
+    taps = g_prior * np.convolve(t7, design_fir(spec.factor, True).taps)
+    taps[pad : pad + len(h)] += spec.factor * h.taps
+    return FirKernel(taps, pad + h.center), float(g_mix), 0.0
 
 
 def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
-    """Zero-interlace by L, filter with the layer's kernel, then y * gain + bias.
-
-    With noise_prior on, an aa_resample layer also fills its otherwise empty
-    high band with a deterministic noise-like path: zero-interlace the input,
-    run it through a seeded 7-tap convolution, high-pass it at the
-    complementary cutoff, and mix with a seeded unit-mean scalar gain pair.
-    """
+    """Zero-interlace by L, filter with the layer's kernel, then y * gain + bias."""
     h, gain, bias = upsampler_kernel(spec)
     y = interpolate(x, h, spec.factor)
     # In place: y's array is this call's own. A finite gain and bias can still
@@ -120,14 +129,7 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
             out += bias
     except FloatingPointError as exc:
         raise NumericError(f"{spec.name}: output overflowed applying gain {gain} and bias {bias}") from exc
-    if spec.kind != "aa_resample" or not spec.noise_prior:
-        return y
-    bound = 1.0 / math.sqrt(_PRIOR_CONV_TAPS)
-    taps = _stream(spec.seed, _DOM_PRIOR_CONV).uniform(-bound, bound, size=_PRIOR_CONV_TAPS)
-    prior = interpolate(x, FirKernel(taps, _PRIOR_CONV_TAPS // 2), spec.factor)
-    prior = convolve(prior, design_fir(spec.factor, True))
-    g_mix, g_prior = _stream(spec.seed, _DOM_PRIOR_GAINS).uniform(0.5, 1.5, size=2)
-    return y.with_samples(g_mix * (y.samples + g_prior * prior.samples))
+    return y
 
 
 def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[float, ...]:

@@ -1,4 +1,5 @@
-"""Shared fixtures: a small on-disk benchmark for CLI tests and a terminal
+"""Shared fixtures: a small on-disk benchmark for CLI tests, one full-grid
+run-activations run for the tests that read the whole table, and a terminal
 summary that prints one line per acceptance criterion.
 
 perfbench/ goes on the import path, so tests use its exact oracles
@@ -10,13 +11,17 @@ reference of the polyphase upsampling paths.
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from aliasbench import cli
 from aliasbench.audio import AudioBuffer
-from aliasbench.bench import BenchEntryMeta, write_bench_csv
+from aliasbench.bench import evaluate, wav_name, write_bench_csv
+from aliasbench.metrics import AhrReport
 from aliasbench.signals import TestSignalSpec, gen_bandlimited
 from aliasbench.wavio import wav_write
 
@@ -53,22 +58,57 @@ def zero_interlace(x: AudioBuffer, factor: int) -> AudioBuffer:
 
 
 def make_bench_dir(root, notes=(60, 107), duration_s=1.0, sample_rate=44100):
-    """Write a small but spectrally honest benchmark: WAVs + bench.csv."""
+    """Write a small but spectrally honest benchmark: WAVs + bench.csv.
+    Returns the signals in bench.csv's order."""
     root.mkdir(parents=True, exist_ok=True)
-    metas = []
+    specs = []
     for waveform in ("sine", "sawtooth", "triangle"):
         for note in notes:
             spec = TestSignalSpec(waveform, note, duration_s=duration_s, sample_rate=sample_rate)
-            name = f"{waveform}_{note:03d}.wav"
-            wav_write(gen_bandlimited(spec), root / name)
-            metas.append(BenchEntryMeta(spec, name))
-    write_bench_csv(root / "bench.csv", metas)
-    return metas
+            wav_write(gen_bandlimited(spec), root / wav_name(spec))
+            specs.append(spec)
+    write_bench_csv(root / "bench.csv", specs)
+    return specs
 
 
 @pytest.fixture(scope="session")
 def tiny_bench(tmp_path_factory):
     """Six one-second signals (three waveforms x two notes) with bench.csv."""
     root = tmp_path_factory.mktemp("tinybench")
-    metas = make_bench_dir(root)
-    return root, metas
+    specs = make_bench_dir(root)
+    return root, specs
+
+
+class FullGridRun(NamedTuple):
+    """gen-bench's directory, run-activations' summary path, the reports the
+    command computed by module name, and the command's wall time (s)."""
+
+    bench: Path
+    out: Path
+    reports: dict[str, AhrReport]
+    elapsed: float
+
+
+@pytest.fixture(scope="session")
+def full_grid_run(tmp_path_factory):
+    """gen-bench, then run-activations with the built-in configs at
+    --threads 1 over the full 144-signal grid, once per session. The reports
+    are read off the command's own evaluate call, so the tests that rank or
+    check them read the numbers the written files hold."""
+    root = tmp_path_factory.mktemp("full_grid")
+    bench, out = root / "bench", root / "act" / "act.csv"
+    assert cli.main(["gen-bench", "--out", str(bench)]) == cli.EXIT_OK
+    computed = []
+
+    def recording_evaluate(*args, **kwargs):
+        computed.append(evaluate(*args, **kwargs))
+        return computed[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "evaluate", recording_evaluate)
+        t0 = time.perf_counter()
+        rc = cli.main(["run-activations", "--bench", str(bench), "--out", str(out), "--threads", "1"])
+        elapsed = time.perf_counter() - t0
+    assert rc == cli.EXIT_OK
+    (reports,) = computed
+    return FullGridRun(bench, out, {r.module_name: r for r in reports}, elapsed)

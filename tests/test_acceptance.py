@@ -2,9 +2,11 @@
 
 Every test computes its measurement, registers a PASS/FAIL line for the
 terminal summary (so a full run always prints the complete scorecard), and
-then asserts. The heavy fixtures hand evaluate the signal specs, as both
-table commands do, so a signal exists only while its configs run, and only
-the small result tables stay resident.
+then asserts. The activation criteria read one run-activations run over the
+full grid (conftest.full_grid_run), which the whole session shares; criterion
+11 repeats it at another thread count. The upsampler fixture hands evaluate
+the signal specs, as run-upsamplers does, so a signal exists only while its
+layers run, and only the small result tables stay resident.
 
 Criterion 4 ranks the activation table. On overall means (dB) AdaaSnakeBeta
 (-90.38) is below ELU (-61.49) and SnakeBeta (-69.11), both of which are
@@ -36,13 +38,7 @@ from aliasbench.activations import (
     snakebeta,
 )
 from aliasbench.audio import AudioBuffer
-from aliasbench.bench import (
-    DEFAULT_ACTIVATIONS,
-    evaluate,
-    input_signals,
-    measure_activation,
-    upsampler_table,
-)
+from aliasbench.bench import upsampler_table
 from aliasbench.cli import EXIT_OK, main
 from aliasbench.filters import frequency_response, interp_kernel
 from aliasbench.metrics import band_energy, estimate_spectrum
@@ -55,17 +51,6 @@ WAVEFORM_ORDER = ("sine", "sawtooth", "triangle")
 def benchmark_specs() -> list[TestSignalSpec]:
     """The full 144-signal benchmark, in gen-bench's order."""
     return [TestSignalSpec(waveform, note) for waveform in WAVEFORM_ORDER for note in benchmark_notes()]
-
-
-@pytest.fixture(scope="module")
-def activation_run():
-    """All built-in activation configs over the full 144-signal benchmark,
-    on run-activations' signal path. Each signal is synthesized when evaluate
-    reaches it."""
-    t0 = time.perf_counter()
-    reports = evaluate(input_signals(benchmark_specs(), 1), DEFAULT_ACTIVATIONS, measure_activation, threads=1)
-    elapsed = time.perf_counter() - t0
-    return {r.module_name: r for r in reports}, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +161,7 @@ class TestCriterion3:
 
 
 class TestCriterion4:
-    def test_activation_table_ordering(self, activation_run):
+    def test_activation_table_ordering(self, full_grid_run):
         """Activation-table ranking, leg by leg (measured / oracle, dB).
 
         Overall means: AdaaSnakeBeta (-90.38) below both ELU (-61.49 /
@@ -205,7 +190,7 @@ class TestCriterion4:
         from the same bookkeeping fed the partials of partial_series with
         gen_bandlimited's peak normalization.
         """
-        reports, elapsed = activation_run
+        reports, elapsed = full_grid_run.reports, full_grid_run.elapsed
         means = {name: reports[name].overall_mean_db for name in TABLE_ACTIVATIONS}
         adaa, elu_db = means["AdaaSnakeBeta"], means["ELU"]
         snake, leaky = means["SnakeBeta"], means["LeakyReLU"]
@@ -275,8 +260,8 @@ class TestCriterion5:
 
 
 class TestCriterion6:
-    def test_per_waveform_dominance(self, activation_run, upsampler_run):
-        reports, _ = activation_run
+    def test_per_waveform_dominance(self, full_grid_run, upsampler_run):
+        reports = full_grid_run.reports
         rows, _ = upsampler_run
         failures = []
         for waveform in WAVEFORM_ORDER:
@@ -294,8 +279,8 @@ class TestCriterion6:
 
 
 class TestCriterion7:
-    def test_adaa_c2_rivals_snakebeta_c4(self, activation_run):
-        reports, _ = activation_run
+    def test_adaa_c2_rivals_snakebeta_c4(self, full_grid_run):
+        reports = full_grid_run.reports
         adaa_c2 = reports["AdaaSnakeBeta"].overall_mean_db
         snake_c4 = reports["SnakeBeta_c4"].overall_mean_db
         passed = adaa_c2 <= snake_c4 + 3.0
@@ -343,37 +328,31 @@ class TestCriterion10:
 
 
 class TestCriterion11:
-    def test_repeat_runs_are_byte_identical(self, tmp_path):
-        """Two gen-bench runs agree hash-for-hash; two run-activations runs
-        from the same bench and arguments agree byte-for-byte."""
-        bench_a = tmp_path / "bench_a"
-        bench_b = tmp_path / "bench_b"
-        assert main(["gen-bench", "--out", str(bench_a)]) == EXIT_OK
-        assert main(["gen-bench", "--out", str(bench_b)]) == EXIT_OK
-        man_a = json.loads((bench_a / "manifest.json").read_text(encoding="utf-8"))
-        man_b = json.loads((bench_b / "manifest.json").read_text(encoding="utf-8"))
+    def test_repeat_runs_are_byte_identical(self, full_grid_run, tmp_path):
+        """A second gen-bench run agrees hash-for-hash with the session's; a
+        second run-activations run, from the second bench at --threads 2,
+        writes the session run's CSVs (--threads 1) byte for byte."""
+        bench = tmp_path / "bench"
+        assert main(["gen-bench", "--out", str(bench)]) == EXIT_OK
+        man_a = json.loads((full_grid_run.bench / "manifest.json").read_text(encoding="utf-8"))
+        man_b = json.loads((bench / "manifest.json").read_text(encoding="utf-8"))
         gen_same = (
             man_a["files"] == man_b["files"]
             and man_a["bench_csv_sha256"] == man_b["bench_csv_sha256"]
         )
 
-        out1 = tmp_path / "run1" / "act.csv"
-        out2 = tmp_path / "run2" / "act.csv"
-        for out in (out1, out2):
-            rc = main(
-                ["run-activations", "--bench", str(bench_a), "--out", str(out), "--threads", "4"]
-            )
-            assert rc == EXIT_OK
+        out = tmp_path / "run" / "act.csv"
+        assert main(["run-activations", "--bench", str(bench), "--out", str(out), "--threads", "2"]) == EXIT_OK
         run_same = all(
-            (out1.with_name("act" + suffix).read_bytes()
-             == out2.with_name("act" + suffix).read_bytes())
+            (full_grid_run.out.with_name("act" + suffix).read_bytes()
+             == out.with_name("act" + suffix).read_bytes())
             for suffix in (".csv", "_per_signal.csv", "_full.csv")
         )
 
         passed = gen_same and run_same
         detail = (
             f"gen-bench manifests {'identical' if gen_same else 'DIFFER'} "
-            f"({len(man_a['files'])} signals); repeated run-activations CSVs "
+            f"({len(man_a['files'])} signals); run-activations CSVs at 1 and 2 threads "
             f"{'byte-identical' if run_same else 'DIFFER'}"
         )
         record_criterion(11, passed, detail)

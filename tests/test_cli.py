@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from aliasbench import cli
 from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpec
 from aliasbench.audio import AudioBuffer
-from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate
+from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate, wav_name
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
 from aliasbench.metrics import AhrMeasurement
 from aliasbench.signals import WAVEFORMS, TestSignalSpec, midi_to_freq
@@ -345,13 +345,13 @@ class TestRunActivations:
         run-upsamplers does. A copy of the bench with every WAV deleted, and
         one with a WAV truncated, give the intact bench's output files byte
         for byte; the manifests differ only in bench_dir."""
-        root, metas = tiny_bench
+        root, specs = tiny_bench
         no_wavs, truncated = tmp_path / "no_wavs", tmp_path / "truncated"
         for copy in (no_wavs, truncated):
             shutil.copytree(root, copy)
-        for m in metas:
-            (no_wavs / m.path).unlink()
-        victim = truncated / metas[-1].path
+        for spec in specs:
+            (no_wavs / wav_name(spec)).unlink()
+        victim = truncated / wav_name(specs[-1])
         victim.write_bytes(victim.read_bytes()[:40])
         outputs = []
         for bench_dir in (root, no_wavs, truncated):
@@ -706,7 +706,7 @@ class TestRunManifest:
         """The manifest holds the shared keys and the command's own, the
         bench.csv it read, the AHR analysis, and the SHA-256 of each file
         written beside it."""
-        root, metas = tiny_bench
+        root, specs = tiny_bench
         options = ("--configs", str(act_cfg)) if command == "run-activations" else ("--seeds", "1")
         out = tmp_path / "run"
         assert run(command, *options, "--bench", str(root), "--threads", "1", "--out", str(out / "t.csv")) == EXIT_OK
@@ -716,7 +716,7 @@ class TestRunManifest:
         assert manifest["outputs"] == {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written}
         assert manifest["bench_csv_sha256"] == hashlib.sha256((root / "bench.csv").read_bytes()).hexdigest()
         assert (manifest["command"], manifest["bench_dir"], manifest["signals"], manifest["seed"], manifest["threads"]) \
-            == (command, str(root), len(metas), 0, 1)
+            == (command, str(root), len(specs), 0, 1)
         assert manifest["analysis"] == {"window": "kaiser", "beta": 15.707963267948966, "half_width_bins": 6, "zero_pad": 1}
 
 

@@ -9,13 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from aliasbench.audio import AudioBuffer
+from aliasbench.audio import AudioBuffer, NumericError
 from aliasbench.filters import (
     STOPBAND_DB,
     TRANSITION,
     FirKernel,
     _i0,
-    convolve,
     decimate,
     design_fir,
     downsample_filtered,
@@ -176,25 +175,27 @@ class TestI0:
 
 
 class TestConvolve:
+    """interpolate at factor 1 is plain zero-delay filtering."""
+
     def test_zero_delay_alignment(self):
         """A passband sine comes back in phase: convolution is aligned on the
         kernel center."""
         fs = 44100
         t = np.arange(8192) / fs
         x = np.sin(2 * np.pi * 1000 * t)
-        y = convolve(AudioBuffer(x, fs), design_fir(2))
+        y = interpolate(AudioBuffer(x, fs), design_fir(2), 1)
         mid = slice(3000, 5000)
         assert_allclose(y.samples[mid], x[mid], atol=1e-4)
 
     def test_length_preserved(self):
-        y = convolve(AudioBuffer(np.ones(100), 8000), FirKernel(np.array([0.5, 0.5]), 0))
+        y = interpolate(AudioBuffer(np.ones(100), 8000), FirKernel(np.array([0.5, 0.5]), 0), 1)
         assert len(y) == 100
 
     def test_impulse_recovers_taps(self):
         k = FirKernel(np.array([0.25, 0.5, 0.25]), 1)
         x = np.zeros(9)
         x[4] = 1.0
-        y = convolve(AudioBuffer(x, 8000), k)
+        y = interpolate(AudioBuffer(x, 8000), k, 1)
         assert_allclose(y.samples[3:6], k.taps)
 
 
@@ -246,7 +247,7 @@ class TestResampling:
         rng = np.random.default_rng(42)
         # band-limited noise: white noise through the factor-3 low-pass (cutoff 1/3 of Nyquist)
         white = AudioBuffer(rng.standard_normal(8192), fs)
-        x = convolve(white, design_fir(3))
+        x = interpolate(white, design_fir(3), 1)
         y = downsample_filtered(upsample_filtered(x, 4), 4)
         assert y.sample_rate == fs
         mid = slice(2000, 6000)
@@ -267,6 +268,14 @@ class TestResampling:
         x = AudioBuffer(np.arange(10.0), 8000)
         assert upsample_filtered(x, 1) is x
         assert downsample_filtered(x, 1) is x
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gain_is_a_numeric_error(self):
+        """A finite input near the float max overflows under the gain L:
+        NumericError naming the factor, never a warning or an inf."""
+        x = AudioBuffer(np.full(4096, 1.7e308), 100)
+        with pytest.raises(NumericError, match="upsampling by 2 overflowed"):
+            upsample_filtered(x, 2)
 
 
 #: A rate every factor 2..8 divides.

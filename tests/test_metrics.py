@@ -20,14 +20,7 @@ from numpy.testing import assert_allclose
 
 from aliasbench.activations import ActivationSpec, apply_activation
 from aliasbench.audio import AudioBuffer, NumericError
-from aliasbench.bench import (
-    DEFAULT_ACTIVATIONS,
-    derive_seeds,
-    evaluate,
-    input_signals,
-    measure_activation,
-    measure_upsampler,
-)
+from aliasbench.bench import derive_seeds, evaluate, input_signals, measure_upsampler
 from aliasbench.metrics import (
     ANALYSIS,
     BAND_HALF_WIDTH_BINS,
@@ -467,16 +460,14 @@ class TestAhrOracle:
         exact = oracles.activation_ahr(oracles.MEMORYLESS[name], "sine", 107, scale)
         assert abs(measured - exact) <= 0.05
 
-    def test_memoryless_grid_matches_the_oracle(self):
+    def test_memoryless_grid_matches_the_oracle(self, full_grid_run):
         """Every LeakyReLU, ELU and SnakeBeta (c=1) cell of the 144-signal
-        benchmark, synthesized as run-activations synthesizes it, is within
-        0.5 dB of the exact line powers, or within 0.5 dB of the floor where
-        the exact value clamps (perfbench's rule). A Hann analysis with 4-bin
-        bands and 4x padding left 27 of these 432 cells off, by up to 65.7 dB:
-        alias bands a few bins from a strong harmonic collected its sidelobes."""
-        specs = [TestSignalSpec(w, note) for w in WAVEFORMS for note in benchmark_notes()]
-        configs = [spec for spec in DEFAULT_ACTIVATIONS if spec.name in oracles.MEMORYLESS]
-        reports = evaluate(input_signals(specs, 1), configs, measure_activation, threads=2)
+        benchmark, as run-activations computes it, is within 0.5 dB of the
+        exact line powers, or within 0.5 dB of the floor where the exact
+        value clamps (perfbench's rule). A Hann analysis with 4-bin bands and
+        4x padding left 27 of these 432 cells off, by up to 65.7 dB: alias
+        bands a few bins from a strong harmonic collected its sidelobes."""
+        reports = [full_grid_run.reports[name] for name in oracles.MEMORYLESS]
         scales = {}
         off = []
         for report in reports:
@@ -493,7 +484,8 @@ class TestAhrOracle:
         assert not off, off
 
     def test_upsampler_grid_matches_the_oracle(self):
-        """Every cell of the four upsampler kinds at L = 2 on the 144-signal
+        """Every cell of the upsampler table's five layers at L = 2 (the four
+        kinds and AntiAliasedResample with its noise prior) on the 144-signal
         benchmark is within 0.01 dB of the exact image-line powers, taken
         from each layer's impulse response."""
         factor, rate_in = 2, RATE // 2
@@ -503,6 +495,8 @@ class TestAhrOracle:
             UpsamplerSpec("linear", factor=factor),
             UpsamplerSpec("nearest", factor=factor),
             UpsamplerSpec("aa_resample", factor=factor),
+            # the seed run-upsamplers gives the prior at its defaults (--seed 0, --seeds 10)
+            UpsamplerSpec("aa_resample", factor=factor, seed=derive_seeds(0, 11)[10], noise_prior=True),
         ]
         reports = evaluate(input_signals(specs, factor), layers, measure_upsampler, threads=2)
         off = []
@@ -513,7 +507,7 @@ class TestAhrOracle:
                 exact = oracles.upsampler_ahr(h, factor, row.waveform, note, rate_in, round(5.0 * rate_in))
                 if abs(row.ahr_db - exact) > 0.01:
                     off.append(f"{layer.kind} {row.waveform} {note}: {row.ahr_db:.4f} vs {exact:.4f} dB")
-        assert sum(len(r.per_signal) for r in reports) == 576
+        assert sum(len(r.per_signal) for r in reports) == 720
         assert not off, off
 
 

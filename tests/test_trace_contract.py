@@ -54,8 +54,7 @@ def test_benchmark_bench_csv_loads(workload, tmp_path):
     failed would fail every round."""
     signals = run.WORKLOADS[workload](seed=1).signals
     run.write_bench(tmp_path / "bench", signals, with_wavs=False)
-    metas = load_bench_csv(tmp_path / "bench" / "bench.csv")
-    assert [m.spec for m in metas] == [TestSignalSpec(w, n) for w, n in signals]
+    assert load_bench_csv(tmp_path / "bench" / "bench.csv") == [TestSignalSpec(w, n) for w, n in signals]
 
 
 def test_upsampler_layers_are_the_table_specs(tiny_bench, tmp_path):
@@ -78,7 +77,7 @@ def test_traced_table_commands_keep_their_counts(tiny_bench, tmp_path, command, 
     and input_rate and the spectrum's fft_size, and checks the harmonic
     bands against their closed form. Nothing else reads some of these, so
     only a traced run shows that one went."""
-    root, metas = tiny_bench
+    root, specs = tiny_bench
     trace = tmp_path / "trace.json"
     done = subprocess.run(
         [sys.executable, tracer.__file__, str(trace), *command, "--bench", str(root), "--threads", "1",
@@ -87,7 +86,7 @@ def test_traced_table_commands_keep_their_counts(tiny_bench, tmp_path, command, 
     )
     assert done.returncode == 0, done.stderr
     layers, records = tracer.layer_metrics([trace], run_s=0.0)
-    assert len(records) == configs * len(metas)
+    assert len(records) == configs * len(specs)
     assert run.band_problems(records) == []
     assert layers["metrics.bands.harmonic"] == sum(r["harmonic"] for r in records) > 0
     assert set(layers) <= DECLARED_LAYERS

@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose
 
 from aliasbench import upsamplers
 from aliasbench.audio import AudioBuffer, NumericError
+from aliasbench.bench import derive_seeds
 from aliasbench.filters import (
-    convolve,
     design_fir,
     interp_kernel,
+    interpolate,
     upsample_filtered,
 )
 from aliasbench.metrics import band_energy, estimate_spectrum
@@ -62,6 +63,9 @@ class TestUpsamplerKernel:
         h, gain, bias = upsampler_kernel(UpsamplerSpec("aa_resample", factor=3))
         assert h is design_fir(3)
         assert (gain, bias) == (3.0, 0.0)
+        k, gain, bias = upsampler_kernel(UpsamplerSpec("aa_resample", factor=3, seed=5, noise_prior=True))
+        assert len(k) == len(h) + 6 and k.center == h.center + 3
+        assert 0.5 <= gain < 1.5 and bias == 0.0
 
 
 def fixed_weights(monkeypatch, weights, bias):
@@ -179,8 +183,8 @@ class TestAaResample:
         assert hi_on >= 1e6 * max(hi_off, 1e-300)
 
         lp = design_fir(2)
-        low_off = convolve(off, lp).samples[4000:-4000]
-        low_on = convolve(on, lp).samples[4000:-4000]
+        low_off = interpolate(off, lp, 1).samples[4000:-4000]
+        low_on = interpolate(on, lp, 1).samples[4000:-4000]
         xcorr = np.dot(low_on, low_off) / np.sqrt(np.dot(low_on, low_on) * np.dot(low_off, low_off))
         assert xcorr >= 0.999
 
@@ -188,6 +192,29 @@ class TestAaResample:
         x = sine_buffer(500.0, duration_s=0.2)
         spec = UpsamplerSpec("aa_resample", factor=2, noise_prior=True, seed=9)
         assert np.array_equal(apply_upsampler(x, spec).samples, apply_upsampler(x, spec).samples)
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_prior_kernel_equals_the_two_stage_form(self, factor):
+        """The prior layer's one kernel gives, away from the edges, what the
+        two-stage form gives: the low-pass path, plus the input zero-interlaced
+        through the seeded 7 taps and cut to length, then high-passed and cut
+        to length again, mixed by g_mix. Only the first and last
+        3 + h.center samples may differ, where the cut drops a tail."""
+        seed = 9
+        x = sine_buffer(500.0, duration_s=0.2)
+        y = apply_upsampler(x, UpsamplerSpec("aa_resample", factor=factor, seed=seed, noise_prior=True)).samples
+        bound = 1.0 / np.sqrt(7)
+        t7 = upsamplers._stream(seed, upsamplers._DOM_PRIOR_CONV).uniform(-bound, bound, size=7)
+        g_mix, g_prior = upsamplers._stream(seed, upsamplers._DOM_PRIOR_GAINS).uniform(0.5, 1.5, size=2)
+        h, hp = design_fir(factor), design_fir(factor, True)
+        up = zero_interlace(x, factor).samples
+        n = up.size
+        low = factor * np.convolve(up, h.taps)[h.center : h.center + n]
+        prior = np.convolve(up, t7)[3 : 3 + n]
+        prior = np.convolve(prior, hp.taps)[hp.center : hp.center + n]
+        ref = g_mix * (low + g_prior * prior)
+        edge = 3 + h.center
+        assert np.max(np.abs(y - ref)[edge:-edge]) <= 1e-12 * np.max(np.abs(ref))
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -197,19 +224,43 @@ class TestAaResample:
 class TestApplyUpsampler:
     def test_dispatch_matches_direct_calls(self):
         """Each kind equals zero-interlace, its kernel, then gain and bias,
-        computed here by direct calls."""
+        computed here by direct calls. Every layer of the upsampler table,
+        the noise prior included, is the full-rate convolution of the
+        zero-interlaced input with upsampler_kernel's kernel, cut on its
+        centre, times gain plus bias. The polyphase sums of the resampling
+        kernels skip interlaced zeros and may differ in the last bits: 1e-12
+        of the peak."""
         x = sine_buffer(700.0, duration_s=0.1)
         conv = UpsamplerSpec("conv_transpose", seed=2)
         w, b = conv_transpose_weights(conv)
         direct = np.convolve(zero_interlace(x, 2).samples, w)[: 2 * len(x)] + b
         assert np.array_equal(apply_upsampler(x, conv).samples, direct)
         lin = UpsamplerSpec("linear", factor=3)
-        direct = convolve(zero_interlace(x, 3), interp_kernel("linear", 3)).samples
+        h = interp_kernel("linear", 3)
+        direct = np.convolve(zero_interlace(x, 3).samples, h.taps)[h.center : h.center + 3 * len(x)]
         assert np.array_equal(apply_upsampler(x, lin).samples, direct)
         near = UpsamplerSpec("nearest", factor=2)
         assert np.array_equal(apply_upsampler(x, near).samples, np.repeat(x.samples, 2))
         aa = UpsamplerSpec("aa_resample", factor=2)
         assert np.array_equal(apply_upsampler(x, aa).samples, upsample_filtered(x, 2).samples)
+
+        conv_seed, prior_seed = derive_seeds(0, 2)
+        for factor in (2, 3, 4):
+            up = zero_interlace(x, factor).samples
+            for spec, bit_exact in (
+                (UpsamplerSpec("conv_transpose", factor=factor, seed=conv_seed), True),
+                (UpsamplerSpec("linear", factor=factor), True),
+                (UpsamplerSpec("nearest", factor=factor), True),
+                (UpsamplerSpec("aa_resample", factor=factor), False),
+                (UpsamplerSpec("aa_resample", factor=factor, seed=prior_seed, noise_prior=True), False),
+            ):
+                h, gain, bias = upsampler_kernel(spec)
+                direct = np.convolve(up, h.taps)[h.center : h.center + up.size] * gain + bias
+                got = apply_upsampler(x, spec).samples
+                if bit_exact:
+                    assert np.array_equal(got, direct), spec
+                else:
+                    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct)), spec
 
     def test_settings_the_kind_ignores_are_rejected(self):
         """A field that cannot change a layer's output may not be set on it,
