@@ -8,13 +8,13 @@ everything else is imported from its submodule."""
 __version__ = "0.1.0"
 
 from .activations import ActivationSpec, apply_activation
-from .metrics import ActivationContext, measure_ahr
+from .metrics import activation_context, measure_ahr
 from .signals import TestSignalSpec, gen_bandlimited
 
 __all__ = [
-    "ActivationContext",
     "ActivationSpec",
     "TestSignalSpec",
+    "activation_context",
     "apply_activation",
     "gen_bandlimited",
     "measure_ahr",

@@ -13,21 +13,20 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .activations import ActivationSpec, apply_activation
+from .activations import ActivationSpec
 from .audio import AudioBuffer
-from .configio import ConfigError, Spec, config_hash, write_csv
+from .configio import ConfigError, Spec, config_hash, read_text, write_csv
 from .metrics import (
     EDGE_DISCARD,
+    K_CAP,
     MIN_ANALYSIS_SAMPLES,
-    ActivationContext,
-    AhrMeasurement,
+    AhrContext,
     AhrReport,
     SignalAhr,
-    UpsamplerContext,
     build_report,
     measure_ahr,
 )
-from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, law_k_values, sample_count
+from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, harmonic_numbers, sample_count
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
 
 #: Activation configs evaluated by default. The four table_row entries mirror
@@ -67,42 +66,32 @@ def derive_seeds(base_seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(count)]
 
 
-def measure_activation(spec: ActivationSpec, signal: TestSignalSpec, x: AudioBuffer) -> AhrMeasurement:
-    """AHR of one signal through an activation: aliases are folded harmonics."""
-    return measure_ahr(apply_activation(x, spec), signal.f0_hz, ActivationContext())
-
-
-def measure_upsampler(spec: UpsamplerSpec, signal: TestSignalSpec, x: AudioBuffer) -> AhrMeasurement:
-    """AHR of one (low-rate) signal through an upsampler: aliases are the
-    images of the waveform's partials."""
-    y = apply_upsampler(x, spec)
-    context = UpsamplerContext(
-        input_rate=x.sample_rate,
-        alias_freqs=image_frequencies(signal.f0_hz, spec.factor, x.sample_rate, law_k_values(signal.waveform)),
-    )
-    return measure_ahr(y, signal.f0_hz, context)
-
-
 def evaluate(
     signals: Sequence[TestSignalSpec],
     specs: Iterable[Spec],
-    measure: Callable[[Spec, TestSignalSpec, AudioBuffer], AhrMeasurement],
+    apply: Callable[[AudioBuffer, Spec], AudioBuffer],
+    context: Callable[[TestSignalSpec], AhrContext],
     threads: int = 1,
 ) -> list[AhrReport]:
-    """One report per spec over all signals.
+    """One report per spec over all signals: the AHR of apply(x, spec) for
+    each signal x, measured against the signal's context(signal).
 
-    Each signal is one pool task: it synthesizes the signal once, runs every
-    spec on it in spec order, returns that signal's rows and drops the
-    buffer. So at most min(threads, signals) signals are alive at once, and
-    rows keep the signal order whatever the thread count. When a task
-    raises, the tasks not yet started are cancelled and the error is
-    re-raised.
+    Each signal is one pool task: it synthesizes the signal and builds its
+    context once, runs every spec on it in spec order, returns that
+    signal's rows and drops the buffer. So at most min(threads, signals)
+    signals are alive at once, and rows keep the signal order whatever the
+    thread count. When a task raises, the tasks not yet started are
+    cancelled and the error is re-raised.
     """
     specs = list(specs)
 
     def signal_rows(signal: TestSignalSpec) -> list[SignalAhr]:
         x = gen_bandlimited(signal)
-        return [SignalAhr(signal.waveform, signal.f0_hz, measure(spec, signal, x).ahr_db) for spec in specs]
+        ctx = context(signal)
+        return [
+            SignalAhr(signal.waveform, signal.f0_hz, measure_ahr(apply(x, spec), signal.f0_hz, ctx).ahr_db)
+            for spec in specs
+        ]
 
     with ThreadPoolExecutor(max_workers=min(threads, len(signals)) or 1) as pool:
         futures = [pool.submit(signal_rows, signal) for signal in signals]
@@ -142,6 +131,13 @@ def input_signals(specs: Iterable[TestSignalSpec], factor: int) -> list[TestSign
                          f"{s.waveform} note {s.midi_note} {where}")
         inputs.append(low)
     return inputs
+
+
+def image_context(signal: TestSignalSpec, factor: int) -> AhrContext:
+    """Context of an upsampler by factor fed signal: a linear layer can only
+    image the partials of the input's waveform law."""
+    ks = harmonic_numbers(signal.waveform, K_CAP)
+    return AhrContext(signal.sample_rate, image_frequencies(signal.f0_hz, factor, signal.sample_rate, ks))
 
 
 def tonal_probe_for(spec: UpsamplerSpec, input_rate: int) -> float:
@@ -192,8 +188,8 @@ def upsampler_table(
         "aa_resample", factor=factor, seed=seeds[n_seeds], noise_prior=True,
         name="AntiAliasedResample_prior",
     )
-
-    all_reports = evaluate(inputs, [s for g in groups for s in g] + [aa_prior], measure_upsampler, threads)
+    all_reports = evaluate(inputs, [s for g in groups for s in g] + [aa_prior], apply_upsampler,
+                           lambda s: image_context(s, factor), threads)
     reports = iter(all_reports)
     rows = []
     for group in groups:
@@ -294,7 +290,7 @@ def load_bench_csv(path: str | Path) -> list[TestSignalSpec]:
     rules. A header that does not name each column once, a
     row without one cell per column, a cell that does not parse, a signal
     off the grid and an f0_hz that is not its note's are ConfigErrors."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path, "utf-8")
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(BENCH_COLUMNS):
         raise ConfigError(f"{path}: unexpected benchmark CSV header {reader.fieldnames}")

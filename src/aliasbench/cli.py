@@ -23,7 +23,6 @@ from .bench import (
     evaluate,
     input_signals,
     load_bench_csv,
-    measure_activation,
     upsampler_table,
     wav_name,
     write_activation_full_csv,
@@ -42,7 +41,7 @@ from .configio import (
     write_manifest,
 )
 from .filters import design_fir, frequency_response, interp_kernel
-from .metrics import ANALYSIS, AhrReport, spectrogram_export
+from .metrics import ANALYSIS, AhrReport, activation_context, spectrogram_export
 from .signals import build_benchmark, gen_sweep
 from .wavio import WavError, wav_write
 
@@ -155,7 +154,8 @@ def cmd_run_activations(args: argparse.Namespace) -> int:
         configs = list(DEFAULT_ACTIVATIONS)
         config_source = "builtin"
 
-    reports = evaluate(signals, configs, measure_activation, args.threads)
+    reports = evaluate(signals, configs, apply_activation,
+                       lambda s: activation_context(s.f0_hz, s.sample_rate), args.threads)
     _write_run_files(
         args, "run-activations", len(signals), reports,
         {"": lambda p: write_activation_summary_csv(p, reports, configs),

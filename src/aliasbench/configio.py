@@ -26,6 +26,15 @@ class ConfigError(ValueError):
     """Malformed, empty, or inconsistent configuration input."""
 
 
+def read_text(path: str | Path, encoding: str) -> str:
+    """The text of an input file in encoding, utf-8 or utf-8-sig; bytes that
+    do not decode are a ConfigError naming the file."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def parse_blocks(text: str) -> list[dict[str, str]]:
     """Split key=value text into a list of per-block dicts."""
     blocks: list[dict[str, str]] = []
@@ -85,8 +94,9 @@ def spec_from_block(cls: type[Spec], block: dict[str, str]) -> Spec:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     # Names go unquoted into the CSVs, and sweep panel names into file paths.
-    if set(',"/\\') & set(kwargs.get("name", "")):
-        raise ConfigError(f"bad value for 'name': {kwargs['name']!r} (a name may not contain , \" / or \\)")
+    name = kwargs.get("name", "")
+    if set(',"/\\') & set(name) or not name.isprintable():
+        raise ConfigError(f"bad value for 'name': {name!r} (a name must be printable, without , \" / or \\)")
     if "kind" not in kwargs:
         family = cls.__name__.removesuffix("Spec").lower()
         raise ConfigError(f"{family} block is missing 'kind'")
@@ -98,7 +108,7 @@ def spec_from_block(cls: type[Spec], block: dict[str, str]) -> Spec:
 
 def load_configs(cls: type[Spec], path: str | Path) -> list[Spec]:
     """Every block of a config file as a spec of type cls."""
-    blocks = parse_blocks(Path(path).read_text(encoding="utf-8-sig"))
+    blocks = parse_blocks(read_text(path, "utf-8-sig"))
     if not blocks:
         raise ConfigError(f"{path}: no config blocks found")
     return [spec_from_block(cls, b) for b in blocks]

@@ -182,12 +182,22 @@ def upsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
     if factor == 1:
         return x
     y = interpolate(x, design_fir(factor), factor)
-    out = y.samples  # interpolate's own fresh array: scaled in place, as apply_upsampler does
+    return scale_in_place(y, factor, 0.0, f"upsampling by {factor} overflowed applying gain {factor}")
+
+
+def scale_in_place(y: AudioBuffer, gain: float, bias: float, overflow: str) -> AudioBuffer:
+    """y * gain + bias over y's own array (interpolate's output is the
+    caller's). Finite factors can still overflow it near the float max:
+    that raises NumericError(overflow), where a finite check would cost a
+    new buffer and two more passes. A zero bias is not added."""
+    out = y.samples
     try:
         with np.errstate(over="raise"):
-            out *= factor
+            out *= gain
+            if bias:
+                out += bias
     except FloatingPointError as exc:
-        raise NumericError(f"upsampling by {factor} overflowed applying gain {factor}") from exc
+        raise NumericError(overflow) from exc
     return y
 
 

@@ -4,12 +4,15 @@ AHR = 10 log10(E_alias / E_harmonic) in dB; more negative is better. Energies
 are collected from a single long Kaiser-windowed FFT in narrow bands around
 the expected harmonic and alias line positions, which are computed
 analytically from the test signal's fundamental (never detected from the
-data):
+data). One AhrContext per signal holds them: harmonics are the k*f0 below
+its input Nyquist, and aliases are its alias_freqs. Each module family
+builds its own alias lines:
 
-* activation context -- harmonics k*f0 below Nyquist; aliases are the folds
-  of k*f0 at and above Nyquist (reflection about 0 and Nyquist);
-* upsampler context -- harmonics k*f0 below the *input* Nyquist; aliases are
-  the spectral images |n*Fs_in +- k*f0| supplied by the caller.
+* activations (activation_context) -- the input rate is the output rate,
+  and the aliases are the folds of k*f0 at and above Nyquist (reflection
+  about 0 and Nyquist);
+* upsamplers (bench.image_context) -- the aliases are the spectral images
+  |n*Fs_in +- k*f0| of the input's partials (upsamplers.image_frequencies).
 
 Every band is read through one routine, band_mask: measure_ahr,
 band_energy and upsamplers.tonal_probe use it alike. Every dB level is
@@ -192,23 +195,21 @@ def fold_frequency(freq_hz, sample_rate: float):
 
 
 @dataclass(frozen=True)
-class ActivationContext:
-    """AHR bookkeeping for a nonlinearity: folds of k*f0 are the aliases."""
-
-    k_cap: ClassVar[int] = K_CAP
-
-
-@dataclass(frozen=True)
-class UpsamplerContext:
-    """AHR bookkeeping for an upsampling layer.
-
-    alias_freqs are the image frequencies (in Hz, at the output rate) of the
-    input's partials; harmonics are counted below the input Nyquist.
-    """
+class AhrContext:
+    """AHR bookkeeping for one signal: harmonics are the k*f0 below
+    input_rate / 2, and alias_freqs (in Hz, at the output rate) are the
+    lines only aliasing can fill."""
 
     input_rate: int
     alias_freqs: tuple[float, ...]
     k_cap: ClassVar[int] = K_CAP
+
+
+def activation_context(f0: float, rate: int) -> AhrContext:
+    """Context of a nonlinearity at rate: the folds of k*f0 at and above
+    Nyquist are the aliases."""
+    kf = np.arange(1, K_CAP + 1) * f0
+    return AhrContext(rate, tuple(fold_frequency(kf[kf >= rate / 2.0], rate).tolist()))
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ class AhrMeasurement:
 def measure_ahr(
     output: AudioBuffer,
     f0: float,
-    context: ActivationContext | UpsamplerContext,
+    context: AhrContext,
     edge_trim: int = EDGE_DISCARD,
 ) -> AhrMeasurement:
     """AHR of a processed test signal with full band bookkeeping."""
@@ -233,13 +234,8 @@ def measure_ahr(
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
 
     kf = np.arange(1, K_CAP + 1) * f0
-    if isinstance(context, ActivationContext):
-        nyq = output.sample_rate / 2.0
-        harm = kf[kf < nyq]
-        alias = fold_frequency(kf[kf >= nyq], output.sample_rate)
-    else:
-        harm = kf[kf < context.input_rate / 2.0]
-        alias = np.asarray(context.alias_freqs, dtype=float)
+    harm = kf[kf < context.input_rate / 2.0]
+    alias = np.asarray(context.alias_freqs, dtype=float)
     if harm.size == 0:
         raise ValueError(f"empty harmonic set for f0={f0} Hz")
 

@@ -19,7 +19,6 @@ from typing import Iterator
 import numpy as np
 
 from .audio import AudioBuffer
-from .metrics import K_CAP
 
 # Waveform names in declaration (and benchmark sort) order.
 WAVEFORMS = ("sine", "sawtooth", "triangle")
@@ -127,16 +126,6 @@ def partial_series(waveform: str, f0: float, cap_hz: float) -> tuple[np.ndarray,
     else:
         amps = (8.0 / np.pi**2) * np.where(ks % 4 == 1, 1.0, -1.0) / ks.astype(float) ** 2
     return ks, amps
-
-
-def law_k_values(waveform: str) -> tuple[int, ...]:
-    """Harmonic numbers of the waveform's Fourier law, up to metrics.K_CAP.
-
-    Used for image accounting in the upsampler benchmark: an upsampler is
-    linear, so only partials actually present in the input can produce
-    images.
-    """
-    return tuple(harmonic_numbers(waveform, K_CAP).tolist())
 
 
 def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:

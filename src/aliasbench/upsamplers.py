@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, NumericError
-from .filters import FirKernel, design_fir, interp_kernel, interpolate
+from .audio import AudioBuffer
+from .filters import FirKernel, design_fir, interp_kernel, interpolate, scale_in_place
 from .metrics import BAND_HALF_WIDTH_BINS, EDGE_DISCARD, band_mask, estimate_spectrum, ratio_db
 
 UPSAMPLER_KINDS = ("conv_transpose", "linear", "nearest", "aa_resample")
@@ -118,18 +118,8 @@ def upsampler_kernel(spec: UpsamplerSpec) -> tuple[FirKernel, float, float]:
 def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
     """Zero-interlace by L, filter with the layer's kernel, then y * gain + bias."""
     h, gain, bias = upsampler_kernel(spec)
-    y = interpolate(x, h, spec.factor)
-    # In place: y's array is this call's own. A finite gain and bias can still
-    # overflow it near the float max, so overflow raises here instead of a
-    # second finite check, which a new buffer would cost with two more passes.
-    out = y.samples
-    try:
-        with np.errstate(over="raise"):
-            out *= gain
-            out += bias
-    except FloatingPointError as exc:
-        raise NumericError(f"{spec.name}: output overflowed applying gain {gain} and bias {bias}") from exc
-    return y
+    return scale_in_place(interpolate(x, h, spec.factor), gain, bias,
+                          f"{spec.name}: output overflowed applying gain {gain} and bias {bias}")
 
 
 def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[float, ...]:

@@ -28,7 +28,7 @@ from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpe
 from aliasbench.audio import AudioBuffer
 from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate, wav_name
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
-from aliasbench.metrics import AhrMeasurement
+from aliasbench.metrics import AhrContext, AhrMeasurement
 from aliasbench.signals import WAVEFORMS, TestSignalSpec, midi_to_freq
 
 ACT_CONFIG = """\
@@ -44,6 +44,19 @@ name = B_snake
 
 def run(*argv):
     return main(list(argv))
+
+
+def no_lines(signal):
+    """An AhrContext with no alias lines, for evaluate runs whose
+    measure_ahr is stubbed."""
+    return AhrContext(signal.sample_rate, ())
+
+
+def stub_measure(monkeypatch, ahr_db=lambda y: -60.0):
+    """Replace evaluate's measure_ahr, which the 8-sample stub signals are too
+    short for, by one that reads ahr_db(output)."""
+    monkeypatch.setattr("aliasbench.bench.measure_ahr",
+                        lambda y, f0, context: AhrMeasurement(ahr_db(y), 1, 1, 1.0, 1e-6))
 
 
 def own_options() -> dict[str, tuple[str, ...]]:
@@ -237,14 +250,15 @@ class TestRunActivations:
         count far past the signal count starts one worker per signal."""
         workers = set()
 
-        def measure(spec, signal, x):
+        def apply(x, spec):
             workers.add(threading.get_ident())
             time.sleep(0.01)
-            return AhrMeasurement(-60.0, 1, 1, 1.0, 1e-6)
+            return x
 
         monkeypatch.setattr("aliasbench.bench.gen_bandlimited", lambda signal: AudioBuffer(np.zeros(8), 8000))
+        stub_measure(monkeypatch)
         signals = [TestSignalSpec(w, 69) for w in WAVEFORMS]
-        reports = evaluate(signals, DEFAULT_ACTIVATIONS, measure, threads=1000)
+        reports = evaluate(signals, DEFAULT_ACTIVATIONS, apply, no_lines, threads=1000)
         assert [r.module_name for r in reports] == [c.name for c in DEFAULT_ACTIVATIONS]
         assert 1 <= len(workers) <= len(signals)
 
@@ -271,17 +285,18 @@ class TestRunActivations:
                     buffers.append(weakref.ref(buf))
                 return buf
 
-            def measure(spec, signal, x):
+            def apply(x, spec):
                 nonlocal alive
                 time.sleep(0.002)
                 if spec is last:
                     with lock:
                         alive -= 1
-                return AhrMeasurement(-10.0 * x.samples[0] - len(spec.name), 1, 1, 1.0, 1e-6)
+                return x.with_samples(np.full(1, -10.0 * x.samples[0] - len(spec.name)))
 
             monkeypatch.setattr("aliasbench.bench.gen_bandlimited", synthesize)
+            stub_measure(monkeypatch, lambda y: float(y.samples[0]))
             signals = [TestSignalSpec(w, 60 + i) for i, w in enumerate(WAVEFORMS * 2)]
-            reports = evaluate(signals, DEFAULT_ACTIVATIONS, measure, threads=threads)
+            reports = evaluate(signals, DEFAULT_ACTIVATIONS, apply, no_lines, threads=threads)
             assert calls == [1] * len(signals)
             assert alive == 0
             assert 1 <= peak <= min(threads, len(signals))
@@ -300,15 +315,37 @@ class TestRunActivations:
                 raise OSError("unreadable signal")
             return AudioBuffer(np.zeros(8), 8000)
 
-        def measure(spec, signal, x):
+        def apply(x, spec):
             time.sleep(0.01)
-            return AhrMeasurement(-60.0, 1, 1, 1.0, 1e-6)
+            return x
 
         monkeypatch.setattr("aliasbench.bench.gen_bandlimited", synthesize)
+        stub_measure(monkeypatch)
         signals = [TestSignalSpec("sine", 60 + i) for i in range(12)]
         with pytest.raises(OSError, match="unreadable signal"):
-            evaluate(signals, DEFAULT_ACTIVATIONS, measure, threads=2)
+            evaluate(signals, DEFAULT_ACTIVATIONS, apply, no_lines, threads=2)
         assert 1 <= len(produced) <= 4
+
+    def test_each_signal_builds_its_context_once(self, monkeypatch):
+        """A signal's lines do not depend on the spec: its pool task builds
+        its context once and measures every spec's output against it."""
+        built, measured = [], []
+
+        def context(signal):
+            built.append(signal)
+            return AhrContext(signal.sample_rate, (float(signal.midi_note),))
+
+        def measure(y, f0, ctx):
+            measured.append((f0, ctx.alias_freqs))
+            return AhrMeasurement(-60.0, 1, 1, 1.0, 1e-6)
+
+        monkeypatch.setattr("aliasbench.bench.gen_bandlimited", lambda signal: AudioBuffer(np.zeros(8), 8000))
+        monkeypatch.setattr("aliasbench.bench.measure_ahr", measure)
+        signals = [TestSignalSpec(w, 60 + i) for i, w in enumerate(WAVEFORMS * 2)]
+        evaluate(signals, DEFAULT_ACTIVATIONS, lambda x, spec: x, context, threads=2)
+        assert sorted(built, key=lambda s: s.midi_note) == signals
+        assert sorted(measured) == sorted(
+            (s.f0_hz, (float(s.midi_note),)) for s in signals for _ in DEFAULT_ACTIVATIONS)
 
     @pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
     def test_threads_default_to_the_cpu_count(self, tiny_bench, act_cfg, tmp_path, monkeypatch, cpus, threads):
@@ -414,10 +451,11 @@ class TestRunActivations:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["Snake,Beta", 'Snake"Beta', "a/b", "a\\b"])
+    @pytest.mark.parametrize("name", ["Snake,Beta", 'Snake"Beta', "a/b", "a\\b", "a\x00b", "a\x1bb"])
     def test_name_with_csv_delimiter_is_a_config_error(self, tiny_bench, tmp_path, capsys, name):
         """Names go unquoted into the CSVs and into sweep's panel file names,
-        so both commands reject a delimiter or a path separator up front."""
+        so both commands reject a delimiter, a path separator or a control
+        character up front."""
         root, _ = tiny_bench
         cfg = tmp_path / "badname.cfg"
         cfg.write_text(f"kind = snakebeta\nname = {name}\n", encoding="utf-8")
@@ -589,6 +627,16 @@ class TestBenchValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not the note's frequency" in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_bytes_that_are_not_utf8_are_a_config_error(self, tiny_bench, tmp_path, capsys, command):
+        """A bench.csv holding a 0xFF byte, which no UTF-8 text holds, ends
+        in one error line that names the file, not in a decoder traceback."""
+        bench = edited_bench(tiny_bench, tmp_path, lambda rows: rows)
+        csv_path = bench / "bench.csv"
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"sine,60", b"sine\xff,60"))
+        err = expect_config_error(command, bench, tmp_path, capsys)
+        assert f"{csv_path}: not UTF-8 text" in err
 
     @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_unknown_waveform_is_a_config_error(self, tiny_bench, tmp_path, capsys, command):
@@ -775,6 +823,23 @@ class TestConfigText:
         assert "Traceback" not in err.getvalue()
         assert sum("error:" in ln for ln in err.getvalue().splitlines()) <= 1
 
+
+    @pytest.mark.parametrize("command", ["run-activations", "sweep"])
+    def test_bytes_that_are_not_utf8_are_a_config_error(self, tiny_bench, tmp_path, capsys, command):
+        """A config file holding a 0xFF byte ends in one error line that
+        names the file, not in a decoder traceback, and nothing is written."""
+        root, _ = tiny_bench
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(ACT_CONFIG.encode("utf-8").replace(b"name = A_leaky", b"name = A_\xffleaky"))
+        out = tmp_path / "out"
+        if command == "run-activations":
+            rc = run(command, "--configs", str(cfg), "--bench", str(root), "--threads", "1", "--out", str(out / "x.csv"))
+        else:
+            rc = run(command, "--config", str(cfg), "--out", str(out))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8 text") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run-activations", "sweep"])
     @pytest.mark.parametrize("first_line", ["kind", "comment"])

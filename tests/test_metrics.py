@@ -20,17 +20,17 @@ from numpy.testing import assert_allclose
 
 from aliasbench.activations import ActivationSpec, apply_activation
 from aliasbench.audio import AudioBuffer, NumericError
-from aliasbench.bench import derive_seeds, evaluate, input_signals, measure_upsampler
+from aliasbench.bench import derive_seeds, evaluate, image_context, input_signals
 from aliasbench.metrics import (
     ANALYSIS,
     BAND_HALF_WIDTH_BINS,
     FLOOR_DB,
     K_CAP,
-    ActivationContext,
+    AhrContext,
     AhrMeasurement,
     SignalAhr,
     SpectrumEstimate,
-    UpsamplerContext,
+    activation_context,
     band_energy,
     band_mask,
     build_report,
@@ -202,13 +202,8 @@ def reference_measure_ahr(output, f0, context, edge_trim):
     s = estimate_spectrum(output, edge_trim=edge_trim)
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
     ks = np.arange(1, K_CAP + 1)
-    if isinstance(context, ActivationContext):
-        nyq = output.sample_rate / 2.0
-        harm = [k * f0 for k in ks if k * f0 < nyq]
-        alias = [_reference_fold(k * f0, output.sample_rate) for k in ks if k * f0 >= nyq]
-    else:
-        harm = [k * f0 for k in ks if k * f0 < context.input_rate / 2.0]
-        alias = list(context.alias_freqs)
+    harm = [k * f0 for k in ks if k * f0 < context.input_rate / 2.0]
+    alias = list(context.alias_freqs)
 
     hmask = np.zeros(s.power.size, dtype=bool)
     h_count = 0
@@ -283,13 +278,13 @@ def ahr_cases(draw):
     t = np.arange(n) / rate
     x = AudioBuffer(np.sin(2 * np.pi * f0 * t) + 1e-3 * rng.standard_normal(n), rate)
     if draw(st.booleans()):
-        return x, f0, ActivationContext()
+        return x, f0, activation_context(f0, rate)
     input_rate = rate // 2
     if f0 >= input_rate / 2.0:
         f0 = f0 / 2.0
     line = st.floats(0.0, 0.6 * rate) | st.floats(0.0, 10.0) | st.integers(1, 40).map(lambda k: k * f0)
     alias = tuple(draw(st.lists(line, max_size=30)))
-    return x, f0, UpsamplerContext(input_rate=input_rate, alias_freqs=alias)
+    return x, f0, AhrContext(input_rate, alias)
 
 
 class TestMeasureAhrBookkeeping:
@@ -327,6 +322,19 @@ class TestFoldFrequency:
         assert np.array_equal(fold_frequency(freqs, 44100), [_reference_fold(f, 44100) for f in freqs])
 
 
+class TestActivationContext:
+    @settings(deadline=None)
+    @given(st.sampled_from([8000, 22050, 44100]), st.floats(1.0, 30000.0))
+    def test_aliases_are_the_per_k_folds(self, rate, f0):
+        """A nonlinearity's context: its input rate is the output rate, and
+        its alias lines are the folds of k*f0 at and above Nyquist, k by k."""
+        context = activation_context(f0, rate)
+        want = [_reference_fold(k * f0, rate) for k in range(1, K_CAP + 1) if k * f0 >= rate / 2.0]
+        assert context.input_rate == rate
+        assert context.alias_freqs == tuple(want)
+        assert context.k_cap == K_CAP
+
+
 class TestRatioDb:
     def test_ordinary_ratio(self):
         assert ratio_db(1.0, 1000.0) == 10.0 * math.log10(1e-3)
@@ -347,7 +355,7 @@ class TestRatioDb:
         """Samples near the float maximum are finite, but their spectrum is not."""
         x = sine_buffer(1000.0, duration_s=1.0, amplitude=1e300)
         with pytest.raises(NumericError):
-            measure_ahr(x, 1000.0, ActivationContext(), edge_trim=1024)
+            measure_ahr(x, 1000.0, activation_context(1000.0, RATE), edge_trim=1024)
 
 
 class TestMeasureAhr:
@@ -356,7 +364,7 @@ class TestMeasureAhr:
         alias bands collect is the fundamental's leakage skirt, far below
         anything a real nonlinearity produces."""
         x = gen_bandlimited(TestSignalSpec("sine", 60, duration_s=2.0))
-        m = measure_ahr(x, midi_to_freq(60), ActivationContext(), edge_trim=4096)
+        m = measure_ahr(x, midi_to_freq(60), activation_context(midi_to_freq(60), RATE), edge_trim=4096)
         assert m.ahr_db <= -100.0
         assert m.harmonic_bands == 84
         assert m.alias_bands == 428
@@ -366,7 +374,7 @@ class TestMeasureAhr:
         fundamental carries energy but reads as the floor."""
         x = sine_buffer(1000.0, duration_s=2.0)
         y = AudioBuffer(x.samples + 1e-10 * sine_buffer(21050.0, duration_s=2.0).samples, RATE)
-        ctx = UpsamplerContext(input_rate=22050, alias_freqs=(21050.0,))
+        ctx = AhrContext(22050, (21050.0,))
         m = measure_ahr(y, 1000.0, ctx, edge_trim=4096)
         assert m.alias_bands == 1 and m.alias_energy > 0.0
         assert m.ahr_db == FLOOR_DB
@@ -376,8 +384,8 @@ class TestMeasureAhr:
         f0 = midi_to_freq(107)
         x = gen_bandlimited(TestSignalSpec("sine", 107, duration_s=2.0))
         y = apply_activation(x, ActivationSpec("snakebeta"))
-        a = measure_ahr(y, f0, ActivationContext(), edge_trim=4096).ahr_db
-        b = measure_ahr(y.with_samples(y.samples * 3.7), f0, ActivationContext(), edge_trim=4096).ahr_db
+        a = measure_ahr(y, f0, activation_context(f0, RATE), edge_trim=4096).ahr_db
+        b = measure_ahr(y.with_samples(y.samples * 3.7), f0, activation_context(f0, RATE), edge_trim=4096).ahr_db
         assert abs(a - b) <= 1e-9
 
     def test_phase_invariance(self):
@@ -388,14 +396,14 @@ class TestMeasureAhr:
         for phase in (0.0, 0.37, 1.9):
             x = sine_buffer(f0, duration_s=2.0, amplitude=BENCH_AMPLITUDE, phase=phase)
             y = apply_activation(x, ActivationSpec("snakebeta"))
-            vals.append(measure_ahr(y, f0, ActivationContext(), edge_trim=4096).ahr_db)
+            vals.append(measure_ahr(y, f0, activation_context(f0, RATE), edge_trim=4096).ahr_db)
         assert max(vals) - min(vals) <= 1e-6
 
     def test_upsampler_context_measures_planted_image(self):
         """A -40 dB line at a declared image frequency reads as -40 dB."""
         x = sine_buffer(1000.0, duration_s=2.0)
         y = AudioBuffer(x.samples + 0.01 * sine_buffer(21050.0, duration_s=2.0).samples, RATE)
-        ctx = UpsamplerContext(input_rate=22050, alias_freqs=(21050.0,))
+        ctx = AhrContext(22050, (21050.0,))
         m = measure_ahr(y, 1000.0, ctx, edge_trim=4096)
         assert m.harmonic_bands == 11  # k*1000 below the 11025 Hz input Nyquist
         assert m.alias_bands == 1
@@ -403,14 +411,14 @@ class TestMeasureAhr:
 
     def test_alias_band_near_dc_is_dropped(self):
         x = sine_buffer(1000.0, duration_s=2.0)
-        ctx = UpsamplerContext(input_rate=22050, alias_freqs=(0.5,))
+        ctx = AhrContext(22050, (0.5,))
         m = measure_ahr(x, 1000.0, ctx, edge_trim=4096)
         assert m.alias_bands == 0
         assert m.ahr_db == -120.0
 
     def test_alias_band_colliding_with_harmonic_is_dropped(self):
         x = sine_buffer(1000.0, duration_s=2.0)
-        ctx = UpsamplerContext(input_rate=22050, alias_freqs=(3000.2,))
+        ctx = AhrContext(22050, (3000.2,))
         m = measure_ahr(x, 1000.0, ctx, edge_trim=4096)
         assert m.alias_bands == 0
 
@@ -420,7 +428,7 @@ class TestMeasureAhr:
         images = image_frequencies(1050.0, 2, 22050, (12,))
         assert images == (9450.0,)
         x = sine_buffer(1050.0, duration_s=2.0)
-        m = measure_ahr(x, 1050.0, UpsamplerContext(input_rate=22050, alias_freqs=images), edge_trim=4096)
+        m = measure_ahr(x, 1050.0, AhrContext(22050, images), edge_trim=4096)
         assert m.alias_bands == 0
         assert m.ahr_db == FLOOR_DB
 
@@ -428,20 +436,20 @@ class TestMeasureAhr:
         f0 = midi_to_freq(60)
         x = gen_bandlimited(TestSignalSpec("sine", 60, duration_s=2.0))
         y = apply_activation(x, ActivationSpec("snakebeta"))
-        clean = measure_ahr(y, f0, ActivationContext(), edge_trim=4096).ahr_db
+        clean = measure_ahr(y, f0, activation_context(f0, RATE), edge_trim=4096).ahr_db
         rng = np.random.default_rng(42)
         noisy = y.with_samples(y.samples + 1e-5 * rng.standard_normal(len(y)))
-        assert measure_ahr(noisy, f0, ActivationContext(), edge_trim=4096).ahr_db > clean
+        assert measure_ahr(noisy, f0, activation_context(f0, RATE), edge_trim=4096).ahr_db > clean
 
     def test_empty_harmonic_set_rejected(self):
         x = sine_buffer(1000.0, duration_s=1.0)
         with pytest.raises(ValueError):
-            measure_ahr(x, 30000.0, ActivationContext(), edge_trim=0)
+            measure_ahr(x, 30000.0, activation_context(30000.0, RATE), edge_trim=0)
 
     def test_nonpositive_f0_rejected(self):
         x = sine_buffer(1000.0, duration_s=1.0)
         with pytest.raises(ValueError):
-            measure_ahr(x, 0.0, ActivationContext())
+            measure_ahr(x, 0.0, activation_context(0.0, RATE))
 
 
 class TestAhrOracle:
@@ -455,7 +463,7 @@ class TestAhrOracle:
     def test_pipeline_matches_analytic_prediction(self, spec, name):
         sig = TestSignalSpec("sine", 107)
         y = apply_activation(gen_bandlimited(sig), spec)
-        measured = measure_ahr(y, sig.f0_hz, ActivationContext()).ahr_db
+        measured = measure_ahr(y, sig.f0_hz, activation_context(sig.f0_hz, sig.sample_rate)).ahr_db
         _, scale = oracles.reference_signal("sine", 107)
         exact = oracles.activation_ahr(oracles.MEMORYLESS[name], "sine", 107, scale)
         assert abs(measured - exact) <= 0.05
@@ -498,7 +506,8 @@ class TestAhrOracle:
             # the seed run-upsamplers gives the prior at its defaults (--seed 0, --seeds 10)
             UpsamplerSpec("aa_resample", factor=factor, seed=derive_seeds(0, 11)[10], noise_prior=True),
         ]
-        reports = evaluate(input_signals(specs, factor), layers, measure_upsampler, threads=2)
+        reports = evaluate(input_signals(specs, factor), layers, apply_upsampler,
+                           lambda s: image_context(s, factor), threads=2)
         off = []
         for layer, report in zip(layers, reports):
             h, _ = oracles.impulse_response(lambda x: apply_upsampler(AudioBuffer(x, rate_in), layer).samples, rate_in)

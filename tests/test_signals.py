@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import hilbert
 
+from aliasbench.metrics import K_CAP
 from aliasbench.signals import (
     BENCH_AMPLITUDE,
     MAX_SIGNAL_SAMPLES,
@@ -17,7 +18,7 @@ from aliasbench.signals import (
     gen_bandlimited,
     gen_sweep,
     harmonic_cap_hz,
-    law_k_values,
+    harmonic_numbers,
     midi_to_freq,
     partial_series,
 )
@@ -144,17 +145,19 @@ class TestPartialSeries:
         assert max(ks) * 999.0 < 5000.0
 
 
-class TestLawKValues:
+class TestHarmonicNumbersToTheCap:
+    """The k set the upsampler table images (bench.image_context)."""
+
     def test_sine(self):
-        assert law_k_values("sine") == (1,)
+        assert harmonic_numbers("sine", K_CAP).tolist() == [1]
 
     def test_sawtooth_runs_to_cap(self):
-        ks = law_k_values("sawtooth")
+        ks = harmonic_numbers("sawtooth", K_CAP)
         assert ks[0] == 1 and ks[-1] == 512 and len(ks) == 512
 
     def test_triangle_odd_only_to_cap(self):
-        ks = law_k_values("triangle")
-        assert ks == tuple(range(1, 512, 2))
+        ks = harmonic_numbers("triangle", K_CAP)
+        assert ks.tolist() == list(range(1, 512, 2))
 
 
 class TestGenBandlimited:
