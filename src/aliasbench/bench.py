@@ -9,7 +9,7 @@ import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .metrics import (
 )
 from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, harmonic_numbers, sample_count
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 #: Activation configs evaluated by default. The four table_row entries mirror
 #: the activation comparison table; the rest are the oversampling sweep.
@@ -66,6 +69,20 @@ def derive_seeds(base_seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(count)]
 
 
+def ordered_map(task: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
+    """[task(item) for item in items], run on min(threads, items) worker
+    threads, the results in item order whatever the thread count. On the
+    first error in item order, the tasks not yet started are cancelled and
+    that error is re-raised."""
+    with ThreadPoolExecutor(max_workers=min(threads, len(items)) or 1) as pool:
+        futures = [pool.submit(task, item) for item in items]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def evaluate(
     signals: Sequence[TestSignalSpec],
     specs: Iterable[Spec],
@@ -76,12 +93,11 @@ def evaluate(
     """One report per spec over all signals: the AHR of apply(x, spec) for
     each signal x, measured against the signal's context(signal).
 
-    Each signal is one pool task: it synthesizes the signal and builds its
-    context once, runs every spec on it in spec order, returns that
-    signal's rows and drops the buffer. So at most min(threads, signals)
-    signals are alive at once, and rows keep the signal order whatever the
-    thread count. When a task raises, the tasks not yet started are
-    cancelled and the error is re-raised.
+    Each signal is one ordered_map task: it synthesizes the signal and
+    builds its context once, runs every spec on it in spec order, returns
+    that signal's rows and drops the buffer. So at most min(threads,
+    signals) signals are alive at once, and rows keep the signal order
+    whatever the thread count.
     """
     specs = list(specs)
 
@@ -93,13 +109,7 @@ def evaluate(
             for spec in specs
         ]
 
-    with ThreadPoolExecutor(max_workers=min(threads, len(signals)) or 1) as pool:
-        futures = [pool.submit(signal_rows, signal) for signal in signals]
-        try:
-            per_signal = [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    per_signal = ordered_map(signal_rows, signals, threads)
     return [
         build_report(spec.name, config_hash(spec), [rows[i] for rows in per_signal])
         for i, spec in enumerate(specs)

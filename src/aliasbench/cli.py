@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 bad configuration/arguments, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from .bench import (
     evaluate,
     input_signals,
     load_bench_csv,
+    ordered_map,
     upsampler_table,
     wav_name,
     write_activation_full_csv,
@@ -42,7 +44,7 @@ from .configio import (
 )
 from .filters import design_fir, frequency_response, interp_kernel
 from .metrics import ANALYSIS, AhrReport, activation_context, spectrogram_export
-from .signals import build_benchmark, gen_sweep
+from .signals import TestSignalSpec, benchmark_specs, gen_bandlimited, gen_sweep
 from .wavio import WavError, wav_write
 
 EXIT_OK = 0
@@ -89,12 +91,26 @@ DEFAULT_SWEEP_PANELS: tuple[tuple[str, ActivationSpec | None], ...] = (
 )
 
 
+def _output_dir(text: str) -> Path:
+    """gen-bench's and sweep's --out directory. An empty path names no
+    directory, so it is an I/O error, as it is for the commands that write
+    one file, rather than the current directory that Path("") reads as."""
+    if not text:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), text)
+    return Path(text)
+
+
 def cmd_gen_bench(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    specs = []
-    for spec, buf in build_benchmark():
-        wav_write(buf, out_dir / wav_name(spec))
-        specs.append(spec)
+    out_dir = _output_dir(args.out)
+    specs = benchmark_specs()
+
+    def write_signal(spec: TestSignalSpec) -> str:
+        path = out_dir / wav_name(spec)
+        wav_write(gen_bandlimited(spec), path)
+        return file_sha256(path)
+
+    # One task per signal on the CPU count's threads; no byte depends on it.
+    hashes = ordered_map(write_signal, specs, os.cpu_count() or 1)
     write_bench_csv(out_dir / "bench.csv", specs)
     write_manifest(
         out_dir / "manifest.json",
@@ -104,7 +120,7 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
             "note_grid": "loguniform48",  # the only grid; the key keeps manifests' bytes
             "seed": args.seed,
             "signals": len(specs),
-            "files": {wav_name(s): file_sha256(out_dir / wav_name(s)) for s in specs},
+            "files": {wav_name(s): h for s, h in zip(specs, hashes)},
             "bench_csv_sha256": file_sha256(out_dir / "bench.csv"),
         },
     )
@@ -188,7 +204,7 @@ def cmd_run_upsamplers(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
+    out_dir = _output_dir(args.out)
     if args.config:
         configs = load_configs(ActivationSpec, args.config)
         panels: list[tuple[str, ActivationSpec | None]] = [

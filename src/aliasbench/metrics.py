@@ -309,11 +309,42 @@ def spectrogram(x: AudioBuffer, frame: int, hop: int) -> tuple[np.ndarray, np.nd
     return freqs, times, cols
 
 
+@lru_cache(maxsize=None)
+def _db_strings() -> np.ndarray:
+    """Every string "%.2f" gives for a dB value within [-100, 0]: those of
+    k/100 for k = -10000..0 at index k + 10000, then "-0.00". Built on
+    first use, so only sweep pays for it, and kept for the process."""
+    return np.array(["%.2f" % (k / 100) for k in range(-10000, 1)] + ["-0.00"], dtype=object)
+
+
+def db_cells(db: np.ndarray) -> list[str]:
+    """"%.2f" % v for every v of db, a 1-D array within [-100, 0].
+
+    Each cell is looked up at k = rint(100 v): "-0.00" where k is 0 and v
+    carries a minus sign, else the string of k/100. The product 100 v is
+    within 1.1e-12 of its exact value, so it rounds as "%.2f" does, except
+    where it lies within 1e-6 of a half-integer (a rounding tie); those cells
+    are formatted with "%.2f" one by one.
+    """
+    strings = _db_strings()
+    scaled = db * 100.0
+    k = np.rint(scaled)
+    index = k.astype(np.intp) + 10000
+    index[(k == 0.0) & np.signbit(db)] = strings.size - 1
+    cells = strings[index].tolist()
+    for i in np.flatnonzero(np.abs(scaled - k) > 0.5 - 1e-6):
+        cells[i] = "%.2f" % db[i]
+    return cells
+
+
 def spectrogram_export(x: AudioBuffer, frame: int, hop: int, base_path: str | Path) -> tuple[Path, Path]:
     """Write the log-magnitude STFT as <base>.csv and <base>.pgm.
 
     dB values are relative to the global maximum, clamped to [-100, 0] and
     mapped linearly to pixel values [0, 255]; silence maps to all-zero pixels.
+    The CSV holds each dB value as "%.2f" formats it; the cells are read from
+    a table of the 10,002 strings that range allows (db_cells), and a cell
+    within 1e-6 of a rounding tie is formatted by "%.2f" itself.
     An overflowed STFT raises NumericError before any file is written.
     PGM rows run from the highest frequency (top) down to DC.
     """
@@ -331,14 +362,14 @@ def spectrogram_export(x: AudioBuffer, frame: int, hop: int, base_path: str | Pa
     csv_path = base.with_suffix(".csv")
     pgm_path = base.with_suffix(".pgm")
 
-    # One % format per row, each row encoded into one growing buffer. A list
-    # of row strings fragments the heap (+2.5 MB peak per sweep), and tolist()
-    # on the whole table would hold every cell as a Python float at once.
+    # Each row's cells are looked up (db_cells) and the row encoded into one
+    # growing buffer. A list of row strings fragments the heap (+2.5 MB peak
+    # per sweep), and the whole table's cells at once would hold every one
+    # as a Python object.
     csv = io.BytesIO()
     csv.write(("time_s," + ",".join(f"{f:.3f}" for f in freqs) + "\n").encode())
-    row = "%.6f" + ",%.2f" * db.shape[0] + "\n"
     for t, col in zip(times.tolist(), db.T):
-        csv.write((row % (t, *col.tolist())).encode())
+        csv.write(("%.6f,%s\n" % (t, ",".join(db_cells(col)))).encode())
     atomic_write_bytes(csv_path, csv.getvalue())
 
     pixels = np.rint((db + 100.0) / 100.0 * 255.0).astype(np.uint8)

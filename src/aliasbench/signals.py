@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -203,11 +202,7 @@ def benchmark_notes() -> list[int]:
     return list(range(_MIDI_LO, _MIDI_HI + 1))
 
 
-def build_benchmark() -> Iterator[tuple[TestSignalSpec, AudioBuffer]]:
-    """All benchmark segments, sorted by (waveform order, note) ascending.
-    Each is synthesized when asked for, so a consumer that writes and drops
-    them holds one buffer at a time."""
-    for waveform in WAVEFORMS:
-        for note in benchmark_notes():
-            spec = TestSignalSpec(waveform=waveform, midi_note=note)
-            yield spec, gen_bandlimited(spec)
+def benchmark_specs() -> list[TestSignalSpec]:
+    """The benchmark grid, sorted by (waveform order, note) ascending: the
+    signals gen-bench writes, in bench.csv's order."""
+    return [TestSignalSpec(waveform, note) for waveform in WAVEFORMS for note in benchmark_notes()]

@@ -10,6 +10,7 @@ reference of the polyphase upsampling paths.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from pathlib import Path
@@ -91,13 +92,16 @@ class FullGridRun(NamedTuple):
 
 @pytest.fixture(scope="session")
 def full_grid_run(tmp_path_factory):
-    """gen-bench, then run-activations with the built-in configs at
-    --threads 1 over the full 144-signal grid, once per session. The reports
-    are read off the command's own evaluate call, so the tests that rank or
-    check them read the numbers the written files hold."""
+    """gen-bench on a 1-thread pool (os.cpu_count() set to 1), then
+    run-activations with the built-in configs at --threads 1, over the full
+    144-signal grid, once per session. The reports are read off the
+    command's own evaluate call, so the tests that rank or check them read
+    the numbers the written files hold."""
     root = tmp_path_factory.mktemp("full_grid")
     bench, out = root / "bench", root / "act" / "act.csv"
-    assert cli.main(["gen-bench", "--out", str(bench)]) == cli.EXIT_OK
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 1)
+        assert cli.main(["gen-bench", "--out", str(bench)]) == cli.EXIT_OK
     computed = []
 
     def recording_evaluate(*args, **kwargs):

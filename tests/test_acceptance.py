@@ -21,6 +21,7 @@ derivative at 0 leaves a k^-3 tail.
 """
 
 import json
+import os
 import time
 
 import numpy as np
@@ -42,15 +43,10 @@ from aliasbench.bench import upsampler_table
 from aliasbench.cli import EXIT_OK, main
 from aliasbench.filters import frequency_response, interp_kernel
 from aliasbench.metrics import band_energy, estimate_spectrum
-from aliasbench.signals import TestSignalSpec, benchmark_notes
+from aliasbench.signals import benchmark_notes, benchmark_specs
 
 TABLE_ACTIVATIONS = ("LeakyReLU", "ELU", "SnakeBeta", "AdaaSnakeBeta")
 WAVEFORM_ORDER = ("sine", "sawtooth", "triangle")
-
-
-def benchmark_specs() -> list[TestSignalSpec]:
-    """The full 144-signal benchmark, in gen-bench's order."""
-    return [TestSignalSpec(waveform, note) for waveform in WAVEFORM_ORDER for note in benchmark_notes()]
 
 
 @pytest.fixture(scope="module")
@@ -328,17 +324,20 @@ class TestCriterion10:
 
 
 class TestCriterion11:
-    def test_repeat_runs_are_byte_identical(self, full_grid_run, tmp_path):
-        """A second gen-bench run agrees hash-for-hash with the session's; a
-        second run-activations run, from the second bench at --threads 2,
-        writes the session run's CSVs (--threads 1) byte for byte."""
+    def test_repeat_runs_are_byte_identical(self, full_grid_run, tmp_path, monkeypatch):
+        """Second runs of both commands on 2 threads write the session's
+        files (1 thread) byte for byte: gen-bench, whose pool is the CPU
+        count (set to 2 here), every WAV, bench.csv and the manifest, and
+        run-activations at --threads 2, from the second bench, its CSVs."""
         bench = tmp_path / "bench"
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert main(["gen-bench", "--out", str(bench)]) == EXIT_OK
+        names = sorted(p.name for p in full_grid_run.bench.iterdir())
         man_a = json.loads((full_grid_run.bench / "manifest.json").read_text(encoding="utf-8"))
-        man_b = json.loads((bench / "manifest.json").read_text(encoding="utf-8"))
         gen_same = (
-            man_a["files"] == man_b["files"]
-            and man_a["bench_csv_sha256"] == man_b["bench_csv_sha256"]
+            sorted(p.name for p in bench.iterdir()) == names
+            and len(names) == len(man_a["files"]) + 2
+            and all((full_grid_run.bench / n).read_bytes() == (bench / n).read_bytes() for n in names)
         )
 
         out = tmp_path / "run" / "act.csv"
@@ -351,7 +350,7 @@ class TestCriterion11:
 
         passed = gen_same and run_same
         detail = (
-            f"gen-bench manifests {'identical' if gen_same else 'DIFFER'} "
+            f"gen-bench files at 1 and 2 threads {'byte-identical' if gen_same else 'DIFFER'} "
             f"({len(man_a['files'])} signals); run-activations CSVs at 1 and 2 threads "
             f"{'byte-identical' if run_same else 'DIFFER'}"
         )

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from aliasbench import cli
 from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpec
 from aliasbench.audio import AudioBuffer
-from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate, wav_name
+from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate, ordered_map, wav_name
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
 from aliasbench.metrics import AhrContext, AhrMeasurement
 from aliasbench.signals import WAVEFORMS, TestSignalSpec, midi_to_freq
@@ -887,6 +887,41 @@ class TestSweep:
         assert not out.exists()
 
 
+class TestGenBench:
+    @pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
+    def test_pool_is_the_cpu_count(self, tmp_path, monkeypatch, cpus, threads):
+        """gen-bench hands its pool os.cpu_count() workers (1 where that is
+        unknown)."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        # A short signal per spec keeps the run quick.
+        monkeypatch.setattr(cli, "gen_bandlimited", lambda s: AudioBuffer(np.full(64, s.midi_note / 128), 8000))
+        pools = []
+
+        def recording_map(task, items, n):
+            pools.append(n)
+            return ordered_map(task, items, n)
+
+        monkeypatch.setattr(cli, "ordered_map", recording_map)
+        assert run("gen-bench", "--out", str(tmp_path / "bench")) == EXIT_OK
+        assert pools == [threads]
+        assert len(list((tmp_path / "bench").glob("*.wav"))) == 144
+
+    def test_first_failing_signal_in_grid_order_ends_the_run(self, tmp_path, capsys, monkeypatch):
+        """Every signal's task fails under a regular file; on a 2-thread
+        pool the run exits 3 with the error of sine_060.wav, the grid's
+        first signal, on one line, and writes nothing."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        rc = run("gen-bench", "--out", str(plain / "bench"))
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and "sine_060.wav" in errors[0], errors
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [plain] and plain.read_bytes() == b""
+
+
 class TestFilterResponse:
     def test_linear_kernel_nulls_at_nyquist(self, tmp_path):
         out = tmp_path / "lin.csv"
@@ -946,6 +981,8 @@ class TestArgumentHandling:
     @settings(max_examples=100, deadline=None)
     @given(argv=fuzz_argvs())
     @example(argv=["run-activations", "--bench", "{bench}", "--out", "act.csv", "--out", ""])
+    @example(argv=["gen-bench", "--out", ""])
+    @example(argv=["sweep", "--out", ""])
     def test_any_argv_ends_in_a_documented_exit(self, tiny_bench, argv):
         """Whatever the options and values, a command exits 0, 2, 3 or 4 with
         at most one error line and no traceback. Each run starts in an empty
@@ -999,6 +1036,26 @@ class TestArgumentHandling:
             "aliasbench: error: unrecognized arguments: --threads 2"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("gen-bench",),
+        ("sweep",),
+        ("run-activations", "--bench", "{bench}"),
+        ("run-upsamplers", "--bench", "{bench}", "--seeds", "1"),
+        ("filter-response", "--kind", "linear"),
+    ], ids=lambda c: c[0])
+    def test_empty_out_is_an_io_error(self, tiny_bench, tmp_path, capsys, command):
+        """An empty --out names no file or directory: every command exits 3
+        with one error line and writes nothing. gen-bench and sweep used to
+        read it as the current directory and write there."""
+        root, _ = tiny_bench
+        with contextlib.chdir(tmp_path):
+            rc = run(*(a.format(bench=root) for a in command), "--out", "")
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_allocator_policy_is_set_after_parsing(self, tmp_path, monkeypatch, capsys):
         """A command sets the policy once; --version and a usage error exit

@@ -34,6 +34,7 @@ from aliasbench.metrics import (
     band_energy,
     band_mask,
     build_report,
+    db_cells,
     estimate_spectrum,
     fold_frequency,
     hann,
@@ -45,9 +46,8 @@ from aliasbench.metrics import (
 )
 from aliasbench.signals import (
     BENCH_AMPLITUDE,
-    WAVEFORMS,
     TestSignalSpec,
-    benchmark_notes,
+    benchmark_specs,
     gen_bandlimited,
     gen_sweep,
     midi_to_freq,
@@ -497,7 +497,7 @@ class TestAhrOracle:
         benchmark is within 0.01 dB of the exact image-line powers, taken
         from each layer's impulse response."""
         factor, rate_in = 2, RATE // 2
-        specs = [TestSignalSpec(w, note) for w in WAVEFORMS for note in benchmark_notes()]
+        specs = benchmark_specs()
         layers = [
             UpsamplerSpec("conv_transpose", factor=factor, seed=derive_seeds(0, 1)[0]),
             UpsamplerSpec("linear", factor=factor),
@@ -613,6 +613,29 @@ class TestSpectrogramExport:
         expected = "\n".join(lines) + "\n"
         assert ",-0.00," in expected and ",-100.00," in expected
         assert csv_path.read_bytes() == expected.encode()
+
+    def test_db_cells_match_the_per_value_format(self):
+        """The lookup gives "%.2f" % v string for string: at every rounding
+        tie (k + 0.5)/100 and its 3 float neighbours on each side, at every
+        m/800, at signed zeros and tiny negatives, at the neighbours of the
+        end ties -0.005 and -99.995, at the -100 clamp and at 1 M uniform
+        draws over [-100, 0]."""
+        ties = (np.arange(-10000, 0) + 0.5) / 100
+        values = [ties, np.arange(-80000, 1) / 800, [0.0, -0.0, -1e-300, -5e-324, -100.0],
+                  np.random.default_rng(23).uniform(-100.0, 0.0, 1_000_000)]
+        for direction in (-np.inf, np.inf):
+            x = ties
+            for _ in range(3):
+                x = np.nextafter(x, direction)
+                values.append(x)
+        for end in (-0.005, -99.995):
+            values.append([np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf)])
+        v = np.concatenate(values)
+        assert v.min() >= -100.0 and v.max() <= 0.0
+        want = ["%.2f" % x for x in v.tolist()]
+        got = db_cells(v)
+        assert len(got) == len(want)
+        assert [(x, g, w) for x, g, w in zip(v.tolist(), got, want) if g != w] == []
 
     def test_no_temp_files_left(self, tmp_path):
         spectrogram_export(sine_buffer(500.0), 1024, 256, tmp_path / "p")

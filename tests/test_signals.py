@@ -14,13 +14,14 @@ from aliasbench.signals import (
     TestSignalSpec,
     WAVEFORMS,
     benchmark_notes,
-    build_benchmark,
+    benchmark_specs,
     gen_bandlimited,
     gen_sweep,
     harmonic_cap_hz,
     harmonic_numbers,
     midi_to_freq,
     partial_series,
+    sample_count,
 )
 
 
@@ -282,12 +283,14 @@ class TestBenchmarkGrid:
         """48 log-uniform notes over [C4, B7] coincide with MIDI 60..107."""
         assert benchmark_notes() == list(range(60, 108))
 
-    def test_build_benchmark_counts_and_order(self):
-        """144 signals, grouped by waveform in declaration order then by
-        ascending note, every buffer 5 s at 44.1 kHz."""
-        pairs = list(build_benchmark())
-        assert len(pairs) == 144
-        keys = [(WAVEFORMS.index(s.waveform), s.midi_note) for s, _ in pairs]
+    def test_benchmark_specs_counts_and_order(self):
+        """144 signals, every waveform at every grid note, grouped by
+        waveform in declaration order then by ascending note, every signal
+        5 s at 44.1 kHz."""
+        specs = benchmark_specs()
+        assert len(specs) == 144
+        keys = [(WAVEFORMS.index(s.waveform), s.midi_note) for s in specs]
         assert keys == sorted(keys)
-        assert {len(b) for _, b in pairs} == {220500}
-        assert {b.sample_rate for _, b in pairs} == {44100}
+        assert set(keys) == {(w, n) for w in range(3) for n in benchmark_notes()}
+        assert {sample_count(s.duration_s, s.sample_rate) for s in specs} == {220500}
+        assert {s.sample_rate for s in specs} == {44100}
