@@ -18,7 +18,6 @@ from .audio import AudioBuffer
 from .configio import ConfigError, Spec, config_hash, read_text, write_csv
 from .metrics import (
     EDGE_DISCARD,
-    K_CAP,
     MIN_ANALYSIS_SAMPLES,
     AhrContext,
     AhrReport,
@@ -26,7 +25,7 @@ from .metrics import (
     build_report,
     measure_ahr,
 )
-from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, harmonic_numbers, sample_count
+from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, partials, sample_count
 from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
 
 T = TypeVar("T")
@@ -145,8 +144,8 @@ def input_signals(specs: Iterable[TestSignalSpec], factor: int) -> list[TestSign
 
 def image_context(signal: TestSignalSpec, factor: int) -> AhrContext:
     """Context of an upsampler by factor fed signal: a linear layer can only
-    image the partials of the input's waveform law."""
-    ks = harmonic_numbers(signal.waveform, K_CAP)
+    image the partials the input holds, those gen_bandlimited synthesizes."""
+    ks, _ = partials(signal)
     return AhrContext(signal.sample_rate, image_frequencies(signal.f0_hz, factor, signal.sample_rate, ks))
 
 

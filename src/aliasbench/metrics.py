@@ -5,14 +5,16 @@ are collected from a single long Kaiser-windowed FFT in narrow bands around
 the expected harmonic and alias line positions, which are computed
 analytically from the test signal's fundamental (never detected from the
 data). One AhrContext per signal holds them: harmonics are the k*f0 below
-its input Nyquist, and aliases are its alias_freqs. Each module family
-builds its own alias lines:
+its input Nyquist, and aliases are its alias_freqs. One rule, alias_lines,
+builds the aliases of both module families. A module fed a periodic signal at
+Fs_in and writing at Fs_out = L*Fs_in can put energy only on the lattice
+n*Fs_in +- (k*f0 mod Fs_in), n = 0..L; what differs is which k it carries:
 
-* activations (activation_context) -- the input rate is the output rate,
-  and the aliases are the folds of k*f0 at and above Nyquist (reflection
-  about 0 and Nyquist);
-* upsamplers (bench.image_context) -- the aliases are the spectral images
-  |n*Fs_in +- k*f0| of the input's partials (upsamplers.image_frequencies).
+* an activation (activation_context) carries every k <= K_CAP at L = 1, so
+  its aliases are the folds of k*f0 at and above Nyquist;
+* an upsampler (bench.image_context) is linear, so it carries only the
+  partials its input holds, and its aliases are their images
+  |n*Fs_in +- k*f0| (upsamplers.image_frequencies).
 
 Every band is read through one routine, band_mask: measure_ahr,
 band_energy and upsamplers.tonal_probe use it alike. Every dB level is
@@ -187,13 +189,6 @@ def band_energy(s: SpectrumEstimate, center_hz: float, half_width_hz: float) -> 
     return float(s.power[mask].sum())
 
 
-def fold_frequency(freq_hz, sample_rate: float):
-    """Reflect frequencies (scalar or array) into [0, Nyquist] by mirroring
-    about 0 and Nyquist."""
-    r = np.mod(freq_hz, sample_rate)
-    return np.minimum(r, sample_rate - r)
-
-
 @dataclass(frozen=True)
 class AhrContext:
     """AHR bookkeeping for one signal: harmonics are the k*f0 below
@@ -205,11 +200,32 @@ class AhrContext:
     k_cap: ClassVar[int] = K_CAP
 
 
+def alias_lines(f0: float, ks, input_rate: float, output_rate: float) -> tuple[float, ...]:
+    """The lines only aliasing can fill when a module at output_rate, a whole
+    multiple L of input_rate, carries the partials k*f0 (k in ks) of a signal
+    sampled at input_rate.
+
+    Each partial's residue r = k*f0 mod input_rate sits at every
+    n*input_rate +- r, n = 0..L. The lines are the distinct ones within
+    (0, output_rate / 2], in ascending order, less the partials themselves
+    (n = 0 where k*f0 < input_rate / 2). A line on a harmonic is kept here;
+    measure_ahr drops its band.
+    """
+    if input_rate <= 0 or output_rate < input_rate or output_rate % input_rate:
+        raise ValueError(f"output rate {output_rate} is not a whole multiple of input rate {input_rate}")
+    kf = np.asarray(ks, dtype=float) * f0
+    r = np.mod(kf, input_rate)
+    n_fs = np.arange(int(output_rate // input_rate) + 1)[:, None] * input_rate
+    lines = np.concatenate([n_fs - r, n_fs + r])
+    keep = (lines > 0.0) & (lines <= output_rate / 2.0)
+    keep[n_fs.shape[0]] &= kf >= input_rate / 2.0  # row n = 0, +r: the partial itself
+    return tuple(np.unique(lines[keep]).tolist())
+
+
 def activation_context(f0: float, rate: int) -> AhrContext:
-    """Context of a nonlinearity at rate: the folds of k*f0 at and above
-    Nyquist are the aliases."""
-    kf = np.arange(1, K_CAP + 1) * f0
-    return AhrContext(rate, tuple(fold_frequency(kf[kf >= rate / 2.0], rate).tolist()))
+    """Context of a nonlinearity at rate: it carries every k <= K_CAP, so its
+    aliases are the folds of the k*f0 at and above Nyquist."""
+    return AhrContext(rate, alias_lines(f0, np.arange(1, K_CAP + 1), rate, rate))
 
 
 @dataclass(frozen=True)

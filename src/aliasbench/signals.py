@@ -72,9 +72,13 @@ class TestSignalSpec:
             raise ValueError(f"sample_rate {self.sample_rate} is above {MAX_SIGNAL_SAMPLES}")
         if sample_count(self.duration_s, self.sample_rate) > MAX_SIGNAL_SAMPLES:
             raise ValueError(f"duration_s {self.duration_s:g} at {self.sample_rate} Hz is above {MAX_SIGNAL_SAMPLES} samples")
-        if self.f0_hz >= self.sample_rate / 2.0:
+        # A note at or above the partial cap would be synthesized as silence
+        # and score as perfect.
+        cap = harmonic_cap_hz(self.sample_rate, sample_count(self.duration_s, self.sample_rate))
+        if self.f0_hz >= cap:
             raise ValueError(
-                f"fundamental {self.f0_hz:.2f} Hz is not below Nyquist ({self.sample_rate / 2:.1f} Hz)"
+                f"fundamental {self.f0_hz:.2f} Hz is not below the partial cap {cap:.2f} Hz "
+                f"(Nyquist {self.sample_rate / 2:.1f} Hz less max(50 Hz, 4 bins)), so it has no partial"
             )
 
     @property
@@ -127,6 +131,13 @@ def partial_series(waveform: str, f0: float, cap_hz: float) -> tuple[np.ndarray,
     return ks, amps
 
 
+def partials(spec: TestSignalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The harmonic numbers and amplitudes gen_bandlimited sums for spec: its
+    law's partials below harmonic_cap_hz at its own rate and length."""
+    n = sample_count(spec.duration_s, spec.sample_rate)
+    return partial_series(spec.waveform, spec.f0_hz, harmonic_cap_hz(spec.sample_rate, n))
+
+
 def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
     """Additive synthesis of one test signal, peak-normalized to BENCH_AMPLITUDE.
 
@@ -142,7 +153,7 @@ def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
     """
     f0 = spec.f0_hz
     n = sample_count(spec.duration_s, spec.sample_rate)
-    ks, amps = partial_series(spec.waveform, f0, harmonic_cap_hz(spec.sample_rate, n))
+    ks, amps = partials(spec)
     x = np.zeros(n)
     if ks.size:
         coef = np.zeros(ks[-1] + 1)

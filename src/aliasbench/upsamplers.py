@@ -23,7 +23,7 @@ import numpy as np
 
 from .audio import AudioBuffer
 from .filters import FirKernel, design_fir, interp_kernel, interpolate, scale_in_place
-from .metrics import BAND_HALF_WIDTH_BINS, EDGE_DISCARD, band_mask, estimate_spectrum, ratio_db
+from .metrics import BAND_HALF_WIDTH_BINS, EDGE_DISCARD, alias_lines, band_mask, estimate_spectrum, ratio_db
 
 UPSAMPLER_KINDS = ("conv_transpose", "linear", "nearest", "aa_resample")
 
@@ -123,20 +123,18 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
 
 
 def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[float, ...]:
-    """Image (alias) frequencies an upsampler can create from k*f0 partials.
-
-    The distinct values of |n * Fs_in +- k * f0| for n = 1..L-1 and k in ks,
-    restricted to (0, L*Fs_in/2], in ascending order. An image that lands on
-    a harmonic is kept here; measure_ahr drops its band.
+    """Image (alias) frequencies an upsampler by factor creates from the
+    partials k*f0 (k in ks) of its input: metrics.alias_lines from
+    input_rate to factor * input_rate. For partials below the input Nyquist
+    these are the distinct |n * Fs_in +- k * f0|, n = 1..L-1, within
+    (0, L*Fs_in/2], in ascending order. An image that lands on a harmonic
+    band is kept here; measure_ahr drops it.
     """
     if not 0 < f0 < input_rate / 2.0:
         raise ValueError("f0 must lie below the input Nyquist")
     if factor < 2:
         raise ValueError("factor must be >= 2")
-    n_fs = np.arange(1, factor)[:, None] * input_rate
-    kf = np.asarray(ks, dtype=float) * f0
-    f = np.abs(np.concatenate([n_fs - kf, n_fs + kf]).ravel())
-    return tuple(np.unique(f[(f > 0.0) & (f <= factor * input_rate / 2.0)]).tolist())
+    return alias_lines(f0, ks, input_rate, factor * input_rate)
 
 
 def tonal_probe(output: AudioBuffer, input_rate: int, edge_trim: int = EDGE_DISCARD) -> float:

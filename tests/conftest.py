@@ -1,6 +1,7 @@
 """Shared fixtures: a small on-disk benchmark for CLI tests, one full-grid
-run-activations run for the tests that read the whole table, and a terminal
-summary that prints one line per acceptance criterion.
+run-activations run and one full-grid upsampler table for the tests that read
+a whole table, and a terminal summary that prints one line per acceptance
+criterion.
 
 perfbench/ goes on the import path, so tests use its exact oracles
 (`import oracles`), written apart from the package they check, and read the
@@ -21,9 +22,9 @@ import pytest
 
 from aliasbench import cli
 from aliasbench.audio import AudioBuffer
-from aliasbench.bench import evaluate, wav_name, write_bench_csv
+from aliasbench.bench import UpsamplerSummaryRow, evaluate, upsampler_table, wav_name, write_bench_csv
 from aliasbench.metrics import AhrReport
-from aliasbench.signals import TestSignalSpec, gen_bandlimited
+from aliasbench.signals import TestSignalSpec, benchmark_specs, gen_bandlimited
 from aliasbench.wavio import wav_write
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -116,3 +117,24 @@ def full_grid_run(tmp_path_factory):
     assert rc == cli.EXIT_OK
     (reports,) = computed
     return FullGridRun(bench, out, {r.module_name: r for r in reports}, elapsed)
+
+
+class UpsamplerGridRun(NamedTuple):
+    """The upsampler table's rows by module name, the report of each of its
+    layers in evaluation order, and the table's wall time (s)."""
+
+    rows: dict[str, UpsamplerSummaryRow]
+    reports: list[AhrReport]
+    elapsed: float
+
+
+@pytest.fixture(scope="session")
+def upsampler_grid_run():
+    """The upsampler table at L = 2 with 10 ConvTranspose seeds (run-upsamplers'
+    defaults) over the full 144-signal grid, on one thread, once per session:
+    its 14 layers are 10 ConvTranspose seeds, LinearInterp, NearestInterp,
+    AntiAliasedResample and AntiAliasedResample with its noise prior."""
+    t0 = time.perf_counter()
+    rows, reports = upsampler_table(benchmark_specs(), factor=2, n_seeds=10, base_seed=0, threads=1)
+    elapsed = time.perf_counter() - t0
+    return UpsamplerGridRun({row.module: row for row in rows}, reports, elapsed)

@@ -4,9 +4,10 @@ Every test computes its measurement, registers a PASS/FAIL line for the
 terminal summary (so a full run always prints the complete scorecard), and
 then asserts. The activation criteria read one run-activations run over the
 full grid (conftest.full_grid_run), which the whole session shares; criterion
-11 repeats it at another thread count. The upsampler fixture hands evaluate
-the signal specs, as run-upsamplers does, so a signal exists only while its
-layers run, and only the small result tables stay resident.
+11 repeats it at another thread count. The upsampler criteria read one
+upsampler table over the full grid (conftest.upsampler_grid_run), which hands
+evaluate the signal specs, as run-upsamplers does, so a signal exists only
+while its layers run, and only the small result tables stay resident.
 
 Criterion 4 ranks the activation table. On overall means (dB) AdaaSnakeBeta
 (-90.38) is below ELU (-61.49) and SnakeBeta (-69.11), both of which are
@@ -26,7 +27,6 @@ import time
 
 import numpy as np
 import oracles
-import pytest
 from conftest import record_criterion
 from numpy.polynomial.legendre import leggauss
 
@@ -39,23 +39,13 @@ from aliasbench.activations import (
     snakebeta,
 )
 from aliasbench.audio import AudioBuffer
-from aliasbench.bench import upsampler_table
 from aliasbench.cli import EXIT_OK, main
 from aliasbench.filters import frequency_response, interp_kernel
 from aliasbench.metrics import band_energy, estimate_spectrum
-from aliasbench.signals import benchmark_notes, benchmark_specs
+from aliasbench.signals import benchmark_notes
 
 TABLE_ACTIVATIONS = ("LeakyReLU", "ELU", "SnakeBeta", "AdaaSnakeBeta")
 WAVEFORM_ORDER = ("sine", "sawtooth", "triangle")
-
-
-@pytest.fixture(scope="module")
-def upsampler_run():
-    """The four upsampler modules at L=2 over the regenerated benchmark."""
-    t0 = time.perf_counter()
-    rows, _ = upsampler_table(benchmark_specs(), factor=2, n_seeds=10, base_seed=0, threads=1)
-    elapsed = time.perf_counter() - t0
-    return {row.module: row for row in rows}, elapsed
 
 
 class TestCriterion1:
@@ -233,8 +223,8 @@ class TestCriterion4:
 
 
 class TestCriterion5:
-    def test_upsampler_table_ordering(self, upsampler_run):
-        rows, elapsed = upsampler_run
+    def test_upsampler_table_ordering(self, upsampler_grid_run):
+        rows, elapsed = upsampler_grid_run.rows, upsampler_grid_run.elapsed
         aa = rows["AntiAliasedResample"].average_db
         lin = rows["LinearInterp"].average_db
         near = rows["NearestInterp"].average_db
@@ -256,9 +246,9 @@ class TestCriterion5:
 
 
 class TestCriterion6:
-    def test_per_waveform_dominance(self, full_grid_run, upsampler_run):
+    def test_per_waveform_dominance(self, full_grid_run, upsampler_grid_run):
         reports = full_grid_run.reports
-        rows, _ = upsampler_run
+        rows = upsampler_grid_run.rows
         failures = []
         for waveform in WAVEFORM_ORDER:
             aa = rows["AntiAliasedResample"].per_type_db[waveform]
@@ -286,8 +276,8 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_tonal_probe_separation(self, upsampler_run):
-        rows, _ = upsampler_run
+    def test_tonal_probe_separation(self, upsampler_grid_run):
+        rows = upsampler_grid_run.rows
         conv = rows["ConvTranspose"].tonal_line_db
         aa = rows["AntiAliasedResample"].tonal_line_db
         diff = conv - aa

@@ -529,6 +529,16 @@ class TestRunUpsamplers:
         assert err.startswith("error: ") and "note 107" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_note_between_the_cap_and_the_input_nyquist_rejected(self, tiny_bench, tmp_path, capsys):
+        """44.1 kHz / 7 is 6300 Hz: G7 (3135.96 Hz) is below its 3150 Hz
+        Nyquist but above its 3100 Hz partial cap, so its input would be
+        silence, which every linear layer would score as perfect."""
+        bench = edited_bench(tiny_bench, tmp_path, lambda rows: [
+            r[:1] + ["103", f"{midi_to_freq(103):.6f}"] + r[3:] if r[1] == "107" else r for r in rows])
+        err = expect_config_error(("run-upsamplers", "--factor", "7", "--seeds", "1"), bench, tmp_path, capsys)
+        assert err.startswith("error: sine note 103 at factor 7: fundamental 3135.96 Hz is not below "
+                              "the partial cap 3100.00 Hz")
+
     def test_factor_below_two_rejected(self, tiny_bench, tmp_path, capsys):
         root, _ = tiny_bench
         rc = run("run-upsamplers", "--bench", str(root), "--factor", "1",
@@ -656,6 +666,16 @@ class TestBenchValidation:
         bench = edited_bench(tiny_bench, tmp_path, lambda rows: [rows[0], [rows[1][0], index, f0] + rows[1][3:]] + rows[2:])
         err = expect_config_error(command, bench, tmp_path, capsys)
         assert f"midi_note {index} outside the benchmark range [60, 107]" in err
+
+    def test_note_between_the_cap_and_nyquist_is_a_config_error(self, tiny_bench, tmp_path, capsys):
+        """B7 (3951.07 Hz) for 3 s at 8 kHz is below Nyquist (4000 Hz) but
+        above the 3950 Hz partial cap: the row would be synthesized as
+        silence and score -120 dB on every activation, so it is refused."""
+        bench = edited_bench(tiny_bench, tmp_path, lambda rows: [
+            rows[0], ["sine", "107", f"{midi_to_freq(107):.6f}", "3.000", "8000", rows[2][5]]] + rows[2:])
+        err = expect_config_error(("run-activations",), bench, tmp_path, capsys)
+        assert err.startswith(f"error: {bench / 'bench.csv'}: line 2: fundamental 3951.07 Hz is not below "
+                              "the partial cap 3950.00 Hz")
 
     @pytest.mark.parametrize("duration", ["nan", "inf", "1e308"])
     @pytest.mark.parametrize("command", TABLE_COMMANDS)

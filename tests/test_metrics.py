@@ -11,6 +11,7 @@ the reference.
 
 import math
 
+import checks
 import numpy as np
 import oracles
 import pytest
@@ -20,7 +21,8 @@ from numpy.testing import assert_allclose
 
 from aliasbench.activations import ActivationSpec, apply_activation
 from aliasbench.audio import AudioBuffer, NumericError
-from aliasbench.bench import derive_seeds, evaluate, image_context, input_signals
+from aliasbench.bench import image_context, input_signals
+from aliasbench.configio import config_hash
 from aliasbench.metrics import (
     ANALYSIS,
     BAND_HALF_WIDTH_BINS,
@@ -31,12 +33,12 @@ from aliasbench.metrics import (
     SignalAhr,
     SpectrumEstimate,
     activation_context,
+    alias_lines,
     band_energy,
     band_mask,
     build_report,
     db_cells,
     estimate_spectrum,
-    fold_frequency,
     hann,
     kaiser,
     measure_ahr,
@@ -47,10 +49,12 @@ from aliasbench.metrics import (
 from aliasbench.signals import (
     BENCH_AMPLITUDE,
     TestSignalSpec,
+    benchmark_notes,
     benchmark_specs,
     gen_bandlimited,
     gen_sweep,
     midi_to_freq,
+    partials,
 )
 from aliasbench.upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies
 
@@ -298,28 +302,76 @@ class TestMeasureAhrBookkeeping:
         )
 
 
-class TestFoldFrequency:
-    def test_reflection_about_nyquist(self):
-        assert fold_frequency(24000.0, 44100) == pytest.approx(20100.0)
+def reference_activation_lines(f0, rate):
+    """The activation lines as they were built before alias_lines: the
+    folds of the k*f0 at and above Nyquist, k = 1..K_CAP, in k order."""
+    kf = np.arange(1, K_CAP + 1) * f0
+    r = np.mod(kf[kf >= rate / 2.0], rate)
+    return np.minimum(r, rate - r)
 
-    def test_below_nyquist_unchanged(self):
-        assert fold_frequency(1000.0, 44100) == 1000.0
-        assert fold_frequency(22050.0, 44100) == 22050.0
 
-    def test_multiples_of_rate_fold_to_dc(self):
-        assert fold_frequency(44100.0, 44100) == 0.0
-        assert fold_frequency(88200.0, 44100) == 0.0
+def reference_image_lines(f0, factor, input_rate, ks):
+    """The upsampler lines as they were built before alias_lines: the
+    distinct |n*Fs_in +- k*f0| for n = 1..L-1 within (0, L*Fs_in/2]."""
+    n_fs = np.arange(1, factor)[:, None] * input_rate
+    kf = np.asarray(ks, dtype=float) * f0
+    f = np.abs(np.concatenate([n_fs - kf, n_fs + kf]).ravel())
+    return np.unique(f[(f > 0.0) & (f <= factor * input_rate / 2.0)])
 
-    def test_second_zone(self):
-        assert fold_frequency(44100.0 + 300.0, 44100) == pytest.approx(300.0)
-        assert fold_frequency(2 * 44100.0 - 300.0, 44100) == pytest.approx(300.0)
 
-    def test_negative_frequency(self):
-        assert fold_frequency(-100.0, 44100) == pytest.approx(100.0)
+class TestAliasLines:
+    """One lattice, n*Fs_in +- (k*f0 mod Fs_in) for n = 0..L, less the
+    partials themselves, within (0, Fs_out/2]."""
 
-    def test_array_folds_elementwise(self):
-        freqs = np.array([-100.0, 1000.0, 22050.0, 24000.0, 44100.0, 88200.0 - 300.0])
-        assert np.array_equal(fold_frequency(freqs, 44100), [_reference_fold(f, 44100) for f in freqs])
+    def test_at_one_rate_a_line_is_the_fold_of_its_partial(self):
+        assert alias_lines(1.0, [24000.0], 44100, 44100) == (20100.0,)
+        assert alias_lines(1.0, [22050.0], 44100, 44100) == (22050.0,)
+        assert alias_lines(1.0, [44100.0 + 300.0], 44100, 44100) == (300.0,)
+        assert alias_lines(1.0, [2 * 44100.0 - 300.0], 44100, 44100) == (300.0,)
+
+    def test_partials_below_nyquist_are_not_lines(self):
+        assert alias_lines(1000.0, [1, 2, 3], 44100, 44100) == ()
+
+    def test_multiples_of_the_rate_fold_to_dc_and_are_dropped(self):
+        assert alias_lines(44100.0, [1, 2], 44100, 44100) == ()
+
+    def test_lines_are_distinct_and_ascending(self):
+        """69100 Hz and 25000 Hz fold onto one line, 19100 Hz, and 24000 Hz
+        onto 20100 Hz."""
+        assert alias_lines(100.0, [691, 250, 240], 44100, 44100) == (19100.0, 20100.0)
+
+    def test_a_partial_images_at_every_multiple_of_the_input_rate(self):
+        assert alias_lines(1000.0, [1], 22050, 88200) == (21050.0, 23050.0, 43100.0)
+
+    def test_a_partial_above_the_input_nyquist_images_from_its_fold(self):
+        """12000 Hz at 22050 Hz is the fold 10050 Hz: both are lines."""
+        assert alias_lines(1000.0, [12], 22050, 44100) == (10050.0, 12000.0)
+
+    @pytest.mark.parametrize("input_rate,output_rate", [(22050, 44000), (44100, 22050), (0, 44100)])
+    def test_output_rate_must_be_a_whole_multiple(self, input_rate, output_rate):
+        with pytest.raises(ValueError, match="whole multiple"):
+            alias_lines(1000.0, [1], input_rate, output_rate)
+
+    def test_activation_lines_on_the_grid_are_the_old_folds(self):
+        """For every note of the benchmark grid, the lines equal the folds
+        of the k*f0 at and above Nyquist as a distinct set, float for float:
+        the same residue and the same subtraction."""
+        for note in benchmark_notes():
+            f0 = midi_to_freq(note)
+            want = reference_activation_lines(f0, RATE)
+            assert activation_context(f0, RATE).alias_freqs == tuple(np.unique(want).tolist())
+            assert np.unique(want).size == want.size  # no line counted twice before either
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_image_lines_of_the_present_partials_are_the_old_images(self, factor):
+        """For every signal of the grid at L = 2, 3 and 4, the images of the
+        partials its input holds equal |n*Fs_in +- k*f0| float for float,
+        with the same count."""
+        for signal in input_signals(benchmark_specs(), factor):
+            ks, _ = partials(signal)
+            got = image_context(signal, factor).alias_freqs
+            want = reference_image_lines(signal.f0_hz, factor, signal.sample_rate, ks)
+            assert got == tuple(want.tolist()), (signal, factor)
 
 
 class TestActivationContext:
@@ -327,11 +379,12 @@ class TestActivationContext:
     @given(st.sampled_from([8000, 22050, 44100]), st.floats(1.0, 30000.0))
     def test_aliases_are_the_per_k_folds(self, rate, f0):
         """A nonlinearity's context: its input rate is the output rate, and
-        its alias lines are the folds of k*f0 at and above Nyquist, k by k."""
+        its alias lines are the distinct nonzero folds of k*f0 at and above
+        Nyquist, in ascending order."""
         context = activation_context(f0, rate)
-        want = [_reference_fold(k * f0, rate) for k in range(1, K_CAP + 1) if k * f0 >= rate / 2.0]
+        want = {_reference_fold(k * f0, rate) for k in range(1, K_CAP + 1) if k * f0 >= rate / 2.0}
         assert context.input_rate == rate
-        assert context.alias_freqs == tuple(want)
+        assert context.alias_freqs == tuple(sorted(want - {0.0}))
         assert context.k_cap == K_CAP
 
 
@@ -422,13 +475,14 @@ class TestMeasureAhr:
         m = measure_ahr(x, 1000.0, ctx, edge_trim=4096)
         assert m.alias_bands == 0
 
-    def test_image_on_a_harmonic_is_dropped(self):
-        """image_frequencies keeps an image that lands exactly on a harmonic
-        (22050 - 12 * 1050 = 9 * 1050); measure_ahr drops its band."""
-        images = image_frequencies(1050.0, 2, 22050, (12,))
-        assert images == (9450.0,)
-        x = sine_buffer(1050.0, duration_s=2.0)
-        m = measure_ahr(x, 1050.0, AhrContext(22050, images), edge_trim=4096)
+    def test_image_touching_a_harmonic_band_is_dropped(self):
+        """image_frequencies keeps an image 5 Hz from a harmonic, the image
+        22050 - 11022.5 of the tenth harmonic of 1102.25 Hz; measure_ahr
+        drops its band, which overlaps the harmonic's (+-3.3 Hz each)."""
+        images = image_frequencies(1102.25, 2, 22050, (10,))
+        assert images == (11027.5,)
+        x = sine_buffer(1102.25, duration_s=2.0)
+        m = measure_ahr(x, 1102.25, AhrContext(22050, images), edge_trim=4096)
         assert m.alias_bands == 0
         assert m.ahr_db == FLOOR_DB
 
@@ -491,23 +545,17 @@ class TestAhrOracle:
         assert sum(len(r.per_signal) for r in reports) == 432
         assert not off, off
 
-    def test_upsampler_grid_matches_the_oracle(self):
-        """Every cell of the upsampler table's five layers at L = 2 (the four
-        kinds and AntiAliasedResample with its noise prior) on the 144-signal
-        benchmark is within 0.01 dB of the exact image-line powers, taken
-        from each layer's impulse response."""
+    def test_upsampler_grid_matches_the_oracle(self, upsampler_grid_run):
+        """Every cell of the upsampler table's 14 layers at L = 2 (10
+        ConvTranspose seeds, LinearInterp, NearestInterp, and
+        AntiAliasedResample without and with its noise prior) on the
+        144-signal benchmark, as upsampler_table computes it, is within
+        0.01 dB of the exact image-line powers, taken from each layer's
+        impulse response."""
         factor, rate_in = 2, RATE // 2
-        specs = benchmark_specs()
-        layers = [
-            UpsamplerSpec("conv_transpose", factor=factor, seed=derive_seeds(0, 1)[0]),
-            UpsamplerSpec("linear", factor=factor),
-            UpsamplerSpec("nearest", factor=factor),
-            UpsamplerSpec("aa_resample", factor=factor),
-            # the seed run-upsamplers gives the prior at its defaults (--seed 0, --seeds 10)
-            UpsamplerSpec("aa_resample", factor=factor, seed=derive_seeds(0, 11)[10], noise_prior=True),
-        ]
-        reports = evaluate(input_signals(specs, factor), layers, apply_upsampler,
-                           lambda s: image_context(s, factor), threads=2)
+        layers = [UpsamplerSpec(**kw, name=name) for name, kw in checks.upsampler_layers(factor, 10, 0)]
+        reports = upsampler_grid_run.reports
+        assert [r.config_hash for r in reports] == [config_hash(layer) for layer in layers]
         off = []
         for layer, report in zip(layers, reports):
             h, _ = oracles.impulse_response(lambda x: apply_upsampler(AudioBuffer(x, rate_in), layer).samples, rate_in)
@@ -515,9 +563,44 @@ class TestAhrOracle:
                 note = oracles.freq_note(row.f0_hz)
                 exact = oracles.upsampler_ahr(h, factor, row.waveform, note, rate_in, round(5.0 * rate_in))
                 if abs(row.ahr_db - exact) > 0.01:
-                    off.append(f"{layer.kind} {row.waveform} {note}: {row.ahr_db:.4f} vs {exact:.4f} dB")
-        assert sum(len(r.per_signal) for r in reports) == 720
+                    off.append(f"{layer.name} {row.waveform} {note}: {row.ahr_db:.4f} vs {exact:.4f} dB")
+        assert sum(len(r.per_signal) for r in reports) == 2016
         assert not off, off
+
+
+def unclamped_db(m: AhrMeasurement) -> float:
+    """10 log10(alias / harmonic energy) without the FLOOR_DB clamp."""
+    return 10.0 * math.log10(m.alias_energy / m.harmonic_energy) if m.alias_energy > 0.0 else -math.inf
+
+
+class TestInstrumentFloor:
+    """The analysis itself reads at least 10 dB below FLOOR_DB, so every
+    FLOOR_DB cell of a table is a real "at least 120 dB down": a module
+    that aliases nothing reads below FLOOR_DB - 10 dB on every signal of
+    the grid, unclamped."""
+
+    def test_identity_activation(self):
+        high = []
+        for signal in benchmark_specs():
+            m = measure_ahr(gen_bandlimited(signal), signal.f0_hz,
+                            activation_context(signal.f0_hz, signal.sample_rate))
+            if not unclamped_db(m) < FLOOR_DB - 10.0:
+                high.append(f"{signal.waveform} {signal.midi_note}: {unclamped_db(m):.1f} dB")
+        assert not high, high
+
+    def test_ideal_upsampler(self):
+        """The ideal L = 2 upsampler's output is its input's partials
+        synthesized directly at the output rate (perfbench's partial sum),
+        measured against the images of those partials."""
+        high = []
+        for signal in input_signals(benchmark_specs(), 2):
+            ks, amps = partials(signal)
+            rate = 2 * signal.sample_rate
+            y = oracles.raw_partial_sum(ks, amps, signal.f0_hz, rate, 2 * round(signal.duration_s * signal.sample_rate))
+            m = measure_ahr(AudioBuffer(y, rate), signal.f0_hz, image_context(signal, 2))
+            if not unclamped_db(m) < FLOOR_DB - 10.0:
+                high.append(f"{signal.waveform} {signal.midi_note}: {unclamped_db(m):.1f} dB")
+        assert not high, high
 
 
 class TestBuildReport:

@@ -21,6 +21,7 @@ from aliasbench.signals import (
     harmonic_numbers,
     midi_to_freq,
     partial_series,
+    partials,
     sample_count,
 )
 
@@ -147,7 +148,8 @@ class TestPartialSeries:
 
 
 class TestHarmonicNumbersToTheCap:
-    """The k set the upsampler table images (bench.image_context)."""
+    """The waveform law's harmonic numbers, of which partial_series keeps
+    those below the cap."""
 
     def test_sine(self):
         assert harmonic_numbers("sine", K_CAP).tolist() == [1]
@@ -188,14 +190,25 @@ class TestGenBandlimited:
             got = gen_bandlimited(TestSignalSpec(waveform, note)).samples
             assert np.max(np.abs(got - ref)) <= 1e-9, (waveform, note)
 
-    def test_no_partial_below_cap_gives_silence(self):
+    def test_fundamental_between_the_cap_and_nyquist_is_refused(self):
         """B7 at 8 kHz for 0.5 s sits below Nyquist (4000 Hz) but above the
-        cap (3950 Hz), so no partial is summed and the buffer is all zeros."""
-        spec = TestSignalSpec("sawtooth", 107, sample_rate=8000, duration_s=0.5)
-        ks, _ = partial_series("sawtooth", spec.f0_hz, harmonic_cap_hz(8000, 4000))
-        assert ks.size == 0
-        buf = gen_bandlimited(spec)
-        assert len(buf) == 4000 and not np.any(buf.samples)
+        cap (3950 Hz), so it would have no partial: synthesized, it would be
+        silence, and silence reads as a perfect score. The spec is refused."""
+        assert partial_series("sawtooth", midi_to_freq(107), harmonic_cap_hz(8000, 4000))[0].size == 0
+        with pytest.raises(ValueError, match="not below the partial cap 3950.00 Hz"):
+            TestSignalSpec("sawtooth", 107, sample_rate=8000, duration_s=0.5)
+
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_partials_are_those_below_the_specs_cap(self, waveform):
+        """partials(spec) is the set gen_bandlimited sums and image_context
+        images: the law's partials below the cap at the spec's rate and
+        length, never empty."""
+        for spec in (TestSignalSpec(waveform, 107, sample_rate=8820), TestSignalSpec(waveform, 60, duration_s=0.05)):
+            ks, amps = partials(spec)
+            cap = harmonic_cap_hz(spec.sample_rate, len(gen_bandlimited(spec)))
+            want_ks, want_amps = partial_series(waveform, spec.f0_hz, cap)
+            assert ks.size > 0
+            assert np.array_equal(ks, want_ks) and np.array_equal(amps, want_amps)
 
     def test_sawtooth_partial_ratios(self):
         """Projected partial amplitudes follow the 1/k law (gain-invariant)."""
@@ -232,7 +245,7 @@ class TestGenBandlimited:
 
     def test_rejects_fundamental_at_or_above_nyquist(self):
         """The spec itself is refused, so no signal above Nyquist can be asked for."""
-        with pytest.raises(ValueError, match="not below Nyquist"):
+        with pytest.raises(ValueError, match="not below the partial cap"):
             TestSignalSpec("sine", 96, sample_rate=4000, duration_s=0.5)
 
     def test_deterministic(self):
