@@ -109,11 +109,29 @@ def hann(n: int) -> np.ndarray:
     return w
 
 
+#: Samples per block of kaiser's build: np.i0 holds about a dozen block-sized
+#: temporaries, so a block costs about 1.5 MB however long the window.
+KAISER_BLOCK = 16384
+
+
 @lru_cache(maxsize=16)
 def kaiser(n: int) -> np.ndarray:
     """Periodic (DFT-even) Kaiser window of length n at ANALYSIS's beta,
-    read-only and cached per length."""
-    w = np.kaiser(n + 1, ANALYSIS["beta"])[:-1]
+    read-only and cached per length.
+
+    It is built in blocks of KAISER_BLOCK samples into one array, each block
+    by np.kaiser's own elementwise expression in its order, so it equals
+    np.kaiser(n + 1, beta)[:-1] in every bit. np.kaiser evaluates np.i0 on
+    the whole window at once, and its temporaries (14.8 MiB beside a
+    signal's 1.56 MiB window) would set the process's peak memory.
+    """
+    beta = ANALYSIS["beta"]
+    alpha = n / 2.0
+    scale = np.i0(beta)
+    w = np.empty(n)
+    for start in range(0, n, KAISER_BLOCK):
+        k = np.arange(start, min(start + KAISER_BLOCK, n), dtype=np.float64)
+        w[start : start + k.size] = np.i0(beta * np.sqrt(1 - ((k - alpha) / alpha) ** 2.0)) / scale
     w.flags.writeable = False
     return w
 
@@ -369,11 +387,18 @@ def spectrogram_export(x: AudioBuffer, frame: int, hop: int, base_path: str | Pa
     peak = mags.max()
     if not np.isfinite(peak):
         raise NumericError("non-finite spectrogram magnitude: the spectrum overflowed")
+    # The dB table, and then the pixels, are computed in place on mags, by the
+    # same float operations in the same order as on fresh arrays, so the
+    # bytes written do not change and no table-sized temporary is allocated.
+    db = mags
     if peak > 0.0:
-        db = 20.0 * np.log10(np.maximum(mags, peak * 1e-10) / peak)
-        db = np.clip(db, -100.0, 0.0)
+        np.maximum(db, peak * 1e-10, out=db)
+        db /= peak
+        np.log10(db, out=db)
+        db *= 20.0
+        np.clip(db, -100.0, 0.0, out=db)
     else:
-        db = np.full(mags.shape, -100.0)
+        db.fill(-100.0)
 
     csv_path = base.with_suffix(".csv")
     pgm_path = base.with_suffix(".pgm")
@@ -388,7 +413,10 @@ def spectrogram_export(x: AudioBuffer, frame: int, hop: int, base_path: str | Pa
         csv.write(("%.6f,%s\n" % (t, ",".join(db_cells(col)))).encode())
     atomic_write_bytes(csv_path, csv.getvalue())
 
-    pixels = np.rint((db + 100.0) / 100.0 * 255.0).astype(np.uint8)
+    db += 100.0
+    db /= 100.0
+    db *= 255.0
+    pixels = np.rint(db, out=db).astype(np.uint8)
     pixels = pixels[::-1, :]  # highest frequency on top
     pgm_header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
     atomic_write_bytes(pgm_path, pgm_header + pixels.tobytes())

@@ -28,7 +28,7 @@ from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpe
 from aliasbench.audio import AudioBuffer
 from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate, ordered_map, wav_name
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
-from aliasbench.metrics import AhrContext, AhrMeasurement
+from aliasbench.metrics import AhrContext, AhrMeasurement, kaiser
 from aliasbench.signals import WAVEFORMS, TestSignalSpec, midi_to_freq
 
 ACT_CONFIG = """\
@@ -512,6 +512,20 @@ class TestRunUpsamplers:
         aa1 = rows1["AntiAliasedResample"].split(",")
         aa2 = rows2["AntiAliasedResample"].split(",")
         assert aa1[:5] == aa2[:5] and aa1[6:] == aa2[6:]
+
+    def test_thread_count_does_not_change_results(self, tiny_bench, tmp_path):
+        """--threads 1 and 2 write the same summary and per-signal bytes,
+        each run starting with no analysis window cached, so at 2 threads
+        both workers build their first window at once."""
+        root, _ = tiny_bench
+        outs = {}
+        for threads in ("1", "2"):
+            kaiser.cache_clear()
+            out = tmp_path / f"t{threads}" / "ups.csv"
+            assert run("run-upsamplers", "--bench", str(root), "--seeds", "2",
+                       "--out", str(out), "--threads", threads) == EXIT_OK
+            outs[threads] = [out.read_bytes(), out.with_name("ups_per_signal.csv").read_bytes()]
+        assert outs["1"] == outs["2"]
 
     def test_factor_must_divide_the_bench_rate(self, tiny_bench, tmp_path):
         root, _ = tiny_bench

@@ -10,6 +10,8 @@ the reference.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import checks
 import numpy as np
@@ -19,15 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from aliasbench import metrics
 from aliasbench.activations import ActivationSpec, apply_activation
 from aliasbench.audio import AudioBuffer, NumericError
-from aliasbench.bench import image_context, input_signals
+from aliasbench.bench import DEFAULT_ACTIVATIONS, evaluate, image_context, input_signals, load_bench_csv
 from aliasbench.configio import config_hash
 from aliasbench.metrics import (
     ANALYSIS,
     BAND_HALF_WIDTH_BINS,
     FLOOR_DB,
     K_CAP,
+    KAISER_BLOCK,
     AhrContext,
     AhrMeasurement,
     SignalAhr,
@@ -88,6 +92,24 @@ class TestKaiser:
         k = np.arange(n)
         expect = np.i0(ANALYSIS["beta"] * np.sqrt(1.0 - (2.0 * k / n - 1.0) ** 2)) / np.i0(ANALYSIS["beta"])
         assert_allclose(kaiser(n), expect, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("n", [1, 2, 1024, KAISER_BLOCK - 1, KAISER_BLOCK, KAISER_BLOCK + 1, 27716, 204116])
+    def test_equals_numpys_window_in_every_bit(self, n):
+        """The blocked build is np.kaiser's window, at the block edges, the
+        tonal probe's analysed length (27,716) and a signal's (204,116)."""
+        assert np.array_equal(kaiser(n), np.kaiser(n + 1, ANALYSIS["beta"])[:-1])
+
+    def test_build_holds_little_more_than_the_window(self):
+        """A cold kaiser(204116) allocates its 1.56 MiB window and at most
+        2 MiB more at its peak (np.kaiser's whole-window build: 14.8 MiB)."""
+        kaiser.cache_clear()
+        tracemalloc.start()
+        try:
+            w = kaiser(204116)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - w.nbytes <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_cached_window_is_read_only(self):
         w = kaiser(4096)
@@ -601,6 +623,46 @@ class TestInstrumentFloor:
             if not unclamped_db(m) < FLOOR_DB - 10.0:
                 high.append(f"{signal.waveform} {signal.midi_note}: {unclamped_db(m):.1f} dB")
         assert not high, high
+
+
+def stride_signals(bench):
+    """Every 8th grid note from 60 (60, 68, ..., 100), all three waveforms,
+    as bench.csv holds them: a fixed stride, chosen without regard to outcome."""
+    return [s for s in load_bench_csv(bench / "bench.csv") if (s.midi_note - 60) % 8 == 0]
+
+
+def activation_cells(reports):
+    """Each per-signal AHR of the reports, keyed (module, waveform, f0)."""
+    return {(r.module_name, row.waveform, row.f0_hz): row.ahr_db for r in reports for row in r.per_signal}
+
+
+def worst_activation_move(signals, full_grid_run):
+    """The built-in activation cell on signals that moves furthest from
+    full_grid_run's (6 bins, 5 s), and its |move| in dB."""
+    reference = activation_cells(full_grid_run.reports.values())
+    reports = evaluate(signals, DEFAULT_ACTIVATIONS, apply_activation,
+                       lambda s: activation_context(s.f0_hz, s.sample_rate))
+    moves = {key: abs(db - reference[key]) for key, db in activation_cells(reports).items()}
+    worst = max(moves, key=moves.get)
+    return worst, moves[worst]
+
+
+class TestMetricInvariance:
+    """The AHR measures the module, not the instrument: on the stride of the
+    grid, neither a wider band nor a shorter signal moves an activation
+    cell by more than the bound."""
+
+    def test_band_width(self, full_grid_run, monkeypatch):
+        """8 bins in place of 6 move no cell by more than 0.01 dB."""
+        monkeypatch.setattr(metrics, "BAND_HALF_WIDTH_BINS", 8)
+        cell, move = worst_activation_move(stride_signals(full_grid_run.bench), full_grid_run)
+        assert move <= 0.01, f"{cell}: {move:.4f} dB"
+
+    def test_duration(self, full_grid_run):
+        """Signals of 2.5 s move no cell by more than 0.25 dB from the 5 s ones."""
+        signals = [replace(s, duration_s=2.5) for s in stride_signals(full_grid_run.bench)]
+        cell, move = worst_activation_move(signals, full_grid_run)
+        assert move <= 0.25, f"{cell}: {move:.4f} dB"
 
 
 class TestBuildReport:
