@@ -41,9 +41,8 @@ def _sinc(u: np.ndarray) -> np.ndarray:
     """Unnormalized sinc: sin(u)/u with sinc(0) = 1."""
     u = np.asarray(u, dtype=np.float64)
     small = np.abs(u) < _TAYLOR_CUTOFF
-    safe = np.where(small, 1.0, u)
-    y = np.asarray(np.sin(safe))  # asarray: a 0-d input gives a numpy scalar
-    y /= safe
+    y = np.asarray(np.sin(u))  # asarray: a 0-d input gives a numpy scalar
+    np.divide(y, u, out=y, where=~small)  # the small entries take the series
     us = u[small]  # the series only where it is used
     u2 = us * us
     y[small] = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0

@@ -44,7 +44,7 @@ from .configio import (
 )
 from .filters import design_fir, frequency_response, interp_kernel
 from .metrics import ANALYSIS, AhrReport, activation_context, spectrogram_export
-from .signals import TestSignalSpec, benchmark_specs, gen_bandlimited, gen_sweep
+from .signals import WAVEFORMS, TestSignalSpec, benchmark_notes, benchmark_specs, gen_bandlimited, gen_sweep
 from .wavio import WavError, wav_write
 
 EXIT_OK = 0
@@ -104,13 +104,22 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
     out_dir = _output_dir(args.out)
     specs = benchmark_specs()
 
-    def write_signal(spec: TestSignalSpec) -> str:
-        path = out_dir / wav_name(spec)
-        wav_write(gen_bandlimited(spec), path)
-        return file_sha256(path)
+    def write_note(note: int) -> dict[str, str]:
+        """Synthesize one note's waveforms together, then write and hash
+        them in WAVEFORMS order."""
+        group = [TestSignalSpec(waveform, note) for waveform in WAVEFORMS]
+        hashes = {}
+        for spec, buf in zip(group, gen_bandlimited(group)):
+            path = out_dir / wav_name(spec)
+            wav_write(buf, path)
+            hashes[path.name] = file_sha256(path)
+        return hashes
 
-    # One task per signal on the CPU count's threads; no byte depends on it.
-    hashes = ordered_map(write_signal, specs, os.cpu_count() or 1)
+    # One task per note, ascending, on the CPU count's threads; no byte
+    # depends on it, and the lowest failing note's first error ends the run.
+    files = {}
+    for hashes in ordered_map(write_note, benchmark_notes(), os.cpu_count() or 1):
+        files.update(hashes)
     write_bench_csv(out_dir / "bench.csv", specs)
     write_manifest(
         out_dir / "manifest.json",
@@ -120,7 +129,7 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
             "note_grid": "loguniform48",  # the only grid; the key keeps manifests' bytes
             "seed": args.seed,
             "signals": len(specs),
-            "files": {wav_name(s): h for s, h in zip(specs, hashes)},
+            "files": files,
             "bench_csv_sha256": file_sha256(out_dir / "bench.csv"),
         },
     )

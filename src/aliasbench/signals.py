@@ -6,14 +6,16 @@ are alias-free by construction. Any aliasing measured after passing them
 through a module under test was introduced by that module.
 
 The sine series is evaluated by Clenshaw's recurrence in cos(theta), one
-block of samples at a time, so a signal costs one cos and one sin per sample
-whatever its number of partials.
+block of samples at a time, so a note costs one cos and one sin per sample
+whatever its number of partials, and for all of its waveforms when they are
+synthesized as one group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +31,9 @@ _BENCH_RATE = 44100
 _BENCH_DURATION_S = 5.0
 _MIDI_LO = 60  # C4
 _MIDI_HI = 107  # B7
-#: Samples per block of the synthesis recurrence; its buffers stay in cache.
-_SYNTH_BLOCK = 16384
+#: Samples per block of the synthesis recurrence. Every step is elementwise,
+#: so no output bit depends on it; a larger block makes fewer numpy calls.
+_SYNTH_BLOCK = 32768
 
 #: Most samples a test signal may have (47.5 s at 44.1 kHz), and its highest
 #: rate: run-upsamplers' tonal probe is one second at rate/L, upsampled by L.
@@ -138,7 +141,7 @@ def partials(spec: TestSignalSpec) -> tuple[np.ndarray, np.ndarray]:
     return partial_series(spec.waveform, spec.f0_hz, harmonic_cap_hz(spec.sample_rate, n))
 
 
-def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
+def gen_bandlimited(spec: TestSignalSpec | Sequence[TestSignalSpec]) -> AudioBuffer | list[AudioBuffer]:
     """Additive synthesis of one test signal, peak-normalized to BENCH_AMPLITUDE.
 
     The partial sum x = sum_k a_k sin(k theta), theta = 2 pi f0 t, is evaluated
@@ -149,23 +152,41 @@ def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
     cost one large-argument sin per partial. A sine is exactly
     sin(2 pi f0 t) before normalization.
 
+    Given a sequence of specs that share one note, duration and rate
+    (ValueError otherwise) in place of one spec, it returns their signals in
+    spec order. Each block's theta, 2 cos(theta) and sin(theta) are then
+    computed once for all of them, and every spec runs its own recurrence on
+    them with the same operations in the same order, so a signal is
+    bit-identical whichever group it is synthesized in. gen-bench
+    synthesizes each note's waveforms as one group.
+
     Deterministic: equal specs produce bit-identical buffers.
     """
-    f0 = spec.f0_hz
-    n = sample_count(spec.duration_s, spec.sample_rate)
-    ks, amps = partials(spec)
-    x = np.zeros(n)
-    if ks.size:
+    one = isinstance(spec, TestSignalSpec)
+    specs = [spec] if one else list(spec)
+    if len({(s.midi_note, s.duration_s, s.sample_rate) for s in specs}) != 1:
+        raise ValueError("gen_bandlimited takes one spec, or one or more specs of one note, duration and sample rate")
+    f0, rate = specs[0].f0_hz, specs[0].sample_rate
+    n = sample_count(specs[0].duration_s, rate)
+    coefs = []
+    for s in specs:
+        ks, amps = partials(s)  # never empty: TestSignalSpec refuses a note without a partial
         coef = np.zeros(ks[-1] + 1)
         coef[ks] = amps
-        size = min(n, _SYNTH_BLOCK)
-        bufs = [np.empty(size) for _ in range(5)]
-        for lo in range(0, n, size):
-            theta, two_cos, b, b_next, tmp = (buf[: min(size, n - lo)] for buf in bufs)
-            np.divide(np.arange(lo, lo + theta.size, dtype=float), spec.sample_rate, out=theta)
-            theta *= 2.0 * np.pi * f0
-            np.cos(theta, out=two_cos)
-            two_cos *= 2.0
+        coefs.append(coef)
+    xs = [np.empty(n) for _ in specs]
+    size = min(n, _SYNTH_BLOCK)
+    bufs = [np.empty(size) for _ in range(4)]
+    for lo in range(0, n, size):
+        sin_t, two_cos, *work = (buf[: min(size, n - lo)] for buf in bufs)
+        np.divide(np.arange(lo, lo + sin_t.size, dtype=float), rate, out=sin_t)
+        sin_t *= 2.0 * np.pi * f0
+        np.cos(sin_t, out=two_cos)
+        two_cos *= 2.0
+        np.sin(sin_t, out=sin_t)
+        for coef, x in zip(coefs, xs):
+            out = x[lo : lo + sin_t.size]  # also the recurrence's third buffer
+            b, b_next, tmp = *work, out
             b.fill(0.0)
             b_next.fill(0.0)
             for a in coef[:0:-1]:
@@ -175,12 +196,14 @@ def gen_bandlimited(spec: TestSignalSpec) -> AudioBuffer:
                 if a:
                     tmp += a
                 b, b_next, tmp = tmp, b, b_next
-            np.sin(theta, out=theta)
-            np.multiply(b, theta, out=x[lo : lo + theta.size])
-    peak = np.max(np.abs(x)) if n else 0.0
-    if peak > 0.0:
-        x *= BENCH_AMPLITUDE / peak
-    return AudioBuffer(x, spec.sample_rate)
+            np.multiply(b, sin_t, out=out)
+    for x in xs:
+        # The peak of |x| without an |x| temporary the length of the signal.
+        peak = max(x.max(), -x.min())
+        if peak > 0.0:
+            x *= BENCH_AMPLITUDE / peak
+    signals = [AudioBuffer(x, rate) for x in xs]
+    return signals[0] if one else signals
 
 
 def gen_sweep(f_start: float, f_end: float, duration_s: float, sample_rate: int) -> AudioBuffer:

@@ -6,6 +6,8 @@ quadrature of f over the linearly reconstructed segment between x_prev and
 x_t (the continuous-time average the divided difference must equal).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -15,6 +17,7 @@ from scipy.integrate import quad
 from aliasbench.activations import (
     ADAA_BASES,
     ActivationSpec,
+    _sinc,
     adaa_generic,
     adaa_grad_bounds,
     adaa_snakebeta,
@@ -29,7 +32,7 @@ from aliasbench.activations import (
     snakebeta_antiderivative,
 )
 from aliasbench.audio import AudioBuffer
-from aliasbench.signals import TestSignalSpec, gen_bandlimited
+from aliasbench.signals import TestSignalSpec, gen_bandlimited, gen_sweep
 
 _GL_NODES, _GL_WEIGHTS = leggauss(256)
 
@@ -186,6 +189,15 @@ class TestInPlaceKernels:
         got = snakebeta(seg, alpha[:, None], beta[:, None])
         assert got.tobytes() == _old_snakebeta(seg, alpha[:, None], beta[:, None]).tobytes()
         assert snakebeta(1.0, 1.0, np.array([1.0, 2.0])).shape == (2,)
+
+    def test_sinc_leaves_its_argument_alone(self):
+        """_sinc divides in place on its own sin(u), never on u:
+        adaa_snakebeta_grad reads d after _sinc(d)."""
+        x_t, x_prev = self.grid()
+        d = x_t - x_prev
+        kept = d.copy()
+        _sinc(d)
+        assert np.array_equal(d, kept)
 
     @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.asarray(0.3)])
     def test_scalars_give_floats(self, x):
@@ -345,6 +357,22 @@ class TestApplyActivation:
         y = apply_activation(x, ActivationSpec("adaa_snakebeta"))
         assert_allclose(y.samples[0], adaa_snakebeta(0.8, 0.0))
         assert_allclose(y.samples[1], adaa_snakebeta(-0.3, 0.8))
+
+    def test_oversampled_adaa_peak_memory(self):
+        """AdaaSnakeBeta c2 on the sweep's 4 s signal (1.35 MiB) peaks at
+        most 14.5 MiB under tracemalloc, its output included: the sinc
+        divides in place and builds no where(small, 1, u) copy (16.6 MiB when
+        it did). This transient sets sweep's own peak."""
+        x = gen_sweep(20.0, 20000.0, 4.0, 44100)
+        spec = ActivationSpec("adaa_snakebeta", oversample=2)
+        apply_activation(x, spec)  # build the cached resampling kernels first
+        tracemalloc.start()
+        try:
+            apply_activation(x, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_generic_adaa_kind_runs(self):
         x = AudioBuffer(np.linspace(-1, 1, 100), 8000)

@@ -925,25 +925,27 @@ class TestGenBench:
     @pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
     def test_pool_is_the_cpu_count(self, tmp_path, monkeypatch, cpus, threads):
         """gen-bench hands its pool os.cpu_count() workers (1 where that is
-        unknown)."""
+        unknown), and maps it the 48 notes in ascending order."""
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         # A short signal per spec keeps the run quick.
-        monkeypatch.setattr(cli, "gen_bandlimited", lambda s: AudioBuffer(np.full(64, s.midi_note / 128), 8000))
+        monkeypatch.setattr(cli, "gen_bandlimited",
+                            lambda specs: [AudioBuffer(np.full(64, s.midi_note / 128), 8000) for s in specs])
         pools = []
 
         def recording_map(task, items, n):
-            pools.append(n)
+            pools.append((n, list(items)))
             return ordered_map(task, items, n)
 
         monkeypatch.setattr(cli, "ordered_map", recording_map)
         assert run("gen-bench", "--out", str(tmp_path / "bench")) == EXIT_OK
-        assert pools == [threads]
+        assert pools == [(threads, list(range(60, 108)))]
         assert len(list((tmp_path / "bench").glob("*.wav"))) == 144
 
     def test_first_failing_signal_in_grid_order_ends_the_run(self, tmp_path, capsys, monkeypatch):
-        """Every signal's task fails under a regular file; on a 2-thread
-        pool the run exits 3 with the error of sine_060.wav, the grid's
-        first signal, on one line, and writes nothing."""
+        """Every signal's write fails under a regular file; on a 2-thread
+        pool the run exits 3 with the error of sine_060.wav, the lowest
+        note's first waveform and so the grid's first signal, on one line,
+        and writes nothing."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         plain = tmp_path / "plain"
         plain.write_bytes(b"")
@@ -954,6 +956,26 @@ class TestGenBench:
         assert len(errors) == 1 and "sine_060.wav" in errors[0], errors
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [plain] and plain.read_bytes() == b""
+
+    def test_the_lowest_failing_note_names_the_error(self, tmp_path, capsys, monkeypatch):
+        """Each note is one task that writes its waveforms in WAVEFORMS order,
+        so the error reported is the first failed write of the lowest note
+        that failed: with sine_061 and sawtooth_060 failing, sawtooth_060,
+        though sine_061 comes first in bench.csv's order."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "gen_bandlimited",
+                            lambda specs: [AudioBuffer(np.zeros(64), 8000) for _ in specs])
+        written = cli.wav_write
+
+        def failing_write(buf, path):
+            if path.name in ("sine_061.wav", "sawtooth_060.wav"):
+                raise PermissionError(13, "Permission denied", str(path))
+            written(buf, path)
+
+        monkeypatch.setattr(cli, "wav_write", failing_write)
+        assert run("gen-bench", "--out", str(tmp_path / "bench")) == EXIT_IO
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and "sawtooth_060.wav" in errors[0], errors
 
 
 class TestFilterResponse:

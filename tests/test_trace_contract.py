@@ -90,3 +90,20 @@ def test_traced_table_commands_keep_their_counts(tiny_bench, tmp_path, command, 
     assert run.band_problems(records) == []
     assert layers["metrics.bands.harmonic"] == sum(r["harmonic"] for r in records) > 0
     assert set(layers) <= DECLARED_LAYERS
+
+
+def test_traced_gen_bench_synthesizes_through_the_traced_name(tmp_path):
+    """The export workload's synthesis figures are read from the spans of
+    signals.gen_bandlimited: gen-bench must synthesize through that name,
+    one call per note, or they would read 0 and its synthesis would land in
+    bench.self_s."""
+    trace = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, tracer.__file__, str(trace), "gen-bench", "--out", str(tmp_path / "bench")],
+        env=run.child_env(), cwd=run.ROOT, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    layers, _ = tracer.layer_metrics([trace], run_s=0.0)
+    assert layers["signals.gen_bandlimited.calls"] == 48
+    assert layers["signals.gen_bandlimited.busy_s"] > 0.0
+    assert set(layers) <= DECLARED_LAYERS
