@@ -14,6 +14,13 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+# numpy's OpenBLAS starts one thread per core when numpy is imported, about
+# 0.1 s of CPU per command, and aliasbench never uses them: its only BLAS
+# calls are np.convolve's dot products of a few hundred taps, which OpenBLAS
+# runs on one thread. The command line's process policy, like _MALLOPT; the
+# library leaves BLAS alone, and a value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

@@ -28,6 +28,10 @@ clamped by one, ratio_db. The band rule of measure_ahr:
 The measurement is therefore insensitive to output gain and (for signals
 periodic in the analysis frame) to time shifts.
 
+A spectrum is one rfft (SpectrumEstimate.spectrum). Bin powers are computed
+only where the bands are (band_power), by the same per-bin operations in the
+same order as the full power spectrum, so each band sum keeps its bits.
+
 The analysis, ANALYSIS, is a periodic Kaiser window at beta = 5 pi with no
 zero padding. beta = pi NW is Kaiser's approximation of the NW = 5 Slepian
 window: its main lobe spans about +-5.1 resolution bins, which a 6-bin band
@@ -74,10 +78,12 @@ K_CAP = 512
 
 @dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
-    """One-sided power spectrum whose bins sum to the windowed mean power."""
+    """One-sided spectrum of the windowed frame, kept as its rfft. Its bin
+    powers sum to the windowed mean power, and are computed where they are
+    read: band_power(mask) equals power[mask].sum() in every bit."""
 
     bin_freqs: np.ndarray
-    power: np.ndarray
+    spectrum: np.ndarray
     fft_size: int
     data_len: int
     sample_rate: int
@@ -86,6 +92,31 @@ class SpectrumEstimate:
     def resolution_hz(self) -> float:
         """Analysis resolution: rate over the *unpadded* data length."""
         return self.sample_rate / self.data_len
+
+    def _bin_power(self, spec: np.ndarray, dc: bool, nyquist: bool) -> np.ndarray:
+        """|X|^2 2 / (nfft sum(w^2)) of the bins spec, halved again at DC and
+        Nyquist where spec starts or ends with them (nfft is even)."""
+        # Finite samples near the float maximum overflow here; ratio_db turns
+        # the non-finite band energies into one NumericError, so numpy need
+        # not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = np.abs(spec) ** 2
+            power *= 2.0
+            if dc:
+                power[0] /= 2.0
+            if nyquist:
+                power[-1] /= 2.0
+            power /= self.fft_size * kaiser_energy(self.data_len)
+        return power
+
+    @property
+    def power(self) -> np.ndarray:
+        """Power of every bin."""
+        return self._bin_power(self.spectrum, True, True)
+
+    def band_power(self, mask: np.ndarray) -> float:
+        """Summed power of the bins of a boolean mask over the bins."""
+        return float(self._bin_power(self.spectrum[mask], bool(mask[0]), bool(mask[-1])).sum())
 
     @property
     def total_power(self) -> float:
@@ -136,8 +167,16 @@ def kaiser(n: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=16)
+def kaiser_energy(n: int) -> float:
+    """sum(w^2) of kaiser(n), the spectrum's normalization, cached per length."""
+    w = kaiser(n)
+    return float(np.sum(w * w))
+
+
 def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
-    """Single-frame power spectrum of the edge-trimmed signal.
+    """Single-frame spectrum of the edge-trimmed signal: one rfft, whose bin
+    powers SpectrumEstimate computes where they are read.
 
     The frame is windowed with kaiser(n), zero-padded only up to the next
     power of two >= its length (ANALYSIS's zero_pad is 1), and normalized so
@@ -151,19 +190,11 @@ def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
     n = data.size
     if n < MIN_ANALYSIS_SAMPLES:
         raise ValueError(f"need at least {MIN_ANALYSIS_SAMPLES} samples after trimming, got {n}")
-    w = kaiser(n)
     nfft = _next_pow2(ANALYSIS["zero_pad"] * n)
-    # Finite samples near the float maximum overflow here; ratio_db turns the
-    # non-finite band energies into one NumericError, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        spec = np.fft.rfft(data * w, n=nfft)
-        power = np.abs(spec) ** 2
-        power *= 2.0
-        power[0] /= 2.0
-        power[-1] /= 2.0  # nfft is even, so the last bin is Nyquist
-        power /= nfft * float(np.sum(w * w))
+        spec = np.fft.rfft(data * kaiser(n), n=nfft)
     freqs = np.fft.rfftfreq(nfft, d=1.0 / x.sample_rate)
-    return SpectrumEstimate(freqs, power, nfft, n, x.sample_rate)
+    return SpectrumEstimate(freqs, spec, nfft, n, x.sample_rate)
 
 
 def ratio_db(num: float, den: float) -> float:
@@ -191,20 +222,20 @@ def band_mask(s: SpectrumEstimate, centres, half_width: float, exclude=None) -> 
     inside = bins < hi[:, None]
     keep = hi > lo
     if exclude is not None:
-        keep &= ~(inside & exclude[np.minimum(bins, s.power.size - 1)]).any(axis=1)
-    mask = np.zeros(s.power.size, dtype=bool)
+        keep &= ~(inside & exclude[np.minimum(bins, s.bin_freqs.size - 1)]).any(axis=1)
+    mask = np.zeros(s.bin_freqs.size, dtype=bool)
     mask[bins[inside & keep[:, None]]] = True
     return mask, int(keep.sum())
 
 
 def band_energy(s: SpectrumEstimate, center_hz: float, half_width_hz: float) -> float:
     """Sum of bin powers over [center - hw, center + hw] (clipped to the grid)."""
-    if center_hz < 0:
-        raise ValueError("band center must be >= 0")
-    if half_width_hz < 0:
-        raise ValueError("half width must be >= 0")
+    if not (math.isfinite(center_hz) and center_hz >= 0):
+        raise ValueError(f"band center must be finite and >= 0, got {center_hz}")
+    if not half_width_hz >= 0:
+        raise ValueError(f"half width must be >= 0, got {half_width_hz}")
     mask, _ = band_mask(s, [center_hz], half_width_hz)
-    return float(s.power[mask].sum())
+    return s.band_power(mask)
 
 
 @dataclass(frozen=True)
@@ -277,8 +308,8 @@ def measure_ahr(
     amask, a_count = band_mask(s, alias[alias > 2.0 * hw], hw, exclude=hmask)
 
     assert not np.any(hmask & amask), "harmonic and alias bands must be disjoint"
-    e_h = float(s.power[hmask].sum())
-    e_a = float(s.power[amask].sum())
+    e_h = s.band_power(hmask)
+    e_a = s.band_power(amask)
     return AhrMeasurement(ratio_db(e_a, e_h), h_count, a_count, e_h, e_a)
 
 

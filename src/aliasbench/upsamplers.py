@@ -148,4 +148,4 @@ def tonal_probe(output: AudioBuffer, input_rate: int, edge_trim: int = EDGE_DISC
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
     out_nyq = output.sample_rate / 2.0
     mask, _ = band_mask(s, input_rate * np.arange(1, int(out_nyq // input_rate) + 1), hw)
-    return ratio_db(float(s.power[mask].sum()), s.total_power)
+    return ratio_db(s.band_power(mask), s.total_power)

@@ -185,13 +185,64 @@ class TestBandEnergy:
     def test_band_wider_than_spectrum_gives_total(self):
         s = estimate_spectrum(sine_buffer(441.0))
         assert band_energy(s, 0.0, 1e9) == s.total_power
+        assert band_energy(s, 441.0, math.inf) == s.total_power
 
     def test_invalid_bands_rejected(self):
-        s = estimate_spectrum(sine_buffer(441.0))
-        with pytest.raises(ValueError):
-            band_energy(s, -1.0, 10.0)
-        with pytest.raises(ValueError):
-            band_energy(s, 100.0, -1.0)
+        """A negative or non-finite centre and a negative or NaN half-width
+        name no band; a NaN must not read as a silent one."""
+        s = estimate_spectrum(sine_buffer(1000.0))
+        for center, half_width in [(-1.0, 10.0), (100.0, -1.0), (math.nan, 5.0), (math.inf, 5.0),
+                                   (-math.inf, 5.0), (1000.0, math.nan)]:
+            with pytest.raises(ValueError):
+                band_energy(s, center, half_width)
+
+
+class TestBandPower:
+    """band_power(mask) is power[mask].sum() in every bit, computed on the
+    masked bins alone."""
+
+    @staticmethod
+    def spectrum(scale=1.0):
+        rng = np.random.default_rng(7)
+        return estimate_spectrum(AudioBuffer(scale * rng.standard_normal(5000), 8000))
+
+    @pytest.mark.parametrize("bins", [[], slice(None), slice(0, 40), slice(-40, None), [0, 1, -2, -1],
+                                      slice(100, 400), "random"],
+                             ids=["empty", "full", "dc", "nyquist", "dc_and_nyquist", "inner", "random"])
+    def test_equals_the_masked_sum_of_power(self, bins):
+        s = self.spectrum()
+        mask = np.zeros(s.bin_freqs.size, dtype=bool)
+        if isinstance(bins, str):
+            mask = np.random.default_rng(3).random(mask.size) < 0.3
+        else:
+            mask[bins] = True
+        assert s.band_power(mask).hex() == float(s.power[mask].sum()).hex()
+
+    def test_overflowed_spectrum_stays_infinite(self):
+        """Samples near the float maximum overflow |X|^2: band_power reads
+        inf where power does, without a numpy warning."""
+        s = self.spectrum(scale=1e300)
+        mask = np.zeros(s.bin_freqs.size, dtype=bool)
+        mask[10:20] = True
+        with np.errstate(all="raise"):
+            got = s.band_power(mask)
+            assert got == float(s.power[mask].sum()) == math.inf
+
+    def test_measure_ahr_holds_no_full_length_power(self):
+        """measure_ahr on a 5 s, 44.1 kHz signal, window cache warm, peaks at
+        most 4.5 MiB: the frame's windowed copy, its rfft and the bin grid,
+        without |X|^2 or the bin powers at full length (5.06 MiB with them)."""
+        sig = TestSignalSpec("sawtooth", 60)
+        x = gen_bandlimited(sig)
+        ctx = activation_context(sig.f0_hz, sig.sample_rate)
+        measure_ahr(x, sig.f0_hz, ctx)
+        tracemalloc.start()
+        try:
+            measure_ahr(x, sig.f0_hz, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def _band_slice(s, center_hz, half_width_hz):

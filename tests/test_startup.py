@@ -3,6 +3,9 @@ that loads scipy (scipy.signal, for freqz). WAV I/O and the resampling
 filter's Bessel window are written on numpy. These tests run each command in
 a fresh interpreter and read its sys.modules.
 
+The package root loads no numpy, so the command line can start numpy's
+OpenBLAS on one thread (OPENBLAS_NUM_THREADS), unless the user has set it.
+
 On glibc, main() also sets an allocator policy that keeps freed blocks in the
 heap, so repeated oversampled activations stop faulting fresh pages in; the
 last tests count those faults in a fresh interpreter, with and without the
@@ -21,14 +24,21 @@ import aliasbench
 SRC = str(Path(aliasbench.__file__).resolve().parents[1])
 
 
+def fresh_python(code: str, **env: str) -> str:
+    """stdout of `code` in a new interpreter whose environment holds env in
+    place of any OPENBLAS_NUM_THREADS of this one."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env.update(env)
+    script = f"import sys\nsys.path.insert(0, {SRC!r})\n{code}"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=child_env)
+    return done.stdout
+
+
 def scipy_modules_after(code: str) -> set[str]:
     """The scipy modules loaded after running `code` in a new interpreter."""
-    script = (
-        f"import sys, json\nsys.path.insert(0, {SRC!r})\n{code}\n"
-        "print(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))"
-    )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    out = fresh_python(f"{code}\nimport json\n"
+                       "print(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))")
+    return set(json.loads(out.splitlines()[-1]))
 
 
 def cli_run(*argv: str) -> str:
@@ -59,6 +69,26 @@ def test_filter_response_loads_scipy_signal(tmp_path):
     """The control: the probe sees scipy where a command does load it."""
     argv = ("filter-response", "--kind", "designed", "--out", str(tmp_path / "r.csv"))
     assert "scipy.signal" in scipy_modules_after(cli_run(*argv))
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = "import aliasbench\nprint(aliasbench.__version__, 'numpy' in sys.modules)"
+    assert fresh_python(code).split() == [aliasbench.__version__, "False"]
+
+
+def test_package_root_resolves_only_its_exports():
+    from aliasbench.metrics import measure_ahr
+
+    assert aliasbench.measure_ahr is measure_ahr
+    with pytest.raises(AttributeError):
+        aliasbench.no_such_name
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
+def test_cli_starts_blas_on_one_thread_unless_set(preset, expected):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    code = "import os\nimport aliasbench.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_python(code, **env).strip() == expected
 
 
 def on_glibc() -> bool:
