@@ -255,7 +255,9 @@ def cmd_filter_response(args: argparse.Namespace) -> int:
     dc = mag[0]
     with np.errstate(divide="ignore"):
         mag_db = np.maximum(20.0 * np.log10(mag / dc), -300.0)
-    phase = np.angle(response)
+    # Every kernel here is symmetric about its centre tap, so the response is
+    # real: its phase is 0 or pi, not the sign of a rounding residue.
+    phase = np.where(response.real < 0.0, np.pi, 0.0)
     ideal_db = np.where(omega_norm <= cutoff_norm, 0.0, -300.0)
 
     out = Path(args.out)

@@ -5,9 +5,7 @@ The resampling filter depends on the factor L alone: a Kaiser-windowed sinc
 at cutoff 1/L with STOPBAND_DB of attenuation over a transition band
 TRANSITION * 2/L wide, sized by the standard Kaiser estimate. All kernels are
 linear-phase; convolution is aligned on the kernel center so filtering
-introduces no net delay. The window's Bessel function I0 is the Cephes
-routine, evaluated here on numpy so that its taps equal those of
-scipy.special.i0 in every bit without loading scipy.
+introduces no net delay.
 
 Resampling runs polyphase: interpolation convolves the low-rate input with
 each of the L tap phases, and decimation computes only the kept outputs, so
@@ -35,57 +33,6 @@ STOPBAND_DB = 100.0
 #: Transition width at factor 2 (fraction of Nyquist); scaled by 2/L for
 #: other factors so the transition stays proportional to the passband.
 TRANSITION = 0.05
-
-# Chebyshev coefficients of exp(-x) I0(x) on [0, 8] (_I0_A) and of
-# exp(-x) sqrt(x) I0(x) on (8, inf) in 32/x (_I0_B), from Cephes (Moshier 1989).
-_I0_A = (
-    -4.41534164647933937950e-18, 3.33079451882223809783e-17, -2.43127984654795469359e-16,
-    1.71539128555513303061e-15, -1.16853328779934516808e-14, 7.67618549860493561688e-14,
-    -4.85644678311192946090e-13, 2.95505266312963983461e-12, -1.72682629144155570723e-11,
-    9.67580903537323691224e-11, -5.18979560163526290666e-10, 2.65982372468238665035e-09,
-    -1.30002500998624804212e-08, 6.04699502254191894932e-08, -2.67079385394061173391e-07,
-    1.11738753912010371815e-06, -4.41673835845875056359e-06, 1.64484480707288970893e-05,
-    -5.75419501008210370398e-05, 1.88502885095841655729e-04, -5.76375574538582365885e-04,
-    1.63947561694133579842e-03, -4.32430999505057594430e-03, 1.05464603945949983183e-02,
-    -2.37374148058994688156e-02, 4.93052842396707084878e-02, -9.49010970480476444210e-02,
-    1.71620901522208775349e-01, -3.04682672343198398683e-01, 6.76795274409476084995e-01,
-)
-_I0_B = (
-    -7.23318048787475395456e-18, -4.83050448594418207126e-18, 4.46562142029675999901e-17,
-    3.46122286769746109310e-17, -2.82762398051658348494e-16, -3.42548561967721913462e-16,
-    1.77256013305652638360e-15, 3.81168066935262242075e-15, -9.55484669882830764870e-15,
-    -4.15056934728722208663e-14, 1.54008621752140982691e-14, 3.85277838274214270114e-13,
-    7.18012445138366623367e-13, -1.79417853150680611778e-12, -1.32158118404477131188e-11,
-    -3.14991652796324136454e-11, 1.18891471078464383424e-11, 4.94060238822496958910e-10,
-    3.39623202570838634515e-09, 2.26666899049817806459e-08, 2.04891858946906374183e-07,
-    2.89137052083475648297e-06, 6.88975834691682398426e-05, 3.36911647825569408990e-03,
-    8.04490411014108831608e-01,
-)
-
-
-def _chbevl(y: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    """Clenshaw sum of a Chebyshev series at y, in Cephes' operation order."""
-    b0, b1 = coeffs[0], 0.0
-    for c in coeffs[1:]:
-        b2, b1 = b1, b0
-        b0 = y * b1 - b2 + c
-    return 0.5 * (b0 - b2)
-
-
-def _i0(x: np.ndarray) -> np.ndarray:
-    """Modified Bessel function I0 of non-negative x, bit-identical to
-    scipy.special.i0. The series are evaluated elementwise as Cephes does;
-    exp is libm's (math.exp), which np.exp is not, and that is where np.i0's
-    last bits differ."""
-    x = np.asarray(x, dtype=np.float64)
-    exp_x = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    out = np.empty_like(x)
-    low = x <= 8.0
-    out[low] = exp_x[low] * _chbevl(x[low] / 2.0 - 2.0, _I0_A)
-    high = x[~low]
-    out[~low] = exp_x[~low] * _chbevl(32.0 / high - 2.0, _I0_B) / np.sqrt(high)
-    return out
-
 
 @dataclass(frozen=True, eq=False)
 class FirKernel:
@@ -140,9 +87,7 @@ def design_fir(factor: int, highpass: bool = False) -> FirKernel:
     center = numtaps // 2
     m = np.arange(numtaps, dtype=np.float64) - center
     beta = 0.1102 * (STOPBAND_DB - 8.7)  # Kaiser (1974), for attenuations above 50 dB
-    # _i0, not np.i0: the taps match scipy.special.i0's window in every bit.
-    window = _i0(beta * np.sqrt(1 - (m / center) ** 2.0)) / _i0(beta)
-    taps = cutoff * np.sinc(cutoff * m) * window
+    taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
     taps[(m % factor == 0) & (m != 0)] = 0.0  # sinc's exact zeros; np.sinc leaves ~1e-17
     taps /= np.sum(taps)
     if highpass:
@@ -240,15 +185,19 @@ def downsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
 
 def frequency_response(h: FirKernel, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """H(omega) on a uniform grid over [0, pi], phase-referenced to the center
-    tap (symmetric kernels therefore evaluate real-valued)."""
-    # Imported here: only filter-response needs it, and numpy's polyval
-    # differs from it in the last bits.
-    from scipy.signal import freqz
-
+    tap (symmetric kernels therefore evaluate real-valued). The sum is
+    scipy.signal.freqz's in its operations and order, so the two agree in
+    every bit: w = 2 pi omega / (2 pi), which need not round back to omega;
+    Horner's rule in z = exp(-j w) from the last tap down; then the division
+    by the denominator 1, which can flip the sign of a zero."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     omegas = np.linspace(0.0, np.pi, n_points)
-    _, response = freqz(h.taps, worN=omegas)
+    z = np.exp(-1j * (2 * np.pi * omegas / (2 * np.pi)))
+    response = h.taps[-1] + z * 0
+    for tap in h.taps[-2::-1]:
+        response = response * z + tap
+    response /= 1.0 + z * 0
     return omegas, response * np.exp(1j * omegas * h.center)
 
 

@@ -1032,6 +1032,28 @@ class TestFilterResponse:
         assert run("filter-response", "--kind", "designed", "--N", "64", "--out", str(out)) == EXIT_OK
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4096
 
+    @pytest.mark.parametrize("kind, n", [
+        (kind, n) for kind in ("designed", "linear", "nearest") for n in ("1", "2", "64")
+        if (kind, n) != ("designed", "1")
+    ])
+    def test_phase_is_zero_or_pi(self, tmp_path, kind, n):
+        """Every kernel is symmetric about its centre tap, so the response is
+        real and its phase 0 or pi, never the sign of a rounding residue."""
+        out = tmp_path / "x.csv"
+        assert run("filter-response", "--kind", kind, "--N", n, "--out", str(out)) == EXIT_OK
+        phases = {ln.split(",")[2] for ln in out.read_text(encoding="utf-8").splitlines()[1:]}
+        assert phases <= {"0.000000", "3.141593"}, phases
+
+    def test_nearest_phase_flips_past_the_zero(self, tmp_path):
+        """The 3-tap box's amplitude is (1 + 2 cos w) / 3: negative above
+        w = 2 pi / 3, where the phase is pi, and positive below it."""
+        out = tmp_path / "near.csv"
+        assert run("filter-response", "--kind", "nearest", "--N", "1", "--out", str(out)) == EXIT_OK
+        for ln in out.read_text(encoding="utf-8").splitlines()[1:]:
+            w, _, phase, _ = ln.split(",")
+            if abs(float(w) - 2.0 / 3.0) > 1e-3:
+                assert phase == ("3.141593" if float(w) > 2.0 / 3.0 else "0.000000"), w
+
 
 class TestArgumentHandling:
     @settings(max_examples=100, deadline=None)

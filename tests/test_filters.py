@@ -14,7 +14,6 @@ from aliasbench.filters import (
     STOPBAND_DB,
     TRANSITION,
     FirKernel,
-    _i0,
     decimate,
     design_fir,
     downsample_filtered,
@@ -100,9 +99,11 @@ class TestDesignFir:
 
     @pytest.mark.parametrize("highpass", [False, True])
     def test_taps_match_the_scipy_i0_design(self, highpass):
-        """Every tap, for every factor 2..64, equals the design written with
-        scipy.special.i0 for the Kaiser window, with the sinc's zeros at
-        m = jL (j != 0) set exactly before normalising."""
+        """Every tap, for every factor 2..64, is within 2 eps of the peak tap
+        of the design written with scipy.special.i0 for the Kaiser window,
+        with the sinc's zeros at m = jL (j != 0) set exactly before
+        normalising. np.i0 differs from scipy.special.i0 in the last bits;
+        the largest gap, at L = 18, is 1.7 eps of the peak tap."""
         from scipy.special import i0
 
         for factor in range(2, 65):
@@ -119,7 +120,8 @@ class TestDesignFir:
                 want = -want
                 want[center] += 1.0
             k = design_fir(factor, highpass)
-            assert k.center == center and np.array_equal(k.taps, want), factor
+            assert k.center == center, factor
+            assert np.max(np.abs(k.taps - want)) <= 2 * np.finfo(float).eps * np.max(np.abs(want)), factor
 
     @pytest.mark.parametrize("highpass", [False, True])
     @pytest.mark.parametrize("factor", range(2, 9))
@@ -147,31 +149,6 @@ class TestDesignFir:
         b = design_fir(2, False)
         assert np.array_equal(a.taps, b.taps)
         assert design_fir(3) is design_fir(3)
-
-
-class TestI0:
-    """_i0 is the Cephes routine with libm's exp, so it equals
-    scipy.special.i0 in every bit on both of its branches."""
-
-    def test_dense_grid_matches_scipy(self):
-        from scipy.special import i0
-
-        x = np.linspace(0.0, 12.0, 240_001)
-        assert np.array_equal(_i0(x), i0(x))
-
-    @pytest.mark.parametrize("lo,hi", [(0.0, 8.0), (8.0, 40.0)])
-    def test_random_points_match_scipy(self, lo, hi):
-        from scipy.special import i0
-
-        x = np.random.default_rng(17).uniform(lo, hi, 100_000)
-        assert np.array_equal(_i0(x), i0(x))
-
-    def test_branch_edges_and_scalars(self):
-        from scipy.special import i0
-
-        x = np.array([0.0, np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0), 0.1102 * (STOPBAND_DB - 8.7)])
-        assert np.array_equal(_i0(x), i0(x))
-        assert _i0(x[-1]) == i0(x[-1])
 
 
 class TestConvolve:
@@ -400,3 +377,19 @@ class TestFrequencyResponse:
         omegas, _ = frequency_response(interp_kernel("linear", 2), 101)
         assert omegas[0] == 0.0
         assert_allclose(omegas[-1], np.pi)
+
+    def test_equals_scipy_freqz_in_every_bit(self):
+        """Every kernel filter-response accepts, at its 4,096 points: the
+        real and imaginary parts equal freqz's, signs of zero included
+        (array_equal alone treats -0.0 as 0.0)."""
+        from scipy.signal import freqz
+
+        kernels = [design_fir(n) for n in range(2, 65)]
+        kernels += [interp_kernel(kind, n) for kind in ("linear", "nearest") for n in range(1, 65)]
+        assert len(kernels) == 191
+        for k in kernels:
+            omegas, got = frequency_response(k, 4096)
+            _, want = freqz(k.taps, worN=omegas)
+            want = want * np.exp(1j * omegas * k.center)
+            for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w)), (len(k), k.center)
