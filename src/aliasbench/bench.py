@@ -26,7 +26,14 @@ from .metrics import (
     measure_ahr,
 )
 from .signals import WAVEFORMS, TestSignalSpec, gen_bandlimited, partials, sample_count
-from .upsamplers import UpsamplerSpec, apply_upsampler, image_frequencies, tonal_probe
+from .upsamplers import (
+    LinearOutput,
+    UpsamplerSpec,
+    apply_upsampler,
+    image_frequencies,
+    superposed_layers,
+    tonal_probe,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -93,10 +100,11 @@ def evaluate(
     each signal x, measured against the signal's context(signal).
 
     Each signal is one ordered_map task: it synthesizes the signal and
-    builds its context once, runs every spec on it in spec order, returns
-    that signal's rows and drops the buffer. So at most min(threads,
-    signals) signals are alive at once, and rows keep the signal order
-    whatever the thread count.
+    builds its context once (which keeps the signal's band plan, and any
+    spectra its outputs share), runs every spec on it in spec order, returns
+    that signal's rows and drops the buffer and the context. So at most
+    min(threads, signals) signals are alive at once, and rows keep the
+    signal order whatever the thread count.
     """
     specs = list(specs)
 
@@ -178,7 +186,8 @@ def upsampler_table(
     signals are the benchmark's signals at their own rate; each is
     synthesized at rate/factor (input_signals). Each row is the mean
     over its group of layer specs: ConvTranspose's n_seeds seeded layers, or
-    the one spec of any other layer.
+    the one spec of any other layer. The layers of superposed_layers are
+    measured as unformed LinearOutputs, the others through apply_upsampler.
     """
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
@@ -197,8 +206,17 @@ def upsampler_table(
         "aa_resample", factor=factor, seed=seeds[n_seeds], noise_prior=True,
         name="AntiAliasedResample_prior",
     )
-    all_reports = evaluate(inputs, [s for g in groups for s in g] + [aa_prior], apply_upsampler,
-                           lambda s: image_context(s, factor), threads)
+    layers = [s for g in groups for s in g] + [aa_prior]
+    superposed = superposed_layers(layers)
+
+    def layer_output(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer | LinearOutput:
+        return LinearOutput(x, spec) if spec in superposed else apply_upsampler(x, spec)
+
+    # The formed layers go first, so a signal's shared spectra are built
+    # after the last buffer is formed and never add to its peak.
+    order = sorted(layers, key=lambda spec: spec in superposed)
+    by_spec = dict(zip(order, evaluate(inputs, order, layer_output, lambda s: image_context(s, factor), threads)))
+    all_reports = [by_spec[spec] for spec in layers]
     reports = iter(all_reports)
     rows = []
     for group in groups:

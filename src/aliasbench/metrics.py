@@ -32,6 +32,13 @@ A spectrum is one rfft (SpectrumEstimate.spectrum). Bin powers are computed
 only where the bands are (band_power), by the same per-bin operations in the
 same order as the full power spectrum, so each band sum keeps its bits.
 
+measure_ahr reads its bands through a BandPlan: one bin grid, its harmonic
+and alias bins and their band counts, built once per signal, output length
+and rate, and kept on the signal's AhrContext. Every output measured on that
+context is reduced to the plan's bins right after its rfft. An output that is
+not an AudioBuffer (upsamplers.LinearOutput) reads its spectrum on those bins
+itself, from spectra that the plan keeps for the signal.
+
 The analysis, ANALYSIS, is a periodic Kaiser window at beta = 5 pi with no
 zero padding. beta = pi NW is Kaiser's approximation of the NW = 5 Slepian
 window: its main lobe spans about +-5.1 resolution bins, which a 6-bin band
@@ -43,11 +50,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -76,47 +83,54 @@ MIN_ANALYSIS_SAMPLES = 1024
 K_CAP = 512
 
 
+def _bin_power(spec: np.ndarray, dc: bool, nyquist: bool, fft_size: int, data_len: int) -> np.ndarray:
+    """|X|^2 2 / (nfft sum(w^2)) of the bins spec of an nfft-point spectrum
+    of data_len windowed samples, halved again at DC and Nyquist where spec
+    starts or ends with them (nfft is even)."""
+    # Finite samples near the float maximum overflow here; ratio_db turns
+    # the non-finite band energies into one NumericError, so numpy need
+    # not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(spec) ** 2
+        power *= 2.0
+        if dc:
+            power[0] /= 2.0
+        if nyquist:
+            power[-1] /= 2.0
+        power /= fft_size * kaiser_energy(data_len)
+    return power
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     """One-sided spectrum of the windowed frame, kept as its rfft. Its bin
     powers sum to the windowed mean power, and are computed where they are
-    read: band_power(mask) equals power[mask].sum() in every bit."""
+    read: band_power(mask) equals power[mask].sum() in every bit. The bin
+    grid is built when it is first read."""
 
-    bin_freqs: np.ndarray
     spectrum: np.ndarray
     fft_size: int
     data_len: int
     sample_rate: int
+
+    @cached_property
+    def bin_freqs(self) -> np.ndarray:
+        return np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
 
     @property
     def resolution_hz(self) -> float:
         """Analysis resolution: rate over the *unpadded* data length."""
         return self.sample_rate / self.data_len
 
-    def _bin_power(self, spec: np.ndarray, dc: bool, nyquist: bool) -> np.ndarray:
-        """|X|^2 2 / (nfft sum(w^2)) of the bins spec, halved again at DC and
-        Nyquist where spec starts or ends with them (nfft is even)."""
-        # Finite samples near the float maximum overflow here; ratio_db turns
-        # the non-finite band energies into one NumericError, so numpy need
-        # not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = np.abs(spec) ** 2
-            power *= 2.0
-            if dc:
-                power[0] /= 2.0
-            if nyquist:
-                power[-1] /= 2.0
-            power /= self.fft_size * kaiser_energy(self.data_len)
-        return power
-
     @property
     def power(self) -> np.ndarray:
         """Power of every bin."""
-        return self._bin_power(self.spectrum, True, True)
+        return _bin_power(self.spectrum, True, True, self.fft_size, self.data_len)
 
     def band_power(self, mask: np.ndarray) -> float:
         """Summed power of the bins of a boolean mask over the bins."""
-        return float(self._bin_power(self.spectrum[mask], bool(mask[0]), bool(mask[-1])).sum())
+        return float(_bin_power(self.spectrum[mask], bool(mask[0]), bool(mask[-1]),
+                                self.fft_size, self.data_len).sum())
 
     @property
     def total_power(self) -> float:
@@ -174,6 +188,16 @@ def kaiser_energy(n: int) -> float:
     return float(np.sum(w * w))
 
 
+def _frame_length(length: int, edge_trim: int) -> int:
+    """Samples analysed of a signal of length samples, edge_trim cut from each edge."""
+    if edge_trim < 0:
+        raise ValueError("edge_trim must be >= 0")
+    n = max(0, length - 2 * edge_trim)
+    if n < MIN_ANALYSIS_SAMPLES:
+        raise ValueError(f"need at least {MIN_ANALYSIS_SAMPLES} samples after trimming, got {n}")
+    return n
+
+
 def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
     """Single-frame spectrum of the edge-trimmed signal: one rfft, whose bin
     powers SpectrumEstimate computes where they are read.
@@ -184,17 +208,11 @@ def estimate_spectrum(x: AudioBuffer, edge_trim: int = 0) -> SpectrumEstimate:
     sum((x w)^2) / sum(w^2): a unit-amplitude sine therefore integrates to
     ~0.5 regardless of padding.
     """
-    if edge_trim < 0:
-        raise ValueError("edge_trim must be >= 0")
-    data = x.samples[edge_trim : len(x) - edge_trim]
-    n = data.size
-    if n < MIN_ANALYSIS_SAMPLES:
-        raise ValueError(f"need at least {MIN_ANALYSIS_SAMPLES} samples after trimming, got {n}")
+    n = _frame_length(len(x), edge_trim)
     nfft = _next_pow2(ANALYSIS["zero_pad"] * n)
     with np.errstate(over="ignore", invalid="ignore"):
-        spec = np.fft.rfft(data * kaiser(n), n=nfft)
-    freqs = np.fft.rfftfreq(nfft, d=1.0 / x.sample_rate)
-    return SpectrumEstimate(freqs, spec, nfft, n, x.sample_rate)
+        spec = np.fft.rfft(x.samples[edge_trim : edge_trim + n] * kaiser(n), n=nfft)
+    return SpectrumEstimate(spec, nfft, n, x.sample_rate)
 
 
 def ratio_db(num: float, den: float) -> float:
@@ -210,20 +228,21 @@ def ratio_db(num: float, den: float) -> float:
     return max(FLOOR_DB, 10.0 * math.log10(num / den))
 
 
-def band_mask(s: SpectrumEstimate, centres, half_width: float, exclude=None) -> tuple[np.ndarray, int]:
-    """Bin mask of the bands centre +- half_width (clipped to the grid) and the
-    number of bands in it. Empty bands, and bands touching a bin of the
-    exclude mask, are dropped; overlapping bands count each bin once. The work
-    grows with bands x band width, not with the spectrum length."""
+def band_mask(bin_freqs: np.ndarray, centres, half_width: float, exclude=None) -> tuple[np.ndarray, int]:
+    """Mask over the bin grid bin_freqs of the bands centre +- half_width
+    (clipped to the grid) and the number of bands in it. Empty bands, and
+    bands touching a bin of the exclude mask, are dropped; overlapping bands
+    count each bin once. The work grows with bands x band width, not with the
+    spectrum length."""
     c = np.asarray(centres, dtype=float)
-    lo = np.searchsorted(s.bin_freqs, c - half_width, side="left")
-    hi = np.searchsorted(s.bin_freqs, c + half_width, side="right")
+    lo = np.searchsorted(bin_freqs, c - half_width, side="left")
+    hi = np.searchsorted(bin_freqs, c + half_width, side="right")
     bins = lo[:, None] + np.arange((hi - lo).max(initial=0))
     inside = bins < hi[:, None]
     keep = hi > lo
     if exclude is not None:
-        keep &= ~(inside & exclude[np.minimum(bins, s.bin_freqs.size - 1)]).any(axis=1)
-    mask = np.zeros(s.bin_freqs.size, dtype=bool)
+        keep &= ~(inside & exclude[np.minimum(bins, bin_freqs.size - 1)]).any(axis=1)
+    mask = np.zeros(bin_freqs.size, dtype=bool)
     mask[bins[inside & keep[:, None]]] = True
     return mask, int(keep.sum())
 
@@ -234,7 +253,7 @@ def band_energy(s: SpectrumEstimate, center_hz: float, half_width_hz: float) -> 
         raise ValueError(f"band center must be finite and >= 0, got {center_hz}")
     if not half_width_hz >= 0:
         raise ValueError(f"half width must be >= 0, got {half_width_hz}")
-    mask, _ = band_mask(s, [center_hz], half_width_hz)
+    mask, _ = band_mask(s.bin_freqs, [center_hz], half_width_hz)
     return s.band_power(mask)
 
 
@@ -242,11 +261,21 @@ def band_energy(s: SpectrumEstimate, center_hz: float, half_width_hz: float) -> 
 class AhrContext:
     """AHR bookkeeping for one signal: harmonics are the k*f0 below
     input_rate / 2, and alias_freqs (in Hz, at the output rate) are the
-    lines only aliasing can fill."""
+    lines only aliasing can fill. plans keeps the signal's band plans
+    (band_plan), so a context lives as long as its signal is measured."""
 
     input_rate: int
     alias_freqs: tuple[float, ...]
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
     k_cap: ClassVar[int] = K_CAP
+
+    def band_plan(self, f0: float, length: int, rate: int, edge_trim: int) -> "BandPlan":
+        """The plan of an output of length samples at rate, built on the
+        first call for these arguments and kept."""
+        key = (f0, length, rate, edge_trim)
+        if key not in self.plans:
+            self.plans[key] = BandPlan.build(f0, self, length, rate, edge_trim)
+        return self.plans[key]
 
 
 def alias_lines(f0: float, ks, input_rate: float, output_rate: float) -> tuple[float, ...]:
@@ -286,31 +315,90 @@ class AhrMeasurement:
     alias_energy: float
 
 
+@dataclass(eq=False)
+class BandPlan:
+    """Where measure_ahr reads every spectrum of one grid for one signal:
+    the grid (fft_size points over data_len windowed samples, edge_trim cut
+    from each edge of the output), its harmonic bins and then its alias
+    bins, each ascending, and their band counts. spectra caches, on the
+    plan's bins, the spectra that the signal's outputs share
+    (shared_spectrum); a plan serves the one signal of its context, so a
+    key names a spectrum of that signal alone."""
+
+    fft_size: int
+    data_len: int
+    edge_trim: int
+    bins: np.ndarray
+    harmonic_bins: int
+    harmonic_bands: int
+    alias_bands: int
+    spectra: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def build(cls, f0: float, context: AhrContext, length: int, rate: int, edge_trim: int) -> "BandPlan":
+        """The bands measure_ahr reads on an output of length samples at rate:
+        a band covers the bins within BAND_HALF_WIDTH_BINS resolution bins of
+        its line, a band within two half-widths of DC is skipped, and an
+        alias band that touches a harmonic band is dropped."""
+        n = _frame_length(length, edge_trim)
+        nfft = _next_pow2(ANALYSIS["zero_pad"] * n)
+        hw = BAND_HALF_WIDTH_BINS * (rate / n)
+
+        kf = np.arange(1, K_CAP + 1) * f0
+        harm = kf[kf < context.input_rate / 2.0]
+        alias = np.asarray(context.alias_freqs, dtype=float)
+        if harm.size == 0:
+            raise ValueError(f"empty harmonic set for f0={f0} Hz")
+
+        grid = np.fft.rfftfreq(nfft, d=1.0 / rate)
+        hmask, h_count = band_mask(grid, harm[harm > 2.0 * hw], hw)
+        amask, a_count = band_mask(grid, alias[alias > 2.0 * hw], hw, exclude=hmask)
+        assert not np.any(hmask & amask), "harmonic and alias bands must be disjoint"
+        h_bins = np.flatnonzero(hmask)
+        return cls(nfft, n, edge_trim, np.concatenate([h_bins, np.flatnonzero(amask)]),
+                   h_bins.size, h_count, a_count)
+
+    def read(self, frame: np.ndarray) -> np.ndarray:
+        """The plan's bins of the rfft of a windowed frame of data_len samples."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.fft.rfft(frame, n=self.fft_size)[self.bins]
+
+    def shared_spectrum(self, key: int | str, frame: Callable[[], np.ndarray]) -> np.ndarray:
+        """read(frame()), computed on the first call for key and kept with the plan."""
+        if key not in self.spectra:
+            self.spectra[key] = self.read(frame())
+        return self.spectra[key]
+
+    def energy(self, spectrum: np.ndarray, harmonic: bool) -> float:
+        """Summed power of the harmonic or the alias bins of a spectrum on the
+        plan's bins, as SpectrumEstimate.band_power sums them."""
+        nh = self.harmonic_bins
+        bins, spec = (self.bins[:nh], spectrum[:nh]) if harmonic else (self.bins[nh:], spectrum[nh:])
+        dc = bool(bins.size) and bins[0] == 0
+        nyquist = bool(bins.size) and bins[-1] == self.fft_size // 2
+        return float(_bin_power(spec, dc, nyquist, self.fft_size, self.data_len).sum())
+
+
 def measure_ahr(
-    output: AudioBuffer,
+    output,
     f0: float,
     context: AhrContext,
     edge_trim: int = EDGE_DISCARD,
 ) -> AhrMeasurement:
-    """AHR of a processed test signal with full band bookkeeping."""
+    """AHR of a processed test signal with full band bookkeeping, read on
+    the signal's band plan (context.band_plan). output is an AudioBuffer,
+    or an output with len and sample_rate that reads its own spectrum on a
+    plan's bins (upsamplers.LinearOutput.band_spectrum)."""
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    s = estimate_spectrum(output, edge_trim=edge_trim)
-    hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
-
-    kf = np.arange(1, K_CAP + 1) * f0
-    harm = kf[kf < context.input_rate / 2.0]
-    alias = np.asarray(context.alias_freqs, dtype=float)
-    if harm.size == 0:
-        raise ValueError(f"empty harmonic set for f0={f0} Hz")
-
-    hmask, h_count = band_mask(s, harm[harm > 2.0 * hw], hw)
-    amask, a_count = band_mask(s, alias[alias > 2.0 * hw], hw, exclude=hmask)
-
-    assert not np.any(hmask & amask), "harmonic and alias bands must be disjoint"
-    e_h = s.band_power(hmask)
-    e_a = s.band_power(amask)
-    return AhrMeasurement(ratio_db(e_a, e_h), h_count, a_count, e_h, e_a)
+    plan = context.band_plan(f0, len(output), output.sample_rate, edge_trim)
+    if isinstance(output, AudioBuffer):
+        spectrum = estimate_spectrum(output, edge_trim=edge_trim).spectrum[plan.bins]
+    else:
+        spectrum = output.band_spectrum(plan)
+    e_h = plan.energy(spectrum, harmonic=True)
+    e_a = plan.energy(spectrum, harmonic=False)
+    return AhrMeasurement(ratio_db(e_a, e_h), plan.harmonic_bands, plan.alias_bands, e_h, e_a)
 
 
 @dataclass(frozen=True)

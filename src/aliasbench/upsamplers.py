@@ -12,18 +12,48 @@ high band, and being linear and time-invariant it is part of the same kernel.
 All layers output length L * len(input) at rate L * input rate, and all
 randomness is drawn from counter-based streams keyed by (seed, domain), so
 results never depend on evaluation order.
+
+Being linear, a layer's analysed spectrum superposes. With x^ the input
+zero-interlaced by L, the output is y[t] = g sum_m K[m] x^[t + c - m] + b for
+a kernel K centred on tap c, so the spectrum measure_ahr takes of
+w y[E : E+n] (w the analysis window, E the edge trim) is, in exact
+arithmetic,
+
+    g sum_m K[m] S_{c-m} + b W,
+
+where S_s is the spectrum of w x^[E+s : E+s+n] and W that of w. A
+LinearOutput stands for y without forming it and reads its spectrum this
+way, on the signal's band plan, which keeps each S_s and W for every layer of
+the signal. ConvTranspose's 2L taps at centre 0 read the shifts 0..-(2L-1),
+and NearestInterp's hold kernel reads a subset of them; LinearInterp's
+triangle reads shifts above 0, and AntiAliasedResample's kernel is long, so
+those are formed and measured directly. superposed_layers says when the
+shared spectra pay for themselves. In floating point the sum adds in
+another order than the rfft of the formed buffer, so an AHR can differ in
+its last bits; the tables, at 6 decimals, were equal on every grid
+compared, which is measured, not guaranteed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .audio import AudioBuffer
 from .filters import FirKernel, design_fir, interp_kernel, interpolate, scale_in_place
-from .metrics import BAND_HALF_WIDTH_BINS, EDGE_DISCARD, alias_lines, band_mask, estimate_spectrum, ratio_db
+from .metrics import (
+    BAND_HALF_WIDTH_BINS,
+    EDGE_DISCARD,
+    BandPlan,
+    alias_lines,
+    band_mask,
+    estimate_spectrum,
+    kaiser,
+    ratio_db,
+)
 
 UPSAMPLER_KINDS = ("conv_transpose", "linear", "nearest", "aa_resample")
 
@@ -122,6 +152,81 @@ def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
                           f"{spec.name}: output overflowed applying gain {gain} and bias {bias}")
 
 
+def kernel_shifts(spec: UpsamplerSpec) -> set[int]:
+    """The shifts s = c - m of x^ that the layer's kernel reads, over its taps m that are not 0."""
+    h, _, _ = upsampler_kernel(spec)
+    return {h.center - int(m) for m in np.flatnonzero(h.taps)}
+
+
+def superposed_layers(specs) -> set[UpsamplerSpec]:
+    """The layers to measure as LinearOutputs of one set of shared spectra
+    per signal, or none.
+
+    The basis spans the shifts 0..-(2L-1), those a causal kernel of 2L taps
+    reads (ConvTranspose's), and a layer fits in it when its kernel reads no
+    other shift. The basis costs one FFT per signal for each distinct shift
+    its layers read, plus one for the window when one of them has a bias,
+    and saves each layer that fits its own FFT and FIR pass. So it pays when
+    each basis spectrum serves at least one layer on average: the layers
+    that fit are taken when they are at least as many as those FFTs; the
+    README gives the CLI timings on both sides of that line.
+    """
+    fits, shifts, bias = set(), set(), False
+    for spec in specs:
+        read = kernel_shifts(spec)
+        if all(-2 * spec.factor < s <= 0 for s in read):
+            fits.add(spec)
+            shifts |= {(spec.factor, s) for s in read}
+            bias |= upsampler_kernel(spec)[2] != 0.0
+    return fits if len(fits) >= len(shifts) + bias else set()
+
+
+@dataclass(frozen=True, eq=False)
+class LinearOutput:
+    """apply_upsampler(source, spec), not formed: it has the len and
+    sample_rate of that buffer, and measure_ahr reads its spectrum through
+    band_spectrum."""
+
+    source: AudioBuffer
+    spec: UpsamplerSpec
+
+    def __len__(self) -> int:
+        return self.spec.factor * len(self.source)
+
+    @property
+    def sample_rate(self) -> int:
+        return self.spec.factor * self.source.sample_rate
+
+    def band_spectrum(self, plan: BandPlan) -> np.ndarray:
+        """The output's spectrum on the plan's bins, g sum_m K[m] S_{c-m} + b W.
+        Each S_s and W is computed on its first use and kept by the plan
+        (BandPlan.shared_spectrum) for every layer measured on it."""
+        h, gain, bias = upsampler_kernel(self.spec)
+        out = np.zeros(plan.bins.size, dtype=complex)
+        for m in np.flatnonzero(h.taps):
+            s = h.center - int(m)
+            out += h.taps[m] * plan.shared_spectrum(s, partial(self._shifted_frame, plan, s))
+        out *= gain
+        if bias:
+            out += bias * plan.shared_spectrum("window", partial(kaiser, plan.data_len))
+        return out
+
+    def _shifted_frame(self, plan: BandPlan, shift: int) -> np.ndarray:
+        """w x^[E+shift : E+shift+n], written only where x^ holds an input
+        sample: at frame index t, x^[i] with i = E + shift + t is x[i / L]
+        where L divides i and 0 <= i < L len(x), and 0 elsewhere."""
+        L, x = self.spec.factor, self.source.samples
+        n, first = plan.data_len, plan.edge_trim + shift
+        lo = max(0, -first)
+        t0 = lo + (-(first + lo)) % L
+        hi = min(n, L * x.size - first)
+        frame = np.zeros(n)
+        if t0 < hi:
+            j0 = (first + t0) // L
+            np.multiply(kaiser(n)[t0:hi:L], x[j0 : j0 + -(-(hi - t0) // L)], out=frame[t0:hi:L])
+        return frame
+
+
 def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[float, ...]:
     """Image (alias) frequencies an upsampler by factor creates from the
     partials k*f0 (k in ks) of its input: metrics.alias_lines from
@@ -147,5 +252,5 @@ def tonal_probe(output: AudioBuffer, input_rate: int, edge_trim: int = EDGE_DISC
     s = estimate_spectrum(output, edge_trim=edge_trim)
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
     out_nyq = output.sample_rate / 2.0
-    mask, _ = band_mask(s, input_rate * np.arange(1, int(out_nyq // input_rate) + 1), hw)
+    mask, _ = band_mask(s.bin_freqs, input_rate * np.arange(1, int(out_nyq // input_rate) + 1), hw)
     return ratio_db(s.band_power(mask), s.total_power)

@@ -527,6 +527,21 @@ class TestRunUpsamplers:
             outs[threads] = [out.read_bytes(), out.with_name("ups_per_signal.csv").read_bytes()]
         assert outs["1"] == outs["2"]
 
+    def test_superposed_layers_write_the_direct_paths_bytes(self, tiny_bench, tmp_path, monkeypatch):
+        """At --seeds 10 the ConvTranspose and NearestInterp AHRs are read off
+        shared shifted-input spectra (upsamplers.LinearOutput). Every file
+        equals a run with every layer formed and measured directly."""
+        root, _ = tiny_bench
+        outs = {}
+        for path in ("superposed", "direct"):
+            if path == "direct":
+                monkeypatch.setattr("aliasbench.bench.superposed_layers", lambda specs: set())
+            out = tmp_path / path / "ups.csv"
+            assert run("run-upsamplers", "--bench", str(root), "--seeds", "10", "--out", str(out)) == EXIT_OK
+            outs[path] = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+        assert len(outs["direct"]) == 3
+        assert outs["superposed"] == outs["direct"]
+
     def test_factor_must_divide_the_bench_rate(self, tiny_bench, tmp_path):
         root, _ = tiny_bench
         rc = run("run-upsamplers", "--bench", str(root), "--factor", "8",

@@ -320,7 +320,7 @@ def band_cases(draw):
     nfft = draw(st.sampled_from([64, 256, 1024]))
     rate = draw(st.sampled_from([1000, 44100]))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / rate)
-    s = SpectrumEstimate(freqs, np.ones(freqs.size), nfft, nfft, rate)
+    s = SpectrumEstimate(np.ones(freqs.size), nfft, nfft, rate)
     hw = draw(st.just(0.0) | st.floats(0.0, 20.0 * rate / nfft))
     on_bin = st.integers(0, freqs.size - 1).map(lambda i: float(freqs[i]))
     anywhere = st.floats(0.0, 0.6 * rate)
@@ -337,7 +337,7 @@ class TestBandMask:
     @given(band_cases())
     def test_matches_per_band_loop(self, case):
         s, centres, hw, exclude = case
-        mask, count = band_mask(s, centres, hw, exclude=exclude)
+        mask, count = band_mask(s.bin_freqs, centres, hw, exclude=exclude)
         want_mask, want_count = reference_band_mask(s, centres, hw, exclude)
         assert np.array_equal(mask, want_mask)
         assert count == want_count
@@ -459,6 +459,27 @@ class TestActivationContext:
         assert context.input_rate == rate
         assert context.alias_freqs == tuple(sorted(want - {0.0}))
         assert context.k_cap == K_CAP
+
+    def test_the_activation_table_lays_out_its_bands_once_per_signal(self, monkeypatch):
+        """run-activations' 7 configs output at the signal's rate and length,
+        so each signal's context builds one bin grid and one pair of band
+        masks (its BandPlan) for all of them."""
+        counts = {"rfftfreq": 0, "band_mask": 0}
+        rfftfreq, mask = np.fft.rfftfreq, metrics.band_mask
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.fft, "rfftfreq", counted("rfftfreq", rfftfreq))
+        monkeypatch.setattr(metrics, "band_mask", counted("band_mask", mask))
+        signals = [TestSignalSpec(w, 72, duration_s=1.0) for w in ("sine", "sawtooth")]
+        reports = evaluate(signals, DEFAULT_ACTIVATIONS, apply_activation,
+                           lambda s: activation_context(s.f0_hz, s.sample_rate))
+        assert len(reports) == len(DEFAULT_ACTIVATIONS) == 7
+        assert counts == {"rfftfreq": len(signals), "band_mask": 2 * len(signals)}
 
 
 class TestRatioDb:

@@ -70,8 +70,9 @@ def test_upsampler_layers_are_the_table_specs(tiny_bench, tmp_path):
     assert modelled == written
 
 
-@pytest.mark.parametrize("command,configs", [(["run-activations"], 7), (["run-upsamplers", "--seeds", "2"], 6)],
-                         ids=["run-activations", "run-upsamplers --seeds 2"])
+@pytest.mark.parametrize("command,configs", [(["run-activations"], 7), (["run-upsamplers", "--seeds", "2"], 6),
+                                             (["run-upsamplers", "--seeds", "10"], 14)],
+                         ids=["run-activations", "run-upsamplers --seeds 2", "run-upsamplers --seeds 10"])
 def test_traced_table_commands_keep_their_counts(tiny_bench, tmp_path, command, configs):
     """A traced round reads measure_ahr's band counts, the context's k_cap
     and input_rate and the spectrum's fft_size, and checks the harmonic

@@ -1,20 +1,23 @@
 """Tests for the four upsampling layers and their artifact bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import zero_interlace
 from numpy.testing import assert_allclose
 
-from aliasbench import upsamplers
+from aliasbench import bench, upsamplers
 from aliasbench.audio import AudioBuffer, NumericError
-from aliasbench.bench import derive_seeds
+from aliasbench.bench import derive_seeds, image_context, input_signals
 from aliasbench.filters import (
     design_fir,
     interp_kernel,
     interpolate,
     upsample_filtered,
 )
-from aliasbench.metrics import band_energy, estimate_spectrum
+from aliasbench.metrics import AhrContext, band_energy, estimate_spectrum, measure_ahr
+from aliasbench.signals import WAVEFORMS, TestSignalSpec, gen_bandlimited
 from aliasbench.upsamplers import (
     UpsamplerSpec,
     apply_upsampler,
@@ -339,3 +342,120 @@ class TestTonalProbe:
         for spec in (UpsamplerSpec("aa_resample"), UpsamplerSpec("linear"), UpsamplerSpec("nearest")):
             y = apply_upsampler(self.constant(), spec)
             assert tonal_probe(y, RATE, edge_trim=2048) <= -100.0
+
+
+class TestLinearOutput:
+    """A LinearOutput reads a layer's analysed spectrum as the superposition
+    g sum_m K[m] S_{c-m} + b W of shifted-input spectra that its signal's
+    band plan keeps, and the upsampler table measures ConvTranspose and
+    NearestInterp that way when they are at least as many as those spectra."""
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_superposed_ahr_is_the_formed_layers(self, factor):
+        """ConvTranspose (bias included) and NearestInterp on every 12th note
+        from 60, each waveform: within 1e-9 dB of the formed buffer's AHR,
+        with its band counts, length and rate."""
+        specs = [UpsamplerSpec("conv_transpose", factor=factor, seed=s) for s in derive_seeds(0, 2)]
+        specs.append(UpsamplerSpec("nearest", factor=factor))
+        for note in range(60, 108, 12):
+            for waveform in WAVEFORMS:
+                (signal,) = input_signals([TestSignalSpec(waveform, note)], factor)
+                x, ctx = gen_bandlimited(signal), image_context(signal, factor)
+                for spec in specs:
+                    formed, lazy = apply_upsampler(x, spec), upsamplers.LinearOutput(x, spec)
+                    assert (len(lazy), lazy.sample_rate) == (len(formed), formed.sample_rate)
+                    want = measure_ahr(formed, signal.f0_hz, ctx)
+                    got = measure_ahr(lazy, signal.f0_hz, ctx)
+                    assert abs(got.ahr_db - want.ahr_db) <= 1e-9, (note, waveform, spec)
+                    assert (got.harmonic_bands, got.alias_bands) == (want.harmonic_bands, want.alias_bands)
+
+    def test_frames_at_the_signal_edges_read_zero_padding(self):
+        """With no edge trim the shifted frames start before the interlaced
+        input, where the formed layer is zero-padded."""
+        x = sine_buffer(700.0, duration_s=0.25)
+        ctx = AhrContext(RATE, image_frequencies(700.0, 3, RATE, (1,)))
+        for spec in (UpsamplerSpec("conv_transpose", factor=3, seed=4), UpsamplerSpec("nearest", factor=3)):
+            want = measure_ahr(apply_upsampler(x, spec), 700.0, ctx, edge_trim=0).ahr_db
+            assert abs(measure_ahr(upsamplers.LinearOutput(x, spec), 700.0, ctx, edge_trim=0).ahr_db - want) <= 1e-9
+
+    @staticmethod
+    def one_note(duration_s=5.0):
+        """Note 72 in each waveform: the fewest signals a table has."""
+        return [TestSignalSpec(w, 72, duration_s=duration_s) for w in WAVEFORMS]
+
+    def one_signal_work(self, monkeypatch, factor, n_seeds):
+        """(AHR rffts, apply_upsampler calls) per signal of the upsampler
+        table, the tonal probes left out."""
+        counts = {"rfft": 0, "apply": 0}
+        rfft, apply = np.fft.rfft, bench.apply_upsampler
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np.fft, "rfft", counted("rfft", rfft))
+            mp.setattr(bench, "apply_upsampler", counted("apply", apply))
+            mp.setattr(bench, "tonal_probe_for", lambda spec, rate: 0.0)
+            bench.upsampler_table(self.one_note(1.0), factor, n_seeds, 0)
+        return counts["rfft"] / len(WAVEFORMS), counts["apply"] / len(WAVEFORMS)
+
+    def test_ten_seeds_at_factor_two_share_one_basis(self, monkeypatch):
+        """L = 2, 10 seeds: the 10 ConvTranspose layers and NearestInterp
+        read 4 shifted spectra and the window's, and the other 3 layers are
+        formed, so one signal takes 8 rffts, not 14."""
+        assert self.one_signal_work(monkeypatch, 2, 10) == (8, 3)
+
+    def test_one_seed_at_factor_four_stays_direct(self, monkeypatch):
+        """L = 4, 1 seed: 2 layers would need 8 shifted spectra and the
+        window's, so every layer is formed and measured on its own."""
+        assert self.one_signal_work(monkeypatch, 4, 1) == (5, 5)
+        assert upsamplers.superposed_layers(
+            [UpsamplerSpec("conv_transpose", factor=4), UpsamplerSpec("nearest", factor=4)]) == set()
+
+    def test_layers_that_fit_the_basis(self):
+        """conv_transpose reads shifts 0..-(2L-1) and nearest a subset; the
+        centred linear triangle and the resampling low-pass read others."""
+        assert upsamplers.kernel_shifts(UpsamplerSpec("conv_transpose", factor=3)) == set(range(0, -6, -1))
+        assert upsamplers.kernel_shifts(UpsamplerSpec("nearest", factor=3)) == {0, -1, -2}
+        layers = [UpsamplerSpec("conv_transpose", factor=2, seed=s) for s in range(10)]
+        layers += [UpsamplerSpec("linear"), UpsamplerSpec("nearest"), UpsamplerSpec("aa_resample")]
+        assert upsamplers.superposed_layers(layers) == set(layers[:10]) | {UpsamplerSpec("nearest")}
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_layers_are_superposed_from_as_many_as_the_basis_ffts(self, factor):
+        """The basis of 2L shifts and the window's spectrum is taken once
+        2L ConvTranspose seeds and NearestInterp fill it, one layer per FFT
+        (--seeds 4 at L = 2), and not with a seed fewer."""
+        nearest = UpsamplerSpec("nearest", factor=factor)
+        for n_seeds, taken in ((2 * factor, True), (2 * factor - 1, False)):
+            fits = [UpsamplerSpec("conv_transpose", factor=factor, seed=s) for s in range(n_seeds)] + [nearest]
+            layers = fits + [UpsamplerSpec("linear", factor=factor), UpsamplerSpec("aa_resample", factor=factor)]
+            assert upsamplers.superposed_layers(layers) == (set(fits) if taken else set()), n_seeds
+
+    def test_signal_task_peaks_no_higher_than_the_direct_path(self, monkeypatch):
+        """Under tracemalloc, the table's work on 5 s signals (one at a
+        time, on one thread) peaks no higher with the shared spectra than
+        with every layer formed, give or take 64 KiB of Python objects (the
+        smallest full-length array is the 1.56 MiB frame), and leaves no
+        full-length array behind (a cached window spectrum alone is 2 MiB)."""
+        def traced(superposed):
+            with monkeypatch.context() as mp:
+                mp.setattr(bench, "tonal_probe_for", lambda spec, rate: 0.0)
+                if not superposed:
+                    mp.setattr(bench, "superposed_layers", lambda specs: set())
+                bench.upsampler_table(self.one_note(), 2, 10, 0)  # window and filter caches warm
+                tracemalloc.start()
+                try:
+                    bench.upsampler_table(self.one_note(), 2, 10, 0)
+                    current, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            return current, peak
+
+        current, peak = traced(True)
+        _, direct_peak = traced(False)
+        assert peak <= direct_peak + 2**16, f"{peak / 2**20:.2f} MiB against {direct_peak / 2**20:.2f} MiB"
+        assert current < 2**20, f"{current / 2**20:.2f} MiB kept"
