@@ -16,6 +16,7 @@ import numpy as np
 from .activations import ActivationSpec
 from .audio import AudioBuffer
 from .configio import ConfigError, Spec, config_hash, read_text, write_csv
+from .filters import FirKernel
 from .metrics import (
     EDGE_DISCARD,
     MIN_ANALYSIS_SAMPLES,
@@ -33,6 +34,7 @@ from .upsamplers import (
     image_frequencies,
     superposed_layers,
     tonal_probe,
+    upsampler_kernel,
 )
 
 T = TypeVar("T")
@@ -157,10 +159,11 @@ def image_context(signal: TestSignalSpec, factor: int) -> AhrContext:
     return AhrContext(signal.sample_rate, image_frequencies(signal.f0_hz, factor, signal.sample_rate, ks))
 
 
-def tonal_probe_for(spec: UpsamplerSpec, input_rate: int) -> float:
-    """Stride-line level (dB) of this layer driven by one second of constant input."""
+def tonal_probe_for(spec: UpsamplerSpec, input_rate: int, kernel: tuple[FirKernel, float, float]) -> float:
+    """Stride-line level (dB) of this layer, whose upsampler_kernel is
+    kernel, driven by one second of constant input."""
     x = AudioBuffer(np.full(input_rate, TONAL_PROBE_VALUE), input_rate)
-    return tonal_probe(apply_upsampler(x, spec), input_rate)
+    return tonal_probe(apply_upsampler(x, spec, kernel), input_rate)
 
 
 @dataclass(frozen=True)
@@ -186,8 +189,9 @@ def upsampler_table(
     signals are the benchmark's signals at their own rate; each is
     synthesized at rate/factor (input_signals). Each row is the mean
     over its group of layer specs: ConvTranspose's n_seeds seeded layers, or
-    the one spec of any other layer. The layers of superposed_layers are
-    measured as unformed LinearOutputs, the others through apply_upsampler.
+    the one spec of any other layer. Each layer's kernel is drawn once for
+    the run, and every layer is measured as a LinearOutput: those of
+    superposed_layers unformed, the others formed as they are read.
     """
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
@@ -207,10 +211,11 @@ def upsampler_table(
         name="AntiAliasedResample_prior",
     )
     layers = [s for g in groups for s in g] + [aa_prior]
-    superposed = superposed_layers(layers)
+    kernels = {spec: upsampler_kernel(spec) for spec in layers}
+    superposed = superposed_layers(kernels)
 
-    def layer_output(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer | LinearOutput:
-        return LinearOutput(x, spec) if spec in superposed else apply_upsampler(x, spec)
+    def layer_output(x: AudioBuffer, spec: UpsamplerSpec) -> LinearOutput:
+        return LinearOutput(x, spec, spec in superposed, kernels[spec])
 
     # The formed layers go first, so a signal's shared spectra are built
     # after the last buffer is formed and never add to its peak.
@@ -229,7 +234,7 @@ def upsampler_table(
                 per_type_db={w: float(np.mean([r.per_type_mean_db[w] for r in reps])) for w in WAVEFORMS},
                 average_db=float(np.mean(overall)),
                 prior_on_average_db=all_reports[-1].overall_mean_db if kind == "aa_resample" else None,
-                tonal_line_db=float(np.mean([tonal_probe_for(s, rate) for s in group])),
+                tonal_line_db=float(np.mean([tonal_probe_for(s, rate, kernels[s]) for s in group])),
                 seed_std_db=float(np.std(overall)) if kind == "conv_transpose" else None,
             )
         )

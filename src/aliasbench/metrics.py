@@ -28,16 +28,21 @@ clamped by one, ratio_db. The band rule of measure_ahr:
 The measurement is therefore insensitive to output gain and (for signals
 periodic in the analysis frame) to time shifts.
 
-A spectrum is one rfft (SpectrumEstimate.spectrum). Bin powers are computed
-only where the bands are (band_power), by the same per-bin operations in the
-same order as the full power spectrum, so each band sum keeps its bits.
+A spectrum is the rfft of one windowed frame. estimate_spectrum takes it in
+one rfft (SpectrumEstimate.spectrum). Bin powers are computed only where the
+bands are (band_power), by the same per-bin operations in the same order as
+the full power spectrum, so each band sum keeps its bits.
 
 measure_ahr reads its bands through a BandPlan: one bin grid, its harmonic
 and alias bins and their band counts, built once per signal, output length
-and rate, and kept on the signal's AhrContext. Every output measured on that
-context is reduced to the plan's bins right after its rfft. An output that is
-not an AudioBuffer (upsamplers.LinearOutput) reads its spectrum on those bins
-itself, from spectra that the plan keeps for the signal.
+and rate, and kept on the signal's AhrContext. An AudioBuffer measured on
+that context is reduced to the plan's bins right after its rfft. An output
+that is not an AudioBuffer (upsamplers.LinearOutput) reads its spectrum on
+those bins itself, through BandPlan.read: the frame's residue classes mod
+SPLIT, each one rfft of fft_size / SPLIT points, folded onto the plan's bins
+and summed with per-plan twiddles (the decimation-in-time split of Cooley
+and Tukey, evaluated on those bins alone). A class known to be zero is not
+transformed. The plan also keeps the spectra its signal's outputs share.
 
 The analysis, ANALYSIS, is a periodic Kaiser window at beta = 5 pi with no
 zero padding. beta = pi NW is Kaiser's approximation of the NW = 5 Slepian
@@ -54,7 +59,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -81,6 +86,10 @@ MIN_ANALYSIS_SAMPLES = 1024
 
 #: Hard cap on harmonic indices considered anywhere in the bookkeeping.
 K_CAP = 512
+
+#: Residue classes mod SPLIT that BandPlan.read transforms apart, each in an
+#: FFT SPLIT times shorter than the spectrum's.
+SPLIT = 4
 
 
 def _bin_power(spec: np.ndarray, dc: bool, nyquist: bool, fft_size: int, data_len: int) -> np.ndarray:
@@ -358,15 +367,49 @@ class BandPlan:
         return cls(nfft, n, edge_trim, np.concatenate([h_bins, np.flatnonzero(amask)]),
                    h_bins.size, h_count, a_count)
 
-    def read(self, frame: np.ndarray) -> np.ndarray:
-        """The plan's bins of the rfft of a windowed frame of data_len samples."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.fft.rfft(frame, n=self.fft_size)[self.bins]
+    @cached_property
+    def _folds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where read finds bin k in a class's rfft of M = fft_size / SPLIT
+        points: at r = k mod M, or conjugated at M - r where r > M/2; and the
+        twiddles exp(-2 pi i k p / fft_size) of the classes p = 1..SPLIT-1.
+        Built on the plan's bins alone, on the first read."""
+        m = self.fft_size // SPLIT
+        r = self.bins % m
+        mirror = r > m // 2
+        turns = np.arange(1, SPLIT)[:, None] * self.bins % self.fft_size
+        return np.where(mirror, m - r, r), mirror, np.exp(-2j * np.pi / self.fft_size * turns)
 
-    def shared_spectrum(self, key: int | str, frame: Callable[[], np.ndarray]) -> np.ndarray:
-        """read(frame()), computed on the first call for key and kept with the plan."""
+    def read(self, classes: Iterable[np.ndarray | None]) -> np.ndarray:
+        """The plan's bins of the fft_size-point rfft of a windowed frame of
+        data_len samples, given as its SPLIT residue classes: classes yields,
+        for p = 0..SPLIT-1, the frame's samples p::SPLIT (zero-padded to
+        fft_size / SPLIT), or None where those are all zero. Each class is one
+        rfft of fft_size / SPLIT points, folded onto the bins by conjugate
+        symmetry and turned by its twiddle; a None class costs nothing."""
+        fold, mirror, twiddles = self._folds
+        out = np.zeros(self.bins.size, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, samples in enumerate(classes):
+                if samples is None:
+                    continue
+                part = np.fft.rfft(samples, n=self.fft_size // SPLIT)[fold]
+                np.conjugate(part, out=part, where=mirror)
+                if p:
+                    part *= twiddles[p - 1]
+                out += part
+        return out
+
+    def read_windowed(self, samples: np.ndarray) -> np.ndarray:
+        """read of the windowed frame samples[edge_trim : edge_trim + data_len]
+        * kaiser(data_len), each class windowed as it is read, so no
+        data_len-sample frame is built."""
+        w, start, stop = kaiser(self.data_len), self.edge_trim, self.edge_trim + self.data_len
+        return self.read(samples[start + p : stop : SPLIT] * w[p::SPLIT] for p in range(SPLIT))
+
+    def shared_spectrum(self, key: int | str, classes: Callable[[], Iterable[np.ndarray | None]]) -> np.ndarray:
+        """read(classes()), computed on the first call for key and kept with the plan."""
         if key not in self.spectra:
-            self.spectra[key] = self.read(frame())
+            self.spectra[key] = self.read(classes())
         return self.spectra[key]
 
     def energy(self, spectrum: np.ndarray, harmonic: bool) -> float:

@@ -21,17 +21,23 @@ arithmetic,
 
     g sum_m K[m] S_{c-m} + b W,
 
-where S_s is the spectrum of w x^[E+s : E+s+n] and W that of w. A
-LinearOutput stands for y without forming it and reads its spectrum this
-way, on the signal's band plan, which keeps each S_s and W for every layer of
-the signal. ConvTranspose's 2L taps at centre 0 read the shifts 0..-(2L-1),
-and NearestInterp's hold kernel reads a subset of them; LinearInterp's
-triangle reads shifts above 0, and AntiAliasedResample's kernel is long, so
-those are formed and measured directly. superposed_layers says when the
-shared spectra pay for themselves. In floating point the sum adds in
-another order than the rfft of the formed buffer, so an AHR can differ in
-its last bits; the tables, at 6 decimals, were equal on every grid
-compared, which is measured, not guaranteed.
+where S_s is the spectrum of w x^[E+s : E+s+n] and W that of w. The upsampler
+table measures every layer as a LinearOutput, which reads its spectrum on
+the signal's band plan. A superposed one is never formed: it reads the sum
+above, and the plan keeps each S_s and W for every layer of the signal.
+ConvTranspose's 2L taps at centre 0 read the shifts 0..-(2L-1), and
+NearestInterp's hold kernel reads a subset of them; superposed_layers says
+when those shared spectra pay for themselves. LinearInterp's triangle reads
+shifts above 0, and AntiAliasedResample's kernel is long, so those are
+formed, in band_spectrum, and dropped once read.
+
+Every spectrum is read as its residue classes mod SPLIT (BandPlan.read), each
+an FFT a quarter as long. A shifted frame is zero off one residue class mod
+L, so it fills only SPLIT / gcd(L, SPLIT) of them, and only those are built
+and transformed. In floating point these sums add in another order than the
+rfft of the formed buffer, so an AHR can differ in its last bits; the
+tables, at 6 decimals, were equal on every grid compared, which is
+measured, not guaranteed.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -47,6 +54,7 @@ from .filters import FirKernel, design_fir, interp_kernel, interpolate, scale_in
 from .metrics import (
     BAND_HALF_WIDTH_BINS,
     EDGE_DISCARD,
+    SPLIT,
     BandPlan,
     alias_lines,
     band_mask,
@@ -145,50 +153,59 @@ def upsampler_kernel(spec: UpsamplerSpec) -> tuple[FirKernel, float, float]:
     return FirKernel(taps, pad + h.center), float(g_mix), 0.0
 
 
-def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
-    """Zero-interlace by L, filter with the layer's kernel, then y * gain + bias."""
-    h, gain, bias = upsampler_kernel(spec)
+def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec, kernel: tuple[FirKernel, float, float] | None = None) -> AudioBuffer:
+    """Zero-interlace by L, filter with the layer's kernel, then y * gain + bias.
+    kernel is upsampler_kernel(spec), computed here when not given."""
+    h, gain, bias = kernel or upsampler_kernel(spec)
     return scale_in_place(interpolate(x, h, spec.factor), gain, bias,
                           f"{spec.name}: output overflowed applying gain {gain} and bias {bias}")
 
 
-def kernel_shifts(spec: UpsamplerSpec) -> set[int]:
-    """The shifts s = c - m of x^ that the layer's kernel reads, over its taps m that are not 0."""
-    h, _, _ = upsampler_kernel(spec)
+def kernel_shifts(h: FirKernel) -> set[int]:
+    """The shifts s = c - m of x^ that a kernel reads, over its taps m that are not 0."""
     return {h.center - int(m) for m in np.flatnonzero(h.taps)}
 
 
-def superposed_layers(specs) -> set[UpsamplerSpec]:
-    """The layers to measure as LinearOutputs of one set of shared spectra
-    per signal, or none.
+def superposed_layers(kernels: Mapping[UpsamplerSpec, tuple[FirKernel, float, float]]) -> set[UpsamplerSpec]:
+    """The layers to measure off one set of shared spectra per signal, or
+    none, given each layer's upsampler_kernel.
 
     The basis spans the shifts 0..-(2L-1), those a causal kernel of 2L taps
     reads (ConvTranspose's), and a layer fits in it when its kernel reads no
-    other shift. The basis costs one FFT per signal for each distinct shift
-    its layers read, plus one for the window when one of them has a bias,
-    and saves each layer that fits its own FFT and FIR pass. So it pays when
-    each basis spectrum serves at least one layer on average: the layers
-    that fit are taken when they are at least as many as those FFTs; the
-    README gives the CLI timings on both sides of that line.
+    other shift. The rule counts one spectrum per signal for each distinct
+    shift its layers read, plus one for the window when one of them has a
+    bias, and takes the layers that fit when they are at least as many as
+    those spectra; each layer taken is not formed. The README gives the CLI
+    timings on both sides of that line.
+
+    Every spectrum is read in residue classes mod SPLIT (BandPlan.read): a
+    shifted spectrum takes SPLIT / gcd(L, SPLIT) quarter-length FFTs (2 at
+    L = 2, 1 at L = 4, 4 at L = 3), the window's 4, and a formed layer its
+    FIR pass and 4. Those timings were taken with one full-length FFT per
+    spectrum, and the rule is kept as they drew it.
     """
     fits, shifts, bias = set(), set(), False
-    for spec in specs:
-        read = kernel_shifts(spec)
+    for spec, (h, _, b) in kernels.items():
+        read = kernel_shifts(h)
         if all(-2 * spec.factor < s <= 0 for s in read):
             fits.add(spec)
             shifts |= {(spec.factor, s) for s in read}
-            bias |= upsampler_kernel(spec)[2] != 0.0
+            bias |= b != 0.0
     return fits if len(fits) >= len(shifts) + bias else set()
 
 
 @dataclass(frozen=True, eq=False)
 class LinearOutput:
-    """apply_upsampler(source, spec), not formed: it has the len and
-    sample_rate of that buffer, and measure_ahr reads its spectrum through
-    band_spectrum."""
+    """apply_upsampler(source, spec), as measure_ahr reads it: it has the
+    len and sample_rate of that buffer, and measure_ahr reads its spectrum
+    through band_spectrum. A superposed output is never formed; any other is
+    formed there, and dropped once read. kernel is upsampler_kernel(spec),
+    computed when not given."""
 
     source: AudioBuffer
     spec: UpsamplerSpec
+    superposed: bool = True
+    kernel: tuple[FirKernel, float, float] | None = None
 
     def __len__(self) -> int:
         return self.spec.factor * len(self.source)
@@ -198,33 +215,48 @@ class LinearOutput:
         return self.spec.factor * self.source.sample_rate
 
     def band_spectrum(self, plan: BandPlan) -> np.ndarray:
-        """The output's spectrum on the plan's bins, g sum_m K[m] S_{c-m} + b W.
-        Each S_s and W is computed on its first use and kept by the plan
-        (BandPlan.shared_spectrum) for every layer measured on it."""
-        h, gain, bias = upsampler_kernel(self.spec)
+        """The output's spectrum on the plan's bins. A formed output is read
+        in residue classes (BandPlan.read_windowed). A superposed one is
+        g sum_m K[m] S_{c-m} + b W; each S_s and W is computed on its first
+        use and kept by the plan (BandPlan.shared_spectrum) for every layer
+        measured on it."""
+        if not self.superposed:
+            return plan.read_windowed(apply_upsampler(self.source, self.spec, self.kernel).samples)
+        h, gain, bias = self.kernel or upsampler_kernel(self.spec)
         out = np.zeros(plan.bins.size, dtype=complex)
         for m in np.flatnonzero(h.taps):
             s = h.center - int(m)
-            out += h.taps[m] * plan.shared_spectrum(s, partial(self._shifted_frame, plan, s))
+            out += h.taps[m] * plan.shared_spectrum(s, partial(self._shifted_classes, plan, s))
         out *= gain
         if bias:
-            out += bias * plan.shared_spectrum("window", partial(kaiser, plan.data_len))
+            w = kaiser(plan.data_len)
+            out += bias * plan.shared_spectrum("window", lambda: (w[p::SPLIT] for p in range(SPLIT)))
         return out
 
-    def _shifted_frame(self, plan: BandPlan, shift: int) -> np.ndarray:
-        """w x^[E+shift : E+shift+n], written only where x^ holds an input
+    def _shifted_classes(self, plan: BandPlan, shift: int) -> Iterator[np.ndarray | None]:
+        """The residue classes mod SPLIT (BandPlan.read) of the frame
+        w x^[E+shift : E+shift+n], written only where x^ holds an input
         sample: at frame index t, x^[i] with i = E + shift + t is x[i / L]
-        where L divides i and 0 <= i < L len(x), and 0 elsewhere."""
+        where L divides i and 0 <= i < L len(x), and 0 elsewhere. Those t
+        are t0 + L a, so class p holds none where p != t0 mod gcd(L, SPLIT),
+        and it is None there: 2 classes are read at L = 2 and 1 at L = 4."""
         L, x = self.spec.factor, self.source.samples
         n, first = plan.data_len, plan.edge_trim + shift
         lo = max(0, -first)
         t0 = lo + (-(first + lo)) % L
         hi = min(n, L * x.size - first)
-        frame = np.zeros(n)
-        if t0 < hi:
-            j0 = (first + t0) // L
-            np.multiply(kaiser(n)[t0:hi:L], x[j0 : j0 + -(-(hi - t0) // L)], out=frame[t0:hi:L])
-        return frame
+        step = L * SPLIT // math.gcd(L, SPLIT)  # t's period in both L and SPLIT
+        w = kaiser(n)
+        for p in range(SPLIT):
+            t = next((t for t in range(t0, t0 + step, L) if t % SPLIT == p), hi)
+            if t >= hi:
+                yield None
+                continue
+            count = -(-(hi - t) // step)
+            j = (first + t) // L
+            samples = np.zeros(plan.fft_size // SPLIT)
+            np.multiply(w[t:hi:step], x[j :: step // L][:count], out=samples[t // SPLIT :: step // SPLIT][:count])
+            yield samples
 
 
 def image_frequencies(f0: float, factor: int, input_rate: float, ks) -> tuple[float, ...]:

@@ -23,13 +23,14 @@ from conftest import make_bench_dir
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aliasbench import cli
+from aliasbench import cli, upsamplers
 from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpec
 from aliasbench.audio import AudioBuffer
 from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate, ordered_map, wav_name
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
 from aliasbench.metrics import AhrContext, AhrMeasurement, kaiser
 from aliasbench.signals import WAVEFORMS, TestSignalSpec, midi_to_freq
+from aliasbench.upsamplers import apply_upsampler
 
 ACT_CONFIG = """\
 # two cheap nonlinearities
@@ -541,6 +542,25 @@ class TestRunUpsamplers:
             outs[path] = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
         assert len(outs["direct"]) == 3
         assert outs["superposed"] == outs["direct"]
+
+    @pytest.mark.parametrize("seeds", ["1", "10"])
+    def test_formed_layers_write_the_old_formed_paths_bytes(self, tiny_bench, tmp_path, monkeypatch, seeds):
+        """The layers that are not superposed are formed inside
+        LinearOutput.band_spectrum and read in residue classes. Every file
+        equals a run that measures them as formed AudioBuffers through
+        estimate_spectrum's one full-length rfft."""
+        root, _ = tiny_bench
+        outs = {}
+        for path in ("classes", "rfft"):
+            if path == "rfft":
+                def layer_output(x, spec, superposed, kernel):
+                    return upsamplers.LinearOutput(x, spec, True, kernel) if superposed else apply_upsampler(x, spec)
+                monkeypatch.setattr("aliasbench.bench.LinearOutput", layer_output)
+            out = tmp_path / path / "ups.csv"
+            assert run("run-upsamplers", "--bench", str(root), "--seeds", seeds, "--out", str(out)) == EXIT_OK
+            outs[path] = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+        assert len(outs["rfft"]) == 3
+        assert outs["classes"] == outs["rfft"]
 
     def test_factor_must_divide_the_bench_rate(self, tiny_bench, tmp_path):
         root, _ = tiny_bench

@@ -32,8 +32,10 @@ from aliasbench.metrics import (
     FLOOR_DB,
     K_CAP,
     KAISER_BLOCK,
+    SPLIT,
     AhrContext,
     AhrMeasurement,
+    BandPlan,
     SignalAhr,
     SpectrumEstimate,
     activation_context,
@@ -503,6 +505,92 @@ class TestRatioDb:
         x = sine_buffer(1000.0, duration_s=1.0, amplitude=1e300)
         with pytest.raises(NumericError):
             measure_ahr(x, 1000.0, activation_context(1000.0, RATE), edge_trim=1024)
+
+
+class TestBandPlanRead:
+    """BandPlan.read takes a frame as its residue classes mod SPLIT, each in
+    an FFT SPLIT times shorter, and gives the plan's bins of the frame's
+    full rfft."""
+
+    #: (fft_size, data_len): the smallest spectrum, one zero-padded, and the
+    #: benchmark's 5 s frame at 44.1 kHz.
+    SIZES = [(1024, 1024), (2**14, 12345), (2**18, 204116)]
+
+    @staticmethod
+    def every_bin_plan(nfft, n):
+        return BandPlan(nfft, n, 0, np.arange(nfft // 2 + 1), 0, 0, 0)
+
+    @staticmethod
+    def counted_rfft(monkeypatch):
+        """Patch np.fft.rfft to record the points of each call."""
+        points, rfft = [], np.fft.rfft
+
+        def call(a, n=None, *args, **kwargs):
+            points.append(len(a) if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", call)
+        return points
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nfft,n", SIZES)
+    def test_dense_frame_reads_its_full_rfft(self, nfft, n, monkeypatch):
+        frame = np.random.default_rng(n).standard_normal(n)
+        want = np.fft.rfft(frame, n=nfft)
+        plan = self.every_bin_plan(nfft, n)
+        points = self.counted_rfft(monkeypatch)
+        self.assert_close(plan.read(frame[p::SPLIT] for p in range(SPLIT)), want)
+        assert points == [nfft // SPLIT] * SPLIT
+
+    @pytest.mark.parametrize("nfft,n", SIZES)
+    @pytest.mark.parametrize("factor", [2, 3, 4, 8])
+    def test_interlaced_frame_transforms_only_its_classes(self, nfft, n, factor, monkeypatch):
+        """A frame zero off t0 mod L is zero on every class p != t0 mod
+        gcd(L, SPLIT); those classes, passed as None, are not transformed."""
+        rng = np.random.default_rng(factor)
+        for t0 in range(factor):
+            frame = np.zeros(n)
+            frame[t0::factor] = rng.standard_normal(frame[t0::factor].size)
+            want = np.fft.rfft(frame, n=nfft)
+            held = [p for p in range(SPLIT) if (p - t0) % math.gcd(factor, SPLIT) == 0]
+            plan = self.every_bin_plan(nfft, n)
+            with monkeypatch.context() as mp:
+                points = self.counted_rfft(mp)
+                got = plan.read(frame[p::SPLIT] if p in held else None for p in range(SPLIT))
+            self.assert_close(got, want)
+            assert points == [nfft // SPLIT] * (SPLIT // math.gcd(factor, SPLIT)) == [nfft // SPLIT] * len(held)
+            assert not any(frame[p::SPLIT].any() for p in range(SPLIT) if p not in held)
+
+    def test_reads_only_the_plans_bins(self):
+        """A plan of a signal's bands reads the bins it keeps, in its order."""
+        x = gen_bandlimited(TestSignalSpec("sawtooth", 69, duration_s=1.0))
+        context = activation_context(midi_to_freq(69), RATE)
+        plan = context.band_plan(midi_to_freq(69), len(x), RATE, 4096)
+        want = estimate_spectrum(x, edge_trim=4096).spectrum[plan.bins]
+        self.assert_close(plan.read_windowed(x.samples), want)
+
+    class Unformed:
+        """An output measure_ahr reads through BandPlan.read_windowed."""
+
+        def __init__(self, samples):
+            self.samples, self.sample_rate = samples, RATE
+
+        def __len__(self):
+            return self.samples.size
+
+        def band_spectrum(self, plan):
+            return plan.read_windowed(self.samples)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_frame_is_a_numeric_error(self, bad):
+        samples = sine_buffer(1000.0).samples.copy()
+        samples[RATE // 2] = bad
+        with pytest.raises(NumericError, match="non-finite band energy"):
+            measure_ahr(self.Unformed(samples), 1000.0, activation_context(1000.0, RATE), edge_trim=1024)
 
 
 class TestMeasureAhr:

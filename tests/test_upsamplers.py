@@ -1,5 +1,6 @@
 """Tests for the four upsampling layers and their artifact bookkeeping."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from aliasbench.filters import (
     interpolate,
     upsample_filtered,
 )
-from aliasbench.metrics import AhrContext, band_energy, estimate_spectrum, measure_ahr
+from aliasbench.metrics import SPLIT, AhrContext, BandPlan, band_energy, estimate_spectrum, kaiser, measure_ahr
 from aliasbench.signals import WAVEFORMS, TestSignalSpec, gen_bandlimited
 from aliasbench.upsamplers import (
     UpsamplerSpec,
@@ -28,6 +29,15 @@ from aliasbench.upsamplers import (
 )
 
 RATE = 22050
+
+
+def kernel(spec):
+    return upsampler_kernel(spec)[0]
+
+
+def kernels(specs):
+    """Each spec's upsampler_kernel, as upsampler_table holds them for a run."""
+    return {spec: upsampler_kernel(spec) for spec in specs}
 
 
 def sine_buffer(freq, duration_s=1.0, rate=RATE):
@@ -378,62 +388,142 @@ class TestLinearOutput:
             want = measure_ahr(apply_upsampler(x, spec), 700.0, ctx, edge_trim=0).ahr_db
             assert abs(measure_ahr(upsamplers.LinearOutput(x, spec), 700.0, ctx, edge_trim=0).ahr_db - want) <= 1e-9
 
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_formed_ahr_is_the_formed_layers(self, factor):
+        """LinearInterp and both AntiAliasedResample layers, formed inside
+        band_spectrum and read in residue classes, on every 12th note from
+        60, each waveform: within 1e-9 dB of the formed buffer's AHR, with
+        its band counts."""
+        specs = [UpsamplerSpec("linear", factor=factor), UpsamplerSpec("aa_resample", factor=factor),
+                 UpsamplerSpec("aa_resample", factor=factor, seed=derive_seeds(0, 1)[0], noise_prior=True)]
+        for note in range(60, 108, 12):
+            for waveform in WAVEFORMS:
+                (signal,) = input_signals([TestSignalSpec(waveform, note)], factor)
+                x, ctx = gen_bandlimited(signal), image_context(signal, factor)
+                for spec in specs:
+                    want = measure_ahr(apply_upsampler(x, spec), signal.f0_hz, ctx)
+                    got = measure_ahr(upsamplers.LinearOutput(x, spec, superposed=False), signal.f0_hz, ctx)
+                    assert abs(got.ahr_db - want.ahr_db) <= 1e-9, (note, waveform, spec)
+                    assert (got.harmonic_bands, got.alias_bands) == (want.harmonic_bands, want.alias_bands)
+
+    @pytest.mark.parametrize("factor", [2, 3, 4, 8])
+    def test_shifted_spectra_skip_the_empty_classes(self, factor, monkeypatch):
+        """Each shifted spectrum is the rfft of w x^[E+s : E+s+n] on the
+        plan's bins, within 1e-12 relative, from SPLIT / gcd(L, SPLIT)
+        rffts of nfft/4 points: the classes mod 4 that the interlaced frame
+        leaves empty are not transformed. Shifts that start the frame before
+        the input (E = 0) read its zero padding."""
+        x = sine_buffer(700.0, duration_s=0.25)
+        spec = UpsamplerSpec("conv_transpose", factor=factor)
+        lazy, full = upsamplers.LinearOutput(x, spec), zero_interlace(x, factor).samples
+        rfft = np.fft.rfft
+        for edge_trim in (0, 1000):
+            plan = BandPlan.build(700.0, AhrContext(x.sample_rate, (1400.0,)), len(lazy), lazy.sample_rate, edge_trim)
+            w, n, nfft = kaiser(plan.data_len), plan.data_len, plan.fft_size
+            for shift in range(0, -2 * factor, -1):
+                first = edge_trim + shift
+                frame = np.zeros(n)
+                frame[max(0, -first):] = full[max(0, first) : first + n]
+                want = rfft(frame * w, n=nfft)[plan.bins]
+                calls = []
+                with monkeypatch.context() as mp:
+                    mp.setattr(np.fft, "rfft", lambda a, n=None: calls.append(n) or rfft(a, n))
+                    got = plan.read(lazy._shifted_classes(plan, shift))
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (edge_trim, shift)
+                assert calls == [nfft // SPLIT] * (SPLIT // math.gcd(factor, SPLIT)), (edge_trim, shift)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["conv_transpose", "aa_resample"])
+    @pytest.mark.parametrize("superposed", [True, False])
+    def test_overflowed_spectrum_is_a_numeric_error(self, kind, superposed):
+        """Finite input near the float maximum: the output's spectrum is not
+        finite, formed or superposed, and measure_ahr says so."""
+        x = AudioBuffer(np.full(RATE, 1e307), RATE)
+        ctx = AhrContext(RATE, image_frequencies(700.0, 2, RATE, (1,)))
+        with pytest.raises(NumericError, match="non-finite band energy"):
+            measure_ahr(upsamplers.LinearOutput(x, UpsamplerSpec(kind), superposed), 700.0, ctx, edge_trim=1024)
+
     @staticmethod
     def one_note(duration_s=5.0):
         """Note 72 in each waveform: the fewest signals a table has."""
         return [TestSignalSpec(w, 72, duration_s=duration_s) for w in WAVEFORMS]
 
     def one_signal_work(self, monkeypatch, factor, n_seeds):
-        """(AHR rffts, apply_upsampler calls) per signal of the upsampler
-        table, the tonal probes left out."""
-        counts = {"rfft": 0, "apply": 0}
-        rfft, apply = np.fft.rfft, bench.apply_upsampler
+        """(AHR rffts, their points, apply_upsampler calls) per signal of the
+        upsampler table, the tonal probes left out. The formed layers are
+        formed inside LinearOutput.band_spectrum."""
+        counts = {"rfft": 0, "points": 0, "apply": 0}
+        rfft, apply = np.fft.rfft, upsamplers.apply_upsampler
 
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return call
+        def counted_rfft(a, n=None, *args, **kwargs):
+            counts["rfft"] += 1
+            counts["points"] += len(a) if n is None else n
+            return rfft(a, n, *args, **kwargs)
+
+        def counted_apply(*args, **kwargs):
+            counts["apply"] += 1
+            return apply(*args, **kwargs)
 
         with monkeypatch.context() as mp:
-            mp.setattr(np.fft, "rfft", counted("rfft", rfft))
-            mp.setattr(bench, "apply_upsampler", counted("apply", apply))
-            mp.setattr(bench, "tonal_probe_for", lambda spec, rate: 0.0)
+            mp.setattr(np.fft, "rfft", counted_rfft)
+            mp.setattr(upsamplers, "apply_upsampler", counted_apply)
+            mp.setattr(bench, "tonal_probe_for", lambda *args: 0.0)
             bench.upsampler_table(self.one_note(1.0), factor, n_seeds, 0)
-        return counts["rfft"] / len(WAVEFORMS), counts["apply"] / len(WAVEFORMS)
+        return tuple(counts[k] / len(WAVEFORMS) for k in ("rfft", "points", "apply"))
 
     def test_ten_seeds_at_factor_two_share_one_basis(self, monkeypatch):
         """L = 2, 10 seeds: the 10 ConvTranspose layers and NearestInterp
-        read 4 shifted spectra and the window's, and the other 3 layers are
-        formed, so one signal takes 8 rffts, not 14."""
-        assert self.one_signal_work(monkeypatch, 2, 10) == (8, 3)
+        read 4 shifted spectra, each 2 of the 4 residue classes of a frame
+        interlaced by 2, and the window's, all 4; the other 3 layers are
+        formed and read in 4 classes each. So one signal takes 24 rffts of
+        nfft/4 points, 8192 on these 1 s signals (at 5 s, 24 x 2^16 =
+        1,572,864 points, where one rfft per spectrum took 8 x 2^18)."""
+        assert self.one_signal_work(monkeypatch, 2, 10) == (24, 24 * 8192, 3)
 
     def test_one_seed_at_factor_four_stays_direct(self, monkeypatch):
         """L = 4, 1 seed: 2 layers would need 8 shifted spectra and the
-        window's, so every layer is formed and measured on its own."""
-        assert self.one_signal_work(monkeypatch, 4, 1) == (5, 5)
-        assert upsamplers.superposed_layers(
-            [UpsamplerSpec("conv_transpose", factor=4), UpsamplerSpec("nearest", factor=4)]) == set()
+        window's, so every layer is formed and measured on its own, each in
+        4 rffts of nfft/4 points."""
+        assert self.one_signal_work(monkeypatch, 4, 1) == (20, 20 * 8192, 5)
+        specs = [UpsamplerSpec("conv_transpose", factor=4), UpsamplerSpec("nearest", factor=4)]
+        assert upsamplers.superposed_layers(kernels(specs)) == set()
+
+    @pytest.mark.parametrize("n_seeds", [1, 10])
+    def test_each_layers_kernel_is_drawn_once_per_run(self, monkeypatch, n_seeds):
+        """The table draws each layer's kernel once, for the layer choice,
+        every signal's measure and the tonal probes: n_seeds ConvTranspose
+        layers, LinearInterp, NearestInterp and both AntiAliasedResample
+        layers."""
+        drawn, draw = [], upsamplers.upsampler_kernel
+
+        def counted(spec):
+            drawn.append(spec)
+            return draw(spec)
+
+        monkeypatch.setattr(upsamplers, "upsampler_kernel", counted)
+        monkeypatch.setattr(bench, "upsampler_kernel", counted)
+        bench.upsampler_table(self.one_note(1.0), 2, n_seeds, 0)
+        assert len(drawn) == len(set(drawn)) == n_seeds + 4
 
     def test_layers_that_fit_the_basis(self):
         """conv_transpose reads shifts 0..-(2L-1) and nearest a subset; the
         centred linear triangle and the resampling low-pass read others."""
-        assert upsamplers.kernel_shifts(UpsamplerSpec("conv_transpose", factor=3)) == set(range(0, -6, -1))
-        assert upsamplers.kernel_shifts(UpsamplerSpec("nearest", factor=3)) == {0, -1, -2}
+        assert upsamplers.kernel_shifts(kernel(UpsamplerSpec("conv_transpose", factor=3))) == set(range(0, -6, -1))
+        assert upsamplers.kernel_shifts(kernel(UpsamplerSpec("nearest", factor=3))) == {0, -1, -2}
         layers = [UpsamplerSpec("conv_transpose", factor=2, seed=s) for s in range(10)]
         layers += [UpsamplerSpec("linear"), UpsamplerSpec("nearest"), UpsamplerSpec("aa_resample")]
-        assert upsamplers.superposed_layers(layers) == set(layers[:10]) | {UpsamplerSpec("nearest")}
+        assert upsamplers.superposed_layers(kernels(layers)) == set(layers[:10]) | {UpsamplerSpec("nearest")}
 
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_layers_are_superposed_from_as_many_as_the_basis_ffts(self, factor):
         """The basis of 2L shifts and the window's spectrum is taken once
-        2L ConvTranspose seeds and NearestInterp fill it, one layer per FFT
-        (--seeds 4 at L = 2), and not with a seed fewer."""
+        2L ConvTranspose seeds and NearestInterp fill it, one layer per
+        spectrum (--seeds 4 at L = 2), and not with a seed fewer."""
         nearest = UpsamplerSpec("nearest", factor=factor)
         for n_seeds, taken in ((2 * factor, True), (2 * factor - 1, False)):
             fits = [UpsamplerSpec("conv_transpose", factor=factor, seed=s) for s in range(n_seeds)] + [nearest]
             layers = fits + [UpsamplerSpec("linear", factor=factor), UpsamplerSpec("aa_resample", factor=factor)]
-            assert upsamplers.superposed_layers(layers) == (set(fits) if taken else set()), n_seeds
+            assert upsamplers.superposed_layers(kernels(layers)) == (set(fits) if taken else set()), n_seeds
 
     def test_signal_task_peaks_no_higher_than_the_direct_path(self, monkeypatch):
         """Under tracemalloc, the table's work on 5 s signals (one at a
@@ -443,7 +533,7 @@ class TestLinearOutput:
         full-length array behind (a cached window spectrum alone is 2 MiB)."""
         def traced(superposed):
             with monkeypatch.context() as mp:
-                mp.setattr(bench, "tonal_probe_for", lambda spec, rate: 0.0)
+                mp.setattr(bench, "tonal_probe_for", lambda *args: 0.0)
                 if not superposed:
                     mp.setattr(bench, "superposed_layers", lambda specs: set())
                 bench.upsampler_table(self.one_note(), 2, 10, 0)  # window and filter caches warm
