@@ -98,8 +98,9 @@ def evaluate(
     context: Callable[[TestSignalSpec], AhrContext],
     threads: int = 1,
 ) -> list[AhrReport]:
-    """One report per spec over all signals: the AHR of apply(x, spec) for
-    each signal x, measured against the signal's context(signal).
+    """One report per spec over all signals: the AHR of apply(x, spec), a
+    buffer or an unformed upsamplers.LinearOutput, for each signal x,
+    measured against its context(signal), which serves one length and rate.
 
     Each signal is one ordered_map task: it synthesizes the signal and
     builds its context once (which keeps the signal's band plan, and any
@@ -190,8 +191,8 @@ def upsampler_table(
     synthesized at rate/factor (input_signals). Each row is the mean
     over its group of layer specs: ConvTranspose's n_seeds seeded layers, or
     the one spec of any other layer. Each layer's kernel is drawn once for
-    the run, and every layer is measured as a LinearOutput: those of
-    superposed_layers unformed, the others formed as they are read.
+    the run. The layers of superposed_layers are measured unformed, as
+    LinearOutputs; the others are formed by apply_upsampler.
     """
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
@@ -214,8 +215,8 @@ def upsampler_table(
     kernels = {spec: upsampler_kernel(spec) for spec in layers}
     superposed = superposed_layers(kernels)
 
-    def layer_output(x: AudioBuffer, spec: UpsamplerSpec) -> LinearOutput:
-        return LinearOutput(x, spec, spec in superposed, kernels[spec])
+    def layer_output(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer | LinearOutput:
+        return LinearOutput(x, spec, kernels[spec]) if spec in superposed else apply_upsampler(x, spec, kernels[spec])
 
     # The formed layers go first, so a signal's shared spectra are built
     # after the last buffer is formed and never add to its peak.

@@ -28,21 +28,20 @@ clamped by one, ratio_db. The band rule of measure_ahr:
 The measurement is therefore insensitive to output gain and (for signals
 periodic in the analysis frame) to time shifts.
 
-A spectrum is the rfft of one windowed frame. estimate_spectrum takes it in
-one rfft (SpectrumEstimate.spectrum). Bin powers are computed only where the
-bands are (band_power), by the same per-bin operations in the same order as
-the full power spectrum, so each band sum keeps its bits.
+A spectrum is the rfft of one windowed frame. Bin powers are computed only
+where the bands are, by the same per-bin operations in the same order as the
+full power spectrum, so each band sum keeps its bits.
 
 measure_ahr reads its bands through a BandPlan: one bin grid, its harmonic
-and alias bins and their band counts, built once per signal, output length
-and rate, and kept on the signal's AhrContext. An AudioBuffer measured on
-that context is reduced to the plan's bins right after its rfft. An output
-that is not an AudioBuffer (upsamplers.LinearOutput) reads its spectrum on
-those bins itself, through BandPlan.read: the frame's residue classes mod
+and alias bins and their band counts, built on a signal's first measure and
+kept on its AhrContext, which serves that one output grid. Every AHR
+spectrum is read through BandPlan.read: the frame's residue classes mod
 SPLIT, each one rfft of fft_size / SPLIT points, folded onto the plan's bins
 and summed with per-plan twiddles (the decimation-in-time split of Cooley
 and Tukey, evaluated on those bins alone). A class known to be zero is not
-transformed. The plan also keeps the spectra its signal's outputs share.
+transformed. An AudioBuffer is read as its windowed frame; an output never
+formed (upsamplers.LinearOutput) from spectra the plan keeps for its signal.
+estimate_spectrum takes every bin in one rfft, for the tonal probe.
 
 The analysis, ANALYSIS, is a periodic Kaiser window at beta = 5 pi with no
 zero padding. beta = pi NW is Kaiser's approximation of the NW = 5 Slepian
@@ -270,21 +269,25 @@ def band_energy(s: SpectrumEstimate, center_hz: float, half_width_hz: float) -> 
 class AhrContext:
     """AHR bookkeeping for one signal: harmonics are the k*f0 below
     input_rate / 2, and alias_freqs (in Hz, at the output rate) are the
-    lines only aliasing can fill. plans keeps the signal's band plans
-    (band_plan), so a context lives as long as its signal is measured."""
+    lines only aliasing can fill. plan is the signal's band plan (band_plan),
+    so a context lives as long as its signal is measured."""
 
     input_rate: int
     alias_freqs: tuple[float, ...]
-    plans: dict = field(default_factory=dict, compare=False, repr=False)
+    plan: BandPlan | None = field(default=None, init=False, compare=False, repr=False)
     k_cap: ClassVar[int] = K_CAP
 
     def band_plan(self, f0: float, length: int, rate: int, edge_trim: int) -> "BandPlan":
         """The plan of an output of length samples at rate, built on the
-        first call for these arguments and kept."""
-        key = (f0, length, rate, edge_trim)
-        if key not in self.plans:
-            self.plans[key] = BandPlan.build(f0, self, length, rate, edge_trim)
-        return self.plans[key]
+        first call and kept. A context serves one output grid: a call for
+        another f0, length, rate or edge_trim raises ValueError."""
+        grid = (f0, length, rate, edge_trim)
+        if self.plan is None:
+            object.__setattr__(self, "plan", BandPlan.build(f0, self, length, rate, edge_trim))
+        if self.plan.grid != grid:
+            raise ValueError(f"a context serves one output grid (f0, length, rate, edge_trim): "
+                             f"{self.plan.grid}, not {grid}")
+        return self.plan
 
 
 def alias_lines(f0: float, ks, input_rate: float, output_rate: float) -> tuple[float, ...]:
@@ -329,10 +332,10 @@ class BandPlan:
     """Where measure_ahr reads every spectrum of one grid for one signal:
     the grid (fft_size points over data_len windowed samples, edge_trim cut
     from each edge of the output), its harmonic bins and then its alias
-    bins, each ascending, and their band counts. spectra caches, on the
-    plan's bins, the spectra that the signal's outputs share
-    (shared_spectrum); a plan serves the one signal of its context, so a
-    key names a spectrum of that signal alone."""
+    bins, each ascending, their band counts, and the grid (f0, length,
+    rate, edge_trim) it was built for. spectra keeps the spectra its
+    signal's outputs share, on its bins (shared_spectrum); a plan serves
+    the one signal of its context, so a key names a spectrum of it alone."""
 
     fft_size: int
     data_len: int
@@ -341,6 +344,7 @@ class BandPlan:
     harmonic_bins: int
     harmonic_bands: int
     alias_bands: int
+    grid: tuple = ()
     spectra: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -365,7 +369,7 @@ class BandPlan:
         assert not np.any(hmask & amask), "harmonic and alias bands must be disjoint"
         h_bins = np.flatnonzero(hmask)
         return cls(nfft, n, edge_trim, np.concatenate([h_bins, np.flatnonzero(amask)]),
-                   h_bins.size, h_count, a_count)
+                   h_bins.size, h_count, a_count, (f0, length, rate, edge_trim))
 
     @cached_property
     def _folds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -429,14 +433,14 @@ def measure_ahr(
     edge_trim: int = EDGE_DISCARD,
 ) -> AhrMeasurement:
     """AHR of a processed test signal with full band bookkeeping, read on
-    the signal's band plan (context.band_plan). output is an AudioBuffer,
-    or an output with len and sample_rate that reads its own spectrum on a
-    plan's bins (upsamplers.LinearOutput.band_spectrum)."""
+    the signal's band plan (context.band_plan): an AudioBuffer as its
+    windowed frame, or an output with len and sample_rate that reads its
+    own spectrum on the plan's bins (upsamplers.LinearOutput.band_spectrum)."""
     if f0 <= 0:
         raise ValueError("f0 must be positive")
     plan = context.band_plan(f0, len(output), output.sample_rate, edge_trim)
     if isinstance(output, AudioBuffer):
-        spectrum = estimate_spectrum(output, edge_trim=edge_trim).spectrum[plan.bins]
+        spectrum = plan.read_windowed(output.samples)
     else:
         spectrum = output.band_spectrum(plan)
     e_h = plan.energy(spectrum, harmonic=True)

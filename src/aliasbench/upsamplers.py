@@ -22,21 +22,21 @@ arithmetic,
     g sum_m K[m] S_{c-m} + b W,
 
 where S_s is the spectrum of w x^[E+s : E+s+n] and W that of w. The upsampler
-table measures every layer as a LinearOutput, which reads its spectrum on
-the signal's band plan. A superposed one is never formed: it reads the sum
-above, and the plan keeps each S_s and W for every layer of the signal.
-ConvTranspose's 2L taps at centre 0 read the shifts 0..-(2L-1), and
-NearestInterp's hold kernel reads a subset of them; superposed_layers says
-when those shared spectra pay for themselves. LinearInterp's triangle reads
-shifts above 0, and AntiAliasedResample's kernel is long, so those are
-formed, in band_spectrum, and dropped once read.
+table measures the layers of superposed_layers as LinearOutputs, which are
+never formed: each reads the sum above on the signal's band plan, and the
+plan keeps each S_s and W for every layer of the signal. ConvTranspose's 2L
+taps at centre 0 read the shifts 0..-(2L-1), and NearestInterp's hold
+kernel reads a subset of them; superposed_layers says when those shared
+spectra pay for themselves. LinearInterp's triangle reads shifts above 0,
+and AntiAliasedResample's kernel is long, so those are formed by
+apply_upsampler, measured as buffers, and dropped once read.
 
 Every spectrum is read as its residue classes mod SPLIT (BandPlan.read), each
 an FFT a quarter as long. A shifted frame is zero off one residue class mod
 L, so it fills only SPLIT / gcd(L, SPLIT) of them, and only those are built
-and transformed. In floating point these sums add in another order than the
-rfft of the formed buffer, so an AHR can differ in its last bits; the
-tables, at 6 decimals, were equal on every grid compared, which is
+and transformed. In floating point the superposed sum adds in another order
+than the read of the formed buffer, so an AHR can differ in its last bits;
+the tables, at 6 decimals, were equal on every grid compared, which is
 measured, not guaranteed.
 """
 
@@ -196,15 +196,13 @@ def superposed_layers(kernels: Mapping[UpsamplerSpec, tuple[FirKernel, float, fl
 
 @dataclass(frozen=True, eq=False)
 class LinearOutput:
-    """apply_upsampler(source, spec), as measure_ahr reads it: it has the
-    len and sample_rate of that buffer, and measure_ahr reads its spectrum
-    through band_spectrum. A superposed output is never formed; any other is
-    formed there, and dropped once read. kernel is upsampler_kernel(spec),
-    computed when not given."""
+    """apply_upsampler(source, spec), as measure_ahr reads it without it
+    ever being formed: it has the len and sample_rate of that buffer, and
+    measure_ahr reads its spectrum through band_spectrum. kernel is
+    upsampler_kernel(spec), computed when not given."""
 
     source: AudioBuffer
     spec: UpsamplerSpec
-    superposed: bool = True
     kernel: tuple[FirKernel, float, float] | None = None
 
     def __len__(self) -> int:
@@ -215,13 +213,9 @@ class LinearOutput:
         return self.spec.factor * self.source.sample_rate
 
     def band_spectrum(self, plan: BandPlan) -> np.ndarray:
-        """The output's spectrum on the plan's bins. A formed output is read
-        in residue classes (BandPlan.read_windowed). A superposed one is
-        g sum_m K[m] S_{c-m} + b W; each S_s and W is computed on its first
-        use and kept by the plan (BandPlan.shared_spectrum) for every layer
-        measured on it."""
-        if not self.superposed:
-            return plan.read_windowed(apply_upsampler(self.source, self.spec, self.kernel).samples)
+        """The output's spectrum on the plan's bins, g sum_m K[m] S_{c-m} +
+        b W; each S_s and W is computed on its first use and kept by the
+        plan (BandPlan.shared_spectrum) for every layer measured on it."""
         h, gain, bias = self.kernel or upsampler_kernel(self.spec)
         out = np.zeros(plan.bins.size, dtype=complex)
         for m in np.flatnonzero(h.taps):

@@ -23,14 +23,13 @@ from conftest import make_bench_dir
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aliasbench import cli, upsamplers
+from aliasbench import cli
 from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpec
 from aliasbench.audio import AudioBuffer
 from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate, ordered_map, wav_name
 from aliasbench.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_CONV_SEEDS, build_parser, main
-from aliasbench.metrics import AhrContext, AhrMeasurement, kaiser
+from aliasbench.metrics import AhrContext, AhrMeasurement, BandPlan, estimate_spectrum, kaiser
 from aliasbench.signals import WAVEFORMS, TestSignalSpec, midi_to_freq
-from aliasbench.upsamplers import apply_upsampler
 
 ACT_CONFIG = """\
 # two cheap nonlinearities
@@ -205,7 +204,38 @@ def act_cfg(tmp_path):
     return p
 
 
+def outputs_by_buffer_read(tiny_bench, tmp_path, monkeypatch, *command):
+    """Every file a table command writes on the tiny bench, read two ways:
+    "classes", each buffer measure_ahr takes read in residue classes
+    (BandPlan.read_windowed), and "rfft", each read as its one full-length
+    rfft, estimate_spectrum(output, edge_trim).spectrum[plan.bins]."""
+    root, _ = tiny_bench
+    outs, rfft_reads = {}, []
+
+    def read_by_rfft(plan, samples):
+        rfft_reads.append(samples.size)
+        return estimate_spectrum(AudioBuffer(samples, 1), plan.edge_trim).spectrum[plan.bins]
+
+    for path in ("classes", "rfft"):
+        out = tmp_path / path / "out.csv"
+        with monkeypatch.context() as mp:
+            if path == "rfft":
+                mp.setattr(BandPlan, "read_windowed", read_by_rfft)
+            assert run(*command, "--bench", str(root), "--out", str(out)) == EXIT_OK
+        outs[path] = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+    assert rfft_reads
+    return outs
+
+
 class TestRunActivations:
+    def test_buffers_write_the_full_rfft_paths_bytes(self, tiny_bench, tmp_path, monkeypatch):
+        """Every output is measured as a buffer, read in residue classes.
+        Every file equals a run that reads each through estimate_spectrum's
+        one full-length rfft."""
+        outs = outputs_by_buffer_read(tiny_bench, tmp_path, monkeypatch, "run-activations")
+        assert len(outs["rfft"]) == 4
+        assert outs["classes"] == outs["rfft"]
+
     def test_produces_full_artifact_set(self, tiny_bench, act_cfg, tmp_path):
         root, _ = tiny_bench
         out = tmp_path / "res" / "act.csv"
@@ -545,20 +575,10 @@ class TestRunUpsamplers:
 
     @pytest.mark.parametrize("seeds", ["1", "10"])
     def test_formed_layers_write_the_old_formed_paths_bytes(self, tiny_bench, tmp_path, monkeypatch, seeds):
-        """The layers that are not superposed are formed inside
-        LinearOutput.band_spectrum and read in residue classes. Every file
-        equals a run that measures them as formed AudioBuffers through
-        estimate_spectrum's one full-length rfft."""
-        root, _ = tiny_bench
-        outs = {}
-        for path in ("classes", "rfft"):
-            if path == "rfft":
-                def layer_output(x, spec, superposed, kernel):
-                    return upsamplers.LinearOutput(x, spec, True, kernel) if superposed else apply_upsampler(x, spec)
-                monkeypatch.setattr("aliasbench.bench.LinearOutput", layer_output)
-            out = tmp_path / path / "ups.csv"
-            assert run("run-upsamplers", "--bench", str(root), "--seeds", seeds, "--out", str(out)) == EXIT_OK
-            outs[path] = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+        """The layers that are not superposed are formed and measured as
+        buffers, read in residue classes. Every file equals a run that reads
+        each buffer through estimate_spectrum's one full-length rfft."""
+        outs = outputs_by_buffer_read(tiny_bench, tmp_path, monkeypatch, "run-upsamplers", "--seeds", seeds)
         assert len(outs["rfft"]) == 3
         assert outs["classes"] == outs["rfft"]
 

@@ -10,6 +10,7 @@ the reference.
 """
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -232,8 +233,10 @@ class TestBandPower:
 
     def test_measure_ahr_holds_no_full_length_power(self):
         """measure_ahr on a 5 s, 44.1 kHz signal, window cache warm, peaks at
-        most 4.5 MiB: the frame's windowed copy, its rfft and the bin grid,
-        without |X|^2 or the bin powers at full length (5.06 MiB with them)."""
+        most 4.5 MiB: one residue class's windowed samples (0.39 MiB), its
+        quarter-length rfft (0.5 MiB) and the plan's 7,892 bins, 1.25 MiB in
+        all. No frame, spectrum, |X|^2 or bin power of the full length is
+        held (the full-length bin powers alone made 5.06 MiB)."""
         sig = TestSignalSpec("sawtooth", 60)
         x = gen_bandlimited(sig)
         ctx = activation_context(sig.f0_hz, sig.sample_rate)
@@ -276,9 +279,14 @@ def _reference_fold(freq_hz, sample_rate):
     return sample_rate - r if r > nyq else r
 
 
-def reference_measure_ahr(output, f0, context, edge_trim):
-    """Reference: measure_ahr with its per-band hmask/amask loops."""
-    s = estimate_spectrum(output, edge_trim=edge_trim)
+def every_bin_plan(nfft, n, edge_trim=0):
+    """A plan that reads every bin of an nfft-point spectrum of n samples."""
+    return BandPlan(nfft, n, edge_trim, np.arange(nfft // 2 + 1), 0, 0, 0)
+
+
+def reference_measure_ahr(s, f0, context):
+    """Reference: measure_ahr with its per-band hmask/amask loops, on the
+    spectrum estimate s of the output."""
     hw = BAND_HALF_WIDTH_BINS * s.resolution_hz
     ks = np.arange(1, K_CAP + 1)
     harm = [k * f0 for k in ks if k * f0 < context.input_rate / 2.0]
@@ -370,11 +378,15 @@ class TestMeasureAhrBookkeeping:
     @settings(deadline=None, max_examples=60)
     @given(ahr_cases(), st.sampled_from([0, 256]))
     def test_matches_per_band_loops(self, case, edge_trim):
-        """Same band counts, energies and AHR as the per-band loops."""
+        """Same band counts, energies and AHR as the per-band loops over every
+        bin of the spectrum BandPlan.read gives, which is estimate_spectrum's
+        one rfft within 1e-12 relative."""
         x, f0, context = case
-        assert measure_ahr(x, f0, context, edge_trim=edge_trim) == reference_measure_ahr(
-            x, f0, context, edge_trim
-        )
+        full = estimate_spectrum(x, edge_trim=edge_trim)
+        spectrum = every_bin_plan(full.fft_size, full.data_len, edge_trim).read_windowed(x.samples)
+        assert np.max(np.abs(spectrum - full.spectrum)) <= 1e-12 * np.max(np.abs(full.spectrum))
+        s = SpectrumEstimate(spectrum, full.fft_size, full.data_len, x.sample_rate)
+        assert measure_ahr(x, f0, context, edge_trim=edge_trim) == reference_measure_ahr(s, f0, context)
 
 
 def reference_activation_lines(f0, rate):
@@ -517,10 +529,6 @@ class TestBandPlanRead:
     SIZES = [(1024, 1024), (2**14, 12345), (2**18, 204116)]
 
     @staticmethod
-    def every_bin_plan(nfft, n):
-        return BandPlan(nfft, n, 0, np.arange(nfft // 2 + 1), 0, 0, 0)
-
-    @staticmethod
     def counted_rfft(monkeypatch):
         """Patch np.fft.rfft to record the points of each call."""
         points, rfft = [], np.fft.rfft
@@ -540,7 +548,7 @@ class TestBandPlanRead:
     def test_dense_frame_reads_its_full_rfft(self, nfft, n, monkeypatch):
         frame = np.random.default_rng(n).standard_normal(n)
         want = np.fft.rfft(frame, n=nfft)
-        plan = self.every_bin_plan(nfft, n)
+        plan = every_bin_plan(nfft, n)
         points = self.counted_rfft(monkeypatch)
         self.assert_close(plan.read(frame[p::SPLIT] for p in range(SPLIT)), want)
         assert points == [nfft // SPLIT] * SPLIT
@@ -556,7 +564,7 @@ class TestBandPlanRead:
             frame[t0::factor] = rng.standard_normal(frame[t0::factor].size)
             want = np.fft.rfft(frame, n=nfft)
             held = [p for p in range(SPLIT) if (p - t0) % math.gcd(factor, SPLIT) == 0]
-            plan = self.every_bin_plan(nfft, n)
+            plan = every_bin_plan(nfft, n)
             with monkeypatch.context() as mp:
                 points = self.counted_rfft(mp)
                 got = plan.read(frame[p::SPLIT] if p in held else None for p in range(SPLIT))
@@ -571,6 +579,16 @@ class TestBandPlanRead:
         plan = context.band_plan(midi_to_freq(69), len(x), RATE, 4096)
         want = estimate_spectrum(x, edge_trim=4096).spectrum[plan.bins]
         self.assert_close(plan.read_windowed(x.samples), want)
+
+    def test_measure_ahr_reads_a_buffer_in_its_classes(self, monkeypatch):
+        """One measure_ahr of a buffer, its plan built, runs SPLIT rffts of
+        fft_size / SPLIT points and none of fft_size."""
+        x = gen_bandlimited(TestSignalSpec("sawtooth", 69, duration_s=1.0))
+        context = activation_context(midi_to_freq(69), RATE)
+        plan = context.band_plan(midi_to_freq(69), len(x), RATE, 4096)
+        points = self.counted_rfft(monkeypatch)
+        measure_ahr(x, midi_to_freq(69), context, edge_trim=4096)
+        assert points == [plan.fft_size // SPLIT] * SPLIT
 
     class Unformed:
         """An output measure_ahr reads through BandPlan.read_windowed."""
@@ -594,6 +612,25 @@ class TestBandPlanRead:
 
 
 class TestMeasureAhr:
+    @pytest.mark.parametrize("change", ["f0", "length", "rate", "edge_trim"])
+    def test_a_context_serves_one_output_grid(self, change):
+        """A context keeps the band plan of its first measure. A measure at
+        another f0, length, rate or edge_trim raises ValueError naming both
+        grids; the first grid still reads as before."""
+        x = sine_buffer(1000.0)
+        context = activation_context(1000.0, RATE)
+        first = measure_ahr(x, 1000.0, context, edge_trim=1024)
+        other = {
+            "f0": (x, 1001.0, 1024),
+            "length": (AudioBuffer(x.samples[:-1], RATE), 1000.0, 1024),
+            "rate": (AudioBuffer(x.samples, 2 * RATE), 1000.0, 1024),
+            "edge_trim": (x, 1000.0, 2048),
+        }[change]
+        grid = (other[1], len(other[0]), other[0].sample_rate, other[2])
+        with pytest.raises(ValueError, match=re.escape(f"{(1000.0, len(x), RATE, 1024)}, not {grid}")):
+            measure_ahr(other[0], other[1], context, edge_trim=other[2])
+        assert measure_ahr(x, 1000.0, context, edge_trim=1024) == first
+
     def test_clean_sine_reads_below_minus_100(self):
         """A band-limited sine carries no alias lines; the only energy the
         alias bands collect is the fundamental's leakage skirt, far below

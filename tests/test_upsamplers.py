@@ -17,7 +17,17 @@ from aliasbench.filters import (
     interpolate,
     upsample_filtered,
 )
-from aliasbench.metrics import SPLIT, AhrContext, BandPlan, band_energy, estimate_spectrum, kaiser, measure_ahr
+from aliasbench.metrics import (
+    EDGE_DISCARD,
+    SPLIT,
+    AhrContext,
+    BandPlan,
+    band_energy,
+    estimate_spectrum,
+    kaiser,
+    measure_ahr,
+    ratio_db,
+)
 from aliasbench.signals import WAVEFORMS, TestSignalSpec, gen_bandlimited
 from aliasbench.upsamplers import (
     UpsamplerSpec,
@@ -390,10 +400,10 @@ class TestLinearOutput:
 
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_formed_ahr_is_the_formed_layers(self, factor):
-        """LinearInterp and both AntiAliasedResample layers, formed inside
-        band_spectrum and read in residue classes, on every 12th note from
-        60, each waveform: within 1e-9 dB of the formed buffer's AHR, with
-        its band counts."""
+        """LinearInterp and both AntiAliasedResample layers, formed and read
+        in residue classes, on every 12th note from 60, each waveform:
+        within 1e-9 dB of the AHR of the formed buffer's one full-length
+        rfft (estimate_spectrum) on the plan's bins."""
         specs = [UpsamplerSpec("linear", factor=factor), UpsamplerSpec("aa_resample", factor=factor),
                  UpsamplerSpec("aa_resample", factor=factor, seed=derive_seeds(0, 1)[0], noise_prior=True)]
         for note in range(60, 108, 12):
@@ -401,10 +411,11 @@ class TestLinearOutput:
                 (signal,) = input_signals([TestSignalSpec(waveform, note)], factor)
                 x, ctx = gen_bandlimited(signal), image_context(signal, factor)
                 for spec in specs:
-                    want = measure_ahr(apply_upsampler(x, spec), signal.f0_hz, ctx)
-                    got = measure_ahr(upsamplers.LinearOutput(x, spec, superposed=False), signal.f0_hz, ctx)
-                    assert abs(got.ahr_db - want.ahr_db) <= 1e-9, (note, waveform, spec)
-                    assert (got.harmonic_bands, got.alias_bands) == (want.harmonic_bands, want.alias_bands)
+                    y = apply_upsampler(x, spec)
+                    got = measure_ahr(y, signal.f0_hz, ctx).ahr_db
+                    full = estimate_spectrum(y, edge_trim=EDGE_DISCARD).spectrum[ctx.plan.bins]
+                    want = ratio_db(ctx.plan.energy(full, harmonic=False), ctx.plan.energy(full, harmonic=True))
+                    assert abs(got - want) <= 1e-9, (note, waveform, spec)
 
     @pytest.mark.parametrize("factor", [2, 3, 4, 8])
     def test_shifted_spectra_skip_the_empty_classes(self, factor, monkeypatch):
@@ -438,10 +449,11 @@ class TestLinearOutput:
     def test_overflowed_spectrum_is_a_numeric_error(self, kind, superposed):
         """Finite input near the float maximum: the output's spectrum is not
         finite, formed or superposed, and measure_ahr says so."""
-        x = AudioBuffer(np.full(RATE, 1e307), RATE)
+        x, spec = AudioBuffer(np.full(RATE, 1e307), RATE), UpsamplerSpec(kind)
         ctx = AhrContext(RATE, image_frequencies(700.0, 2, RATE, (1,)))
+        output = upsamplers.LinearOutput(x, spec) if superposed else apply_upsampler(x, spec)
         with pytest.raises(NumericError, match="non-finite band energy"):
-            measure_ahr(upsamplers.LinearOutput(x, UpsamplerSpec(kind), superposed), 700.0, ctx, edge_trim=1024)
+            measure_ahr(output, 700.0, ctx, edge_trim=1024)
 
     @staticmethod
     def one_note(duration_s=5.0):
@@ -450,10 +462,9 @@ class TestLinearOutput:
 
     def one_signal_work(self, monkeypatch, factor, n_seeds):
         """(AHR rffts, their points, apply_upsampler calls) per signal of the
-        upsampler table, the tonal probes left out. The formed layers are
-        formed inside LinearOutput.band_spectrum."""
+        upsampler table, the tonal probes left out."""
         counts = {"rfft": 0, "points": 0, "apply": 0}
-        rfft, apply = np.fft.rfft, upsamplers.apply_upsampler
+        rfft, apply = np.fft.rfft, bench.apply_upsampler
 
         def counted_rfft(a, n=None, *args, **kwargs):
             counts["rfft"] += 1
@@ -466,7 +477,7 @@ class TestLinearOutput:
 
         with monkeypatch.context() as mp:
             mp.setattr(np.fft, "rfft", counted_rfft)
-            mp.setattr(upsamplers, "apply_upsampler", counted_apply)
+            mp.setattr(bench, "apply_upsampler", counted_apply)
             mp.setattr(bench, "tonal_probe_for", lambda *args: 0.0)
             bench.upsampler_table(self.one_note(1.0), factor, n_seeds, 0)
         return tuple(counts[k] / len(WAVEFORMS) for k in ("rfft", "points", "apply"))
