@@ -20,7 +20,7 @@ need a tolerance fallback and is provided separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -232,7 +232,8 @@ def relu_sine_fourier(k: int) -> float:
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """Which nonlinearity to apply, with parameters and oversampling factor."""
+    """Which nonlinearity to apply, with parameters and oversampling factor.
+    A field the kind does not read (_READS) keeps its default."""
 
     kind: str
     alpha: float = 1.0
@@ -246,6 +247,14 @@ class ActivationSpec:
     table_row: bool = False
 
     _KINDS = ("leaky_relu", "elu", "snakebeta", "adaa_snakebeta", "adaa_generic")
+    #: The fields each kind, and each adaa_base of adaa_generic, reads (a
+    #: base reads what the kind of its name reads); every kind reads
+    #: oversample, name and table_row.
+    _READS = {
+        "leaky_relu": ("slope",), "elu": ("elu_a",), "snakebeta": ("alpha", "beta"),
+        "adaa_snakebeta": ("alpha", "beta"), "adaa_generic": ("adaa_base", "adaa_tol"),
+        "identity": (), "relu": (),
+    }
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -257,6 +266,14 @@ class ActivationSpec:
             raise ValueError("adaa_tol must be positive")
         if self.adaa_base not in ADAA_BASES:
             raise ValueError(f"unknown adaa_base {self.adaa_base!r}, expected one of {ADAA_BASES}")
+        # A setting the kind ignores would change config_hash but no output.
+        reads = ("kind", "oversample", "name", "table_row") + self._READS[self.kind]
+        if self.kind == "adaa_generic":
+            reads += self._READS[self.adaa_base]
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} does not apply to {self.kind}"
+                                 + (f" with adaa_base {self.adaa_base}" if self.kind == "adaa_generic" else ""))
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 

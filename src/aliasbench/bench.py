@@ -16,7 +16,6 @@ import numpy as np
 from .activations import ActivationSpec
 from .audio import AudioBuffer
 from .configio import ConfigError, Spec, config_hash, read_text, write_csv
-from .filters import FirKernel
 from .metrics import (
     EDGE_DISCARD,
     MIN_ANALYSIS_SAMPLES,
@@ -34,7 +33,6 @@ from .upsamplers import (
     image_frequencies,
     superposed_layers,
     tonal_probe,
-    upsampler_kernel,
 )
 
 T = TypeVar("T")
@@ -104,9 +102,9 @@ def evaluate(
 
     Each signal is one ordered_map task: it synthesizes the signal and
     builds its context once (which keeps the signal's band plan, and any
-    spectra its outputs share), runs every spec on it in spec order, returns
-    that signal's rows and drops the buffer and the context. So at most
-    min(threads, signals) signals are alive at once, and rows keep the
+    spectra its outputs share), runs every spec on that one x in spec order,
+    returns that signal's rows and drops the buffer and the context. So at
+    most min(threads, signals) signals are alive at once, and rows keep the
     signal order whatever the thread count.
     """
     specs = list(specs)
@@ -160,11 +158,11 @@ def image_context(signal: TestSignalSpec, factor: int) -> AhrContext:
     return AhrContext(signal.sample_rate, image_frequencies(signal.f0_hz, factor, signal.sample_rate, ks))
 
 
-def tonal_probe_for(spec: UpsamplerSpec, input_rate: int, kernel: tuple[FirKernel, float, float]) -> float:
-    """Stride-line level (dB) of this layer, whose upsampler_kernel is
-    kernel, driven by one second of constant input."""
+def tonal_probe_for(spec: UpsamplerSpec, input_rate: int) -> float:
+    """Stride-line level (dB) of this layer, driven by one second of
+    constant input."""
     x = AudioBuffer(np.full(input_rate, TONAL_PROBE_VALUE), input_rate)
-    return tonal_probe(apply_upsampler(x, spec, kernel), input_rate)
+    return tonal_probe(apply_upsampler(x, spec), input_rate)
 
 
 @dataclass(frozen=True)
@@ -190,9 +188,9 @@ def upsampler_table(
     signals are the benchmark's signals at their own rate; each is
     synthesized at rate/factor (input_signals). Each row is the mean
     over its group of layer specs: ConvTranspose's n_seeds seeded layers, or
-    the one spec of any other layer. Each layer's kernel is drawn once for
-    the run. The layers of superposed_layers are measured unformed, as
-    LinearOutputs; the others are formed by apply_upsampler.
+    the one spec of any other layer. Layers are measured in that order, each
+    spec drawing its kernel once; those of superposed_layers unformed, as
+    LinearOutputs, and the others formed by apply_upsampler.
     """
     if n_seeds < 1:
         raise ConfigError("need at least one ConvTranspose seed")
@@ -212,17 +210,12 @@ def upsampler_table(
         name="AntiAliasedResample_prior",
     )
     layers = [s for g in groups for s in g] + [aa_prior]
-    kernels = {spec: upsampler_kernel(spec) for spec in layers}
-    superposed = superposed_layers(kernels)
+    superposed = superposed_layers(layers)
 
     def layer_output(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer | LinearOutput:
-        return LinearOutput(x, spec, kernels[spec]) if spec in superposed else apply_upsampler(x, spec, kernels[spec])
+        return LinearOutput(x, spec) if spec in superposed else apply_upsampler(x, spec)
 
-    # The formed layers go first, so a signal's shared spectra are built
-    # after the last buffer is formed and never add to its peak.
-    order = sorted(layers, key=lambda spec: spec in superposed)
-    by_spec = dict(zip(order, evaluate(inputs, order, layer_output, lambda s: image_context(s, factor), threads)))
-    all_reports = [by_spec[spec] for spec in layers]
+    all_reports = evaluate(inputs, layers, layer_output, lambda s: image_context(s, factor), threads)
     reports = iter(all_reports)
     rows = []
     for group in groups:
@@ -235,7 +228,7 @@ def upsampler_table(
                 per_type_db={w: float(np.mean([r.per_type_mean_db[w] for r in reps])) for w in WAVEFORMS},
                 average_db=float(np.mean(overall)),
                 prior_on_average_db=all_reports[-1].overall_mean_db if kind == "aa_resample" else None,
-                tonal_line_db=float(np.mean([tonal_probe_for(s, rate, kernels[s]) for s in group])),
+                tonal_line_db=float(np.mean([tonal_probe_for(s, rate) for s in group])),
                 seed_std_db=float(np.std(overall)) if kind == "conv_transpose" else None,
             )
         )

@@ -40,7 +40,7 @@ SPLIT, each one rfft of fft_size / SPLIT points, folded onto the plan's bins
 and summed with per-plan twiddles (the decimation-in-time split of Cooley
 and Tukey, evaluated on those bins alone). A class known to be zero is not
 transformed. An AudioBuffer is read as its windowed frame; an output never
-formed (upsamplers.LinearOutput) from spectra the plan keeps for its signal.
+formed (upsamplers.LinearOutput) from spectra the plan keeps for its source.
 estimate_spectrum takes every bin in one rfft, for the tonal probe.
 
 The analysis, ANALYSIS, is a periodic Kaiser window at beta = 5 pi with no
@@ -334,8 +334,8 @@ class BandPlan:
     from each edge of the output), its harmonic bins and then its alias
     bins, each ascending, their band counts, and the grid (f0, length,
     rate, edge_trim) it was built for. spectra keeps the spectra its
-    signal's outputs share, on its bins (shared_spectrum); a plan serves
-    the one signal of its context, so a key names a spectrum of it alone."""
+    signal's outputs share, on its bins (shared_spectrum), and sharer the
+    one (source, factor) they are of, so a key names a spectrum of it alone."""
 
     fft_size: int
     data_len: int
@@ -346,6 +346,7 @@ class BandPlan:
     alias_bands: int
     grid: tuple = ()
     spectra: dict = field(default_factory=dict, repr=False)
+    sharer: tuple = field(default=(), repr=False)
 
     @classmethod
     def build(cls, f0: float, context: AhrContext, length: int, rate: int, edge_trim: int) -> "BandPlan":
@@ -410,8 +411,17 @@ class BandPlan:
         w, start, stop = kaiser(self.data_len), self.edge_trim, self.edge_trim + self.data_len
         return self.read(samples[start + p : stop : SPLIT] * w[p::SPLIT] for p in range(SPLIT))
 
-    def shared_spectrum(self, key: int | str, classes: Callable[[], Iterable[np.ndarray | None]]) -> np.ndarray:
-        """read(classes()), computed on the first call for key and kept with the plan."""
+    def shared_spectrum(self, source: AudioBuffer, factor: int, key: int | str,
+                        classes: Callable[[], Iterable[np.ndarray | None]]) -> np.ndarray:
+        """read(classes()), computed on the first call for key and kept with
+        the plan. The kept spectra are of the source and factor of the first
+        call: a call for another source (by identity) or factor raises
+        ValueError."""
+        if not self.sharer:
+            self.sharer = (source, factor)
+        if self.sharer[0] is not source or self.sharer[1] != factor:
+            raise ValueError(f"a context's shared spectra serve one source and factor: source "
+                             f"{id(self.sharer[0]):#x} by {self.sharer[1]}, not source {id(source):#x} by {factor}")
         if key not in self.spectra:
             self.spectra[key] = self.read(classes())
         return self.spectra[key]

@@ -1,13 +1,14 @@
 """The four upsampling layers under study.
 
 Every layer is one path: zero-interlace by L, filter with an FIR kernel, then
-y * gain + bias. Only the kernel, gain and bias differ (upsampler_kernel),
-and they describe the layer completely. conv_transpose: seeded random weights
-and bias -- the aliasing- and tonal-artifact-prone baseline. linear/nearest:
-the fixed short kernels of classic interpolation, which attenuate images only
-mildly. aa_resample: a proper low-pass, which suppresses images to the
-filter's stopband; with noise_prior, a seeded high-pass path fills the empty
-high band, and being linear and time-invariant it is part of the same kernel.
+y * gain + bias. Only the kernel, gain and bias differ, and they describe the
+layer completely: its spec draws them once (UpsamplerSpec.kernel).
+conv_transpose: seeded random weights and bias -- the aliasing- and
+tonal-artifact-prone baseline. linear/nearest: the fixed short kernels of
+classic interpolation, which attenuate images only mildly. aa_resample: a
+proper low-pass, which suppresses images to the filter's stopband; with
+noise_prior, a seeded high-pass path fills the empty high band, and being
+linear and time-invariant it is part of the same kernel.
 
 All layers output length L * len(input) at rate L * input rate, and all
 randomness is drawn from counter-based streams keyed by (seed, domain), so
@@ -24,12 +25,12 @@ arithmetic,
 where S_s is the spectrum of w x^[E+s : E+s+n] and W that of w. The upsampler
 table measures the layers of superposed_layers as LinearOutputs, which are
 never formed: each reads the sum above on the signal's band plan, and the
-plan keeps each S_s and W for every layer of the signal. ConvTranspose's 2L
-taps at centre 0 read the shifts 0..-(2L-1), and NearestInterp's hold
-kernel reads a subset of them; superposed_layers says when those shared
-spectra pay for themselves. LinearInterp's triangle reads shifts above 0,
-and AntiAliasedResample's kernel is long, so those are formed by
-apply_upsampler, measured as buffers, and dropped once read.
+plan keeps each S_s and W for every layer of that one input x.
+ConvTranspose's 2L taps at centre 0 read the shifts 0..-(2L-1), and
+NearestInterp's hold kernel reads a subset of them; superposed_layers says
+when those shared spectra pay for themselves. LinearInterp's triangle reads
+shifts above 0, and AntiAliasedResample's kernel is long, so those are
+formed by apply_upsampler, measured as buffers, and dropped once read.
 
 Every spectrum is read as its residue classes mod SPLIT (BandPlan.read), each
 an FFT a quarter as long. A shifted frame is zero off one residue class mod
@@ -44,8 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator, Mapping
+from functools import cached_property, partial
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -103,6 +104,11 @@ class UpsamplerSpec:
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
+    @cached_property
+    def kernel(self) -> tuple[FirKernel, float, float]:
+        """upsampler_kernel(self), drawn on first use and kept (not a field)."""
+        return upsampler_kernel(self)
+
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based (Philox) generator split from seed by a spawn key."""
@@ -153,10 +159,9 @@ def upsampler_kernel(spec: UpsamplerSpec) -> tuple[FirKernel, float, float]:
     return FirKernel(taps, pad + h.center), float(g_mix), 0.0
 
 
-def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec, kernel: tuple[FirKernel, float, float] | None = None) -> AudioBuffer:
-    """Zero-interlace by L, filter with the layer's kernel, then y * gain + bias.
-    kernel is upsampler_kernel(spec), computed here when not given."""
-    h, gain, bias = kernel or upsampler_kernel(spec)
+def apply_upsampler(x: AudioBuffer, spec: UpsamplerSpec) -> AudioBuffer:
+    """Zero-interlace by L, filter with spec.kernel, then y * gain + bias."""
+    h, gain, bias = spec.kernel
     return scale_in_place(interpolate(x, h, spec.factor), gain, bias,
                           f"{spec.name}: output overflowed applying gain {gain} and bias {bias}")
 
@@ -166,9 +171,9 @@ def kernel_shifts(h: FirKernel) -> set[int]:
     return {h.center - int(m) for m in np.flatnonzero(h.taps)}
 
 
-def superposed_layers(kernels: Mapping[UpsamplerSpec, tuple[FirKernel, float, float]]) -> set[UpsamplerSpec]:
-    """The layers to measure off one set of shared spectra per signal, or
-    none, given each layer's upsampler_kernel.
+def superposed_layers(specs: Iterable[UpsamplerSpec]) -> set[UpsamplerSpec]:
+    """The layers of specs to measure off one set of shared spectra per
+    signal, or none, by each spec's kernel.
 
     The basis spans the shifts 0..-(2L-1), those a causal kernel of 2L taps
     reads (ConvTranspose's), and a layer fits in it when its kernel reads no
@@ -181,11 +186,11 @@ def superposed_layers(kernels: Mapping[UpsamplerSpec, tuple[FirKernel, float, fl
     Every spectrum is read in residue classes mod SPLIT (BandPlan.read): a
     shifted spectrum takes SPLIT / gcd(L, SPLIT) quarter-length FFTs (2 at
     L = 2, 1 at L = 4, 4 at L = 3), the window's 4, and a formed layer its
-    FIR pass and 4. Those timings were taken with one full-length FFT per
-    spectrum, and the rule is kept as they drew it.
+    FIR pass and 4.
     """
     fits, shifts, bias = set(), set(), False
-    for spec, (h, _, b) in kernels.items():
+    for spec in specs:
+        h, _, b = spec.kernel
         read = kernel_shifts(h)
         if all(-2 * spec.factor < s <= 0 for s in read):
             fits.add(spec)
@@ -198,12 +203,10 @@ def superposed_layers(kernels: Mapping[UpsamplerSpec, tuple[FirKernel, float, fl
 class LinearOutput:
     """apply_upsampler(source, spec), as measure_ahr reads it without it
     ever being formed: it has the len and sample_rate of that buffer, and
-    measure_ahr reads its spectrum through band_spectrum. kernel is
-    upsampler_kernel(spec), computed when not given."""
+    measure_ahr reads its spectrum through band_spectrum, by spec.kernel."""
 
     source: AudioBuffer
     spec: UpsamplerSpec
-    kernel: tuple[FirKernel, float, float] | None = None
 
     def __len__(self) -> int:
         return self.spec.factor * len(self.source)
@@ -215,16 +218,19 @@ class LinearOutput:
     def band_spectrum(self, plan: BandPlan) -> np.ndarray:
         """The output's spectrum on the plan's bins, g sum_m K[m] S_{c-m} +
         b W; each S_s and W is computed on its first use and kept by the
-        plan (BandPlan.shared_spectrum) for every layer measured on it."""
-        h, gain, bias = self.kernel or upsampler_kernel(self.spec)
+        plan (BandPlan.shared_spectrum) for every layer measured on it. The
+        plan keeps them for one source and factor: a LinearOutput of another
+        on the same plan raises ValueError."""
+        h, gain, bias = self.spec.kernel
+        shared = partial(plan.shared_spectrum, self.source, self.spec.factor)
         out = np.zeros(plan.bins.size, dtype=complex)
         for m in np.flatnonzero(h.taps):
             s = h.center - int(m)
-            out += h.taps[m] * plan.shared_spectrum(s, partial(self._shifted_classes, plan, s))
+            out += h.taps[m] * shared(s, partial(self._shifted_classes, plan, s))
         out *= gain
         if bias:
             w = kaiser(plan.data_len)
-            out += bias * plan.shared_spectrum("window", lambda: (w[p::SPLIT] for p in range(SPLIT)))
+            out += bias * shared("window", lambda: (w[p::SPLIT] for p in range(SPLIT)))
         return out
 
     def _shifted_classes(self, plan: BandPlan, shift: int) -> Iterator[np.ndarray | None]:

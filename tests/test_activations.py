@@ -387,6 +387,33 @@ class TestApplyActivation:
         assert ActivationSpec("elu").name == "elu"
         assert ActivationSpec("elu", name="ELU").name == "ELU"
 
+    def test_settings_the_kind_ignores_are_rejected(self):
+        """A field that cannot change an activation's output may not be set
+        on it, so two specs with different config hashes never give the
+        same module. oversample, name and table_row apply to every kind; a
+        default value set explicitly is no setting."""
+        ignored = {
+            "leaky_relu": dict(alpha=2.0, beta=2.0, elu_a=3.0, adaa_tol=1e-3, adaa_base="elu"),
+            "elu": dict(alpha=2.0, beta=2.0, slope=0.2, adaa_tol=1e-3, adaa_base="elu"),
+            "snakebeta": dict(slope=0.2, elu_a=3.0, adaa_tol=1e-3, adaa_base="elu"),
+            "adaa_snakebeta": dict(slope=0.2, elu_a=3.0, adaa_tol=1e-3, adaa_base="elu"),
+            "adaa_generic": dict(alpha=2.0, beta=2.0, slope=0.2, elu_a=3.0),
+        }
+        for kind, settings in ignored.items():
+            for field, value in settings.items():
+                with pytest.raises(ValueError, match=f"{field} does not apply to {kind}"):
+                    ActivationSpec(kind, **{field: value})
+            ActivationSpec(kind, oversample=2, name="N", table_row=True, slope=0.1, alpha=1.0, adaa_base="relu")
+        ActivationSpec("leaky_relu", slope=0.2)
+        ActivationSpec("elu", elu_a=3.0)
+        ActivationSpec("adaa_snakebeta", alpha=2.0, beta=0.5)
+        for base, reads, ignored in (("leaky_relu", dict(slope=0.2), dict(alpha=2.0)),
+                                     ("elu", dict(elu_a=3.0), dict(slope=0.2)),
+                                     ("snakebeta", dict(alpha=2.0, beta=0.5), dict(elu_a=3.0))):
+            ActivationSpec("adaa_generic", adaa_base=base, adaa_tol=1e-3, **reads)
+            with pytest.raises(ValueError, match=f"does not apply to adaa_generic with adaa_base {base}"):
+                ActivationSpec("adaa_generic", adaa_base=base, **ignored)
+
 
 class TestOversampledApply:
     def test_factor_one_calls_through(self):

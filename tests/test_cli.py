@@ -445,6 +445,23 @@ class TestRunActivations:
         assert err.startswith("error: ") and "adaa_base" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["run-activations", "sweep"])
+    def test_setting_the_kind_ignores_is_a_config_error(self, tiny_bench, tmp_path, capsys, command):
+        """A field the block's kind does not read would move its config hash
+        and not its output: the file exits 2 with one line naming it, and
+        nothing is written."""
+        root, _ = tiny_bench
+        cfg = tmp_path / "ignored.cfg"
+        cfg.write_text("kind = snakebeta\nname = S\n\nkind = elu\nslope = 0.2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "run-activations":
+            rc = run(command, "--bench", str(root), "--configs", str(cfg), "--out", str(out / "x.csv"))
+        else:
+            rc = run(command, "--config", str(cfg), "--out", str(out))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: slope does not apply to elu\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key,value",
         [("alpha", "nan"), ("elu_a", "nan"), ("slope", "inf"), ("slope", "nan"),

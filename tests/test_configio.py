@@ -27,19 +27,21 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 #: Names survive a key = value line: no line breaks, no edge whitespace.
 names = st.text(string.ascii_letters + string.digits + "_-.=#", min_size=1)
 
-activation_specs = st.builds(
-    ActivationSpec,
-    kind=st.sampled_from(ActivationSpec._KINDS),
-    alpha=positive,
-    beta=positive,
-    slope=finite,
-    elu_a=finite,
-    oversample=st.sampled_from(OVERSAMPLE_FACTORS),
-    adaa_tol=positive,
-    adaa_base=st.sampled_from(ADAA_BASES),
-    name=names,
-    table_row=st.booleans(),
-)
+#: A strategy for each parameter field of ActivationSpec.
+ACTIVATION_PARAMS = {"alpha": positive, "beta": positive, "slope": finite, "elu_a": finite,
+                     "adaa_tol": positive, "adaa_base": st.sampled_from(ADAA_BASES)}
+
+
+@st.composite
+def activation_specs(draw):
+    """Valid specs: each parameter is drawn for the kinds that read it, and
+    for adaa_generic the parameters of its drawn base too."""
+    kind = draw(st.sampled_from(ActivationSpec._KINDS))
+    kw = {k: draw(ACTIVATION_PARAMS[k]) for k in ActivationSpec._READS[kind]}
+    if kind == "adaa_generic":
+        kw.update({k: draw(ACTIVATION_PARAMS[k]) for k in ActivationSpec._READS[kw["adaa_base"]]})
+    return ActivationSpec(kind=kind, oversample=draw(st.sampled_from(OVERSAMPLE_FACTORS)), name=draw(names),
+                          table_row=draw(st.booleans()), **kw)
 
 
 @st.composite
@@ -139,11 +141,13 @@ class TestSpecRoundTrip:
             spec_from_block(UpsamplerSpec, {"kind": "aa_resample", "seed": "3"})
         with pytest.raises(ConfigError, match="seed"):
             spec_from_block(UpsamplerSpec, {"kind": "conv_transpose", "seed": "-1"})
+        with pytest.raises(ConfigError, match="slope does not apply to snakebeta"):
+            spec_from_block(ActivationSpec, {"kind": "snakebeta", "slope": "0.2"})
 
 
 class TestDerivedParserProperties:
     @settings(deadline=None)
-    @given(st.one_of(activation_specs, upsampler_specs()))
+    @given(st.one_of(activation_specs(), upsampler_specs()))
     def test_serialize_parse_round_trip(self, spec):
         (block,) = parse_blocks(serialize_spec(spec))
         back = spec_from_block(type(spec), block)

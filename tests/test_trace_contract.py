@@ -108,3 +108,18 @@ def test_traced_gen_bench_synthesizes_through_the_traced_name(tmp_path):
     assert layers["signals.gen_bandlimited.calls"] == 48
     assert layers["signals.gen_bandlimited.busy_s"] > 0.0
     assert set(layers) <= DECLARED_LAYERS
+
+
+@pytest.mark.parametrize("seeds", [2, 10])
+def test_per_signal_rows_follow_the_table_specs(tiny_bench, tmp_path, seeds):
+    """up_per_signal.csv holds one block of rows per layer, one row per
+    signal, in checks.upsampler_layers order, at --seeds 2 (every layer
+    formed) and 10 (ConvTranspose and NearestInterp superposed)."""
+    root, specs = tiny_bench
+    out = tmp_path / "up.csv"
+    argv = ["run-upsamplers", "--bench", str(root), "--seeds", str(seeds), "--threads", "1", "--out", str(out)]
+    assert main(argv) == 0
+    rows = (tmp_path / "up_per_signal.csv").read_text(encoding="utf-8").splitlines()[1:]
+    written = [row.split(",")[1] for row in rows]
+    modelled = [config_hash(UpsamplerSpec(**kw, name=name)) for name, kw in checks.upsampler_layers(2, seeds, 0)]
+    assert written == [h for h in modelled for _ in specs]

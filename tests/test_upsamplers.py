@@ -45,11 +45,6 @@ def kernel(spec):
     return upsampler_kernel(spec)[0]
 
 
-def kernels(specs):
-    """Each spec's upsampler_kernel, as upsampler_table holds them for a run."""
-    return {spec: upsampler_kernel(spec) for spec in specs}
-
-
 def sine_buffer(freq, duration_s=1.0, rate=RATE):
     t = np.arange(int(rate * duration_s)) / rate
     return AudioBuffer(np.sin(2 * np.pi * freq * t), rate)
@@ -398,6 +393,29 @@ class TestLinearOutput:
             want = measure_ahr(apply_upsampler(x, spec), 700.0, ctx, edge_trim=0).ahr_db
             assert abs(measure_ahr(upsamplers.LinearOutput(x, spec), 700.0, ctx, edge_trim=0).ahr_db - want) <= 1e-9
 
+    def test_a_context_shares_the_spectra_of_one_source(self):
+        """A context keeps its shared spectra for the source and factor that
+        first read them. A LinearOutput of the triangle on the sawtooth's
+        context (same note, length and rate) raises ValueError instead of
+        reading the sawtooth's spectra, and so does one of another source
+        and factor on the same output grid; on its own context the triangle
+        reads its formed buffer's AHR."""
+        saw, tri = (TestSignalSpec(w, 69, duration_s=1.0, sample_rate=RATE) for w in ("sawtooth", "triangle"))
+        x, y = gen_bandlimited(saw), gen_bandlimited(tri)
+        spec = UpsamplerSpec("conv_transpose", seed=derive_seeds(0, 1)[0])
+        ctx = image_context(saw, 2)
+        first = measure_ahr(upsamplers.LinearOutput(x, spec), saw.f0_hz, ctx).ahr_db
+        measure_ahr(upsamplers.LinearOutput(x, UpsamplerSpec("nearest")), saw.f0_hz, ctx)
+        with pytest.raises(ValueError, match="one source and factor"):
+            measure_ahr(upsamplers.LinearOutput(y, spec), tri.f0_hz, ctx)
+        quarter = AudioBuffer(x.samples[::2], RATE // 2)
+        with pytest.raises(ValueError, match=r"by 2, not source .* by 4"):
+            measure_ahr(upsamplers.LinearOutput(quarter, UpsamplerSpec("nearest", factor=4)), saw.f0_hz, ctx)
+        own = measure_ahr(upsamplers.LinearOutput(y, spec), tri.f0_hz, image_context(tri, 2)).ahr_db
+        formed = measure_ahr(apply_upsampler(y, spec), tri.f0_hz, image_context(tri, 2)).ahr_db
+        assert abs(own - formed) <= 1e-9
+        assert abs(own - first) > 1.0
+
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_formed_ahr_is_the_formed_layers(self, factor):
         """LinearInterp and both AntiAliasedResample layers, formed and read
@@ -497,14 +515,11 @@ class TestLinearOutput:
         4 rffts of nfft/4 points."""
         assert self.one_signal_work(monkeypatch, 4, 1) == (20, 20 * 8192, 5)
         specs = [UpsamplerSpec("conv_transpose", factor=4), UpsamplerSpec("nearest", factor=4)]
-        assert upsamplers.superposed_layers(kernels(specs)) == set()
+        assert upsamplers.superposed_layers(specs) == set()
 
-    @pytest.mark.parametrize("n_seeds", [1, 10])
-    def test_each_layers_kernel_is_drawn_once_per_run(self, monkeypatch, n_seeds):
-        """The table draws each layer's kernel once, for the layer choice,
-        every signal's measure and the tonal probes: n_seeds ConvTranspose
-        layers, LinearInterp, NearestInterp and both AntiAliasedResample
-        layers."""
+    @staticmethod
+    def counted_draws(monkeypatch) -> list:
+        """The specs upsamplers.upsampler_kernel is called with from here on."""
         drawn, draw = [], upsamplers.upsampler_kernel
 
         def counted(spec):
@@ -512,9 +527,34 @@ class TestLinearOutput:
             return draw(spec)
 
         monkeypatch.setattr(upsamplers, "upsampler_kernel", counted)
-        monkeypatch.setattr(bench, "upsampler_kernel", counted)
+        return drawn
+
+    @pytest.mark.parametrize("n_seeds", [1, 10])
+    def test_each_layers_kernel_is_drawn_once_per_run(self, monkeypatch, n_seeds):
+        """The table draws each layer's kernel once, for the layer choice,
+        every signal's measure and the tonal probes: n_seeds ConvTranspose
+        layers, LinearInterp, NearestInterp and both AntiAliasedResample
+        layers."""
+        drawn = self.counted_draws(monkeypatch)
         bench.upsampler_table(self.one_note(1.0), 2, n_seeds, 0)
         assert len(drawn) == len(set(drawn)) == n_seeds + 4
+
+    def test_a_spec_draws_its_kernel_once(self, monkeypatch):
+        """One spec object draws its kernel on first use and keeps it,
+        however often it is applied, superposed and probed; an equal spec
+        object draws its own."""
+        drawn = self.counted_draws(monkeypatch)
+        spec = UpsamplerSpec("conv_transpose", seed=3)
+        x = sine_buffer(700.0, duration_s=0.25)
+        ctx = AhrContext(RATE, image_frequencies(700.0, 2, RATE, (1,)))
+        for _ in range(3):
+            apply_upsampler(x, spec)
+            measure_ahr(upsamplers.LinearOutput(x, spec), 700.0, ctx, edge_trim=1024)
+            bench.tonal_probe_for(spec, RATE)
+        assert upsamplers.superposed_layers([spec] * 3) == set()
+        assert drawn == [spec] and spec.kernel is spec.kernel
+        assert upsamplers.superposed_layers([UpsamplerSpec("conv_transpose", seed=3)]) == set()
+        assert len(drawn) == 2
 
     def test_layers_that_fit_the_basis(self):
         """conv_transpose reads shifts 0..-(2L-1) and nearest a subset; the
@@ -523,7 +563,7 @@ class TestLinearOutput:
         assert upsamplers.kernel_shifts(kernel(UpsamplerSpec("nearest", factor=3))) == {0, -1, -2}
         layers = [UpsamplerSpec("conv_transpose", factor=2, seed=s) for s in range(10)]
         layers += [UpsamplerSpec("linear"), UpsamplerSpec("nearest"), UpsamplerSpec("aa_resample")]
-        assert upsamplers.superposed_layers(kernels(layers)) == set(layers[:10]) | {UpsamplerSpec("nearest")}
+        assert upsamplers.superposed_layers(layers) == set(layers[:10]) | {UpsamplerSpec("nearest")}
 
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_layers_are_superposed_from_as_many_as_the_basis_ffts(self, factor):
@@ -534,7 +574,7 @@ class TestLinearOutput:
         for n_seeds, taken in ((2 * factor, True), (2 * factor - 1, False)):
             fits = [UpsamplerSpec("conv_transpose", factor=factor, seed=s) for s in range(n_seeds)] + [nearest]
             layers = fits + [UpsamplerSpec("linear", factor=factor), UpsamplerSpec("aa_resample", factor=factor)]
-            assert upsamplers.superposed_layers(kernels(layers)) == (set(fits) if taken else set()), n_seeds
+            assert upsamplers.superposed_layers(layers) == (set(fits) if taken else set()), n_seeds
 
     def test_signal_task_peaks_no_higher_than_the_direct_path(self, monkeypatch):
         """Under tracemalloc, the table's work on 5 s signals (one at a
