@@ -101,21 +101,37 @@ def adaa_snakebeta(x_t, x_prev, alpha=1.0, beta=1.0):
     _check_ab(alpha, beta)
     x_t = np.asarray(x_t, dtype=np.float64)
     x_prev = np.asarray(x_prev, dtype=np.float64)
-    # y = 0.5/beta + 0.5 s - cos(alpha s) sinc(alpha d) / (2 beta), with
-    # s = x_t + x_prev and d = x_t - x_prev, in that operation order on three
-    # fresh arrays.
-    y = np.add(x_t, x_prev, out=_fresh(x_t, x_prev, alpha, beta))
-    u = np.subtract(x_t, x_prev, out=np.empty_like(y))
-    u *= alpha
-    u = _sinc(u)
-    c = np.multiply(alpha, y, out=np.empty_like(y))
+    s = np.add(x_t, x_prev, out=_fresh(x_t, x_prev, alpha, beta))
+    d = np.subtract(x_t, x_prev, out=np.empty_like(s))
+    return _as_result(_adaa_snakebeta_sd(s, d, alpha, beta))
+
+
+def _adaa_snakebeta_sequence(x: np.ndarray, alpha, beta) -> np.ndarray:
+    """adaa_snakebeta(x, x_prev) with x_prev = x delayed by one sample and 0
+    first, which it reads as a view of x, so no delayed copy is made."""
+    s, d = np.empty_like(x), np.empty_like(x)
+    np.add(x[1:], x[:-1], out=s[1:])
+    np.subtract(x[1:], x[:-1], out=d[1:])
+    np.add(x[:1], 0.0, out=s[:1])
+    np.subtract(x[:1], 0.0, out=d[:1])
+    return _adaa_snakebeta_sd(s, d, alpha, beta)
+
+
+def _adaa_snakebeta_sd(s: np.ndarray, d: np.ndarray, alpha, beta) -> np.ndarray:
+    """y = 0.5/beta + 0.5 s - cos(alpha s) sinc(alpha d) / (2 beta), from
+    s = x_t + x_prev and d = x_t - x_prev, in that operation order. It
+    overwrites both arrays, holds the cosine term in d's once the sinc is
+    taken, and returns s's."""
+    d *= alpha
+    sinc = _sinc(d)
+    c = np.multiply(alpha, s, out=d)
     np.cos(c, out=c)
-    c *= u
+    c *= sinc
     c /= 2.0 * beta
-    y *= 0.5
-    y += 0.5 / beta
-    y -= c
-    return _as_result(y)
+    s *= 0.5
+    s += 0.5 / beta
+    s -= c
+    return s
 
 
 def adaa_snakebeta_grad(x_t, x_prev, alpha=1.0, beta=1.0):
@@ -285,13 +301,11 @@ def _apply_samples(x: np.ndarray, spec: ActivationSpec) -> np.ndarray:
         return elu(x, spec.elu_a)
     if spec.kind == "snakebeta":
         return snakebeta(x, spec.alpha, spec.beta)
-    x_prev = np.concatenate(([0.0], x[:-1])) if x.size else x
     if spec.kind == "adaa_snakebeta":
-        y = adaa_snakebeta(x, x_prev, spec.alpha, spec.beta)
-    else:
-        pair = make_pair(spec.adaa_base, spec.alpha, spec.beta, spec.slope, spec.elu_a)
-        y = adaa_generic(pair, x, x_prev, spec.adaa_tol)
-    return np.asarray(y, dtype=np.float64)
+        return _adaa_snakebeta_sequence(x, spec.alpha, spec.beta)
+    x_prev = np.concatenate(([0.0], x[:-1])) if x.size else x
+    pair = make_pair(spec.adaa_base, spec.alpha, spec.beta, spec.slope, spec.elu_a)
+    return np.asarray(adaa_generic(pair, x, x_prev, spec.adaa_tol), dtype=np.float64)
 
 
 def oversampled_apply(

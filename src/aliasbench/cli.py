@@ -15,10 +15,12 @@ from pathlib import Path
 from typing import Callable
 
 # numpy's OpenBLAS starts one thread per core when numpy is imported, about
-# 0.1 s of CPU per command, and aliasbench never uses them: its only BLAS
-# calls are np.convolve's dot products of a few hundred taps, which OpenBLAS
-# runs on one thread. The command line's process policy, like _MALLOPT; the
-# library leaves BLAS alone, and a value the user has set wins.
+# 0.1 s of CPU per command. aliasbench's BLAS calls are np.convolve's dot
+# products and the resampling filters' blocked products (dgemm), which stay
+# within OpenBLAS's small-matrix bound (filters.PRODUCT_MACS) and run on the
+# calling thread whatever the thread count, so the pool only costs start-up.
+# The command line's process policy, like _MALLOPT; the library leaves BLAS
+# alone, and a value the user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -7,13 +7,21 @@ TRANSITION * 2/L wide, sized by the standard Kaiser estimate. All kernels are
 linear-phase; convolution is aligned on the kernel center so filtering
 introduces no net delay.
 
-Resampling runs polyphase: interpolation convolves the low-rate input with
-each of the L tap phases, and decimation computes only the kept outputs, so
-no product with an interlaced zero or a discarded sample is ever formed.
+Resampling runs polyphase: interpolation filters the low-rate input with
+each of the L tap phases, and decimation computes only the kept outputs.
 The resampling filter is a Nyquist(L) filter: the sinc is exactly zero at
 every L-th tap off the center, so the phase that holds the center tap is that
 one tap, and filtering with it is a scaled copy of the input, not a
-convolution.
+convolution. An empty phase is skipped. The phases of at least
+BLOCKED_MIN_TAPS taps (every other phase of the resampling filter) run
+together as blocked matrix products (np.matmul, a BLAS dgemm): rows of
+BLOCK + m - 1 consecutive inputs times a banded Toeplitz matrix of the
+phases' m taps, each row giving BLOCK outputs. The band's zeros are
+multiplied too, (BLOCK + m - 1) / m times the products of a direct
+convolution, but one dgemm over many rows runs them faster than
+np.convolve's one dot product per output sample; a shorter phase stays on
+np.convolve. The products sum in another order than np.convolve, so the
+samples can differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio import AudioBuffer, NumericError
 
@@ -33,6 +42,21 @@ STOPBAND_DB = 100.0
 #: Transition width at factor 2 (fraction of Nyquist); scaled by 2/L for
 #: other factors so the transition stays proportional to the passband.
 TRANSITION = 0.05
+
+#: Tap phases of at least this many taps run as blocked matrix products
+#: (np.matmul, a BLAS dgemm); shorter ones as np.convolve, which is faster
+#: there: np.convolve's time per output jumps about fourfold between 10 and
+#: 12 taps. Measured crossover: BENCH_36.json "crossover".
+BLOCKED_MIN_TAPS = 12
+
+#: Outputs per row of a blocked product, and the multiply-adds of one
+#: np.matmul call, which set its rows: PRODUCT_MACS // (band height * band
+#: width). Up to 10**6 multiply-adds, OpenBLAS runs a dgemm on its
+#: small-matrix kernels, which were faster on these shapes (about 30 against
+#: 21 GMAC/s) and allocate no packing buffer. Measured: BENCH_36.json "blocks".
+BLOCK = 16
+PRODUCT_MACS = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class FirKernel:
@@ -99,24 +123,87 @@ def design_fir(factor: int, highpass: bool = False) -> FirKernel:
 def interpolate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
     """Filter x zero-interlaced by factor with h, aligned on h.center (zero
     delay, zero-padded edges, output length factor * len(x)); factor 1 is
-    plain filtering. It runs one polyphase branch at a time: output sample
-    L*q + p of the full convolution is branch p, the input convolved with
-    taps[p::L], at q."""
+    plain filtering. Output sample L*q + p of the full convolution is tap
+    phase p, the input convolved with taps[p::L], at q. The phases of at
+    least BLOCKED_MIN_TAPS taps run as one blocked product whose band
+    interleaves their columns; a shorter phase is one np.convolve."""
     if len(x) == 0:
         raise ValueError("cannot convolve an empty buffer")
     if factor < 1:
         raise ValueError("factor must be >= 1")
     full = np.zeros(factor * (len(x) + -(-len(h) // factor)))
+    blocked = []
     for p in range(min(factor, len(h))):
         taps = h.taps[p::factor]
         nonzero = np.flatnonzero(taps)
         if nonzero.size == 1:  # a scaled, shifted copy, written in place
             j = nonzero[0]
             np.multiply(x.samples, taps[j], out=full[p::factor][j : j + len(x)])
+        elif nonzero.size and taps.size >= BLOCKED_MIN_TAPS:
+            blocked.append(p)
         elif nonzero.size:
             branch = np.convolve(x.samples, taps)
             full[p::factor][: branch.size] = branch
+    if blocked:
+        # Only the rows q0..q1-1 of full, viewed as (q, p), hold output samples.
+        band = _band(h, factor, blocked)
+        m = band.shape[0] - BLOCK + 1
+        q0, q1 = h.center // factor, (h.center + factor * len(x) - 1) // factor + 1
+        by_phase = full.reshape(-1, factor)[q0:q1]
+        band = band.transpose(0, 2, 1).reshape(band.shape[0], -1)  # columns (b, i)
+        for q, product in _blocked_products(x.samples, [q0 - m + 1], 1, band, q1 - q0):
+            samples = product.reshape(-1, len(blocked))[: q1 - q0 - q]
+            for i, p in enumerate(blocked):
+                by_phase[q : q + len(samples), p] = samples[:, i]
     return AudioBuffer(full[h.center : h.center + factor * len(x)], x.sample_rate * factor)
+
+
+def _band(h: FirKernel, factor: int, phases: list[int]) -> np.ndarray:
+    """The banded Toeplitz matrix of h's tap phases, as a read-only view
+    (m + BLOCK - 1, len(phases), BLOCK), m the longest phase's tap count:
+    entry [k, i, b] is taps[phases[i]::factor][b + m - 1 - k], zero off the
+    band. So m + BLOCK - 1 consecutive inputs times [:, i, :] are BLOCK
+    consecutive samples of that phase's convolution."""
+    m = -(-(len(h) - phases[0]) // factor)
+    padded = np.zeros((m + 2 * (BLOCK - 1), len(phases)))
+    for i, p in enumerate(phases):
+        taps = h.taps[p::factor]
+        padded[BLOCK - 1 : BLOCK - 1 + taps.size, i] = taps
+    return sliding_window_view(padded, BLOCK, axis=0)[::-1]
+
+
+def _blocked_products(x: np.ndarray, starts: list[int], step: int, band: np.ndarray, n_out: int):
+    """Yield (first output, product) over ceil(n_out / BLOCK) rows, as many
+    rows at a time as PRODUCT_MACS allows. Row r takes, from each start s in
+    turn, the band's height / len(starts) samples x[s + step * (BLOCK * r +
+    k)], zero outside x, and product is those rows times band. The buffers
+    are reused, so each product is read before the next is asked for."""
+    width = band.shape[0] // len(starts)
+    n_rows = -(-n_out // BLOCK)
+    chunk = min(max(1, PRODUCT_MACS // band.size), n_rows)
+    rows = np.empty((chunk, band.shape[0]))
+    products = np.empty((chunk, band.shape[1]))
+    for r0 in range(0, n_rows, chunk):
+        r = min(chunk, n_rows - r0)
+        for i, s in enumerate(starts):
+            seg = _segment(x, s + step * BLOCK * r0, step, BLOCK * (r - 1) + width)
+            stride = seg.strides[0]
+            rows[:r, i * width : (i + 1) * width] = as_strided(seg, (r, width), (BLOCK * stride, stride))
+        np.matmul(rows[:r], band, out=products[:r])
+        yield BLOCK * r0, products[:r]
+
+
+def _segment(x: np.ndarray, start: int, step: int, count: int) -> np.ndarray:
+    """x[start + step * i] for i in range(count), zero where that index falls
+    outside x: a view of x when none does, else a zero-filled copy."""
+    lo = max(0, -(start // step))
+    hi = min(count, (x.size - 1 - start) // step + 1) if start < x.size else 0
+    if lo == 0 and hi == count:
+        return x[start : start + step * (count - 1) + 1 : step]
+    seg = np.zeros(count)
+    if lo < hi:
+        seg[lo:hi] = x[start + step * lo : start + step * (hi - 1) + 1 : step]
+    return seg
 
 
 def upsample_filtered(x: AudioBuffer, factor: int) -> AudioBuffer:
@@ -149,8 +236,10 @@ def scale_in_place(y: AudioBuffer, gain: float, bias: float, overflow: str) -> A
 def decimate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
     """interpolate(x, h, 1) at every factor-th sample, computing only those:
     kept output k reads full-convolution sample c + L*k, where tap phase p
-    meets only input phase (c - p) mod L, so each phase is one short
-    convolution."""
+    meets only input phase (c - p) mod L. The phases of at least
+    BLOCKED_MIN_TAPS taps run as one blocked product whose band stacks them
+    along its height, so the product sums them; a shorter phase is one
+    np.convolve."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if len(x) < factor:
@@ -158,6 +247,7 @@ def decimate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
     if x.sample_rate % factor != 0:
         raise ValueError(f"sample rate {x.sample_rate} not divisible by factor {factor}")
     y = np.zeros(-(-len(x) // factor))
+    blocked = []
     for p in range(min(factor, len(h))):
         shift, phase = divmod(h.center - p, factor)
         taps, xs = h.taps[p::factor], x.samples[phase::factor]
@@ -167,10 +257,21 @@ def decimate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
             lo, hi = max(0, j - shift), min(y.size, xs.size + j - shift)
             if lo < hi:
                 y[lo:hi] += taps[j] * xs[lo + shift - j : hi + shift - j]
+        elif nonzero.size and taps.size >= BLOCKED_MIN_TAPS:
+            blocked.append(p)
         elif nonzero.size:
             branch = np.convolve(xs, taps)
             lo, hi = max(0, -shift), min(y.size, branch.size - shift)
             y[lo:hi] += branch[lo + shift : hi + shift]
+    if blocked:
+        # Kept output k reads x[c - p + L * (k - j)] against phase p's tap j.
+        band = _band(h, factor, blocked)
+        m = band.shape[0] - BLOCK + 1
+        starts = [h.center - p - factor * (m - 1) for p in blocked]
+        band = band.transpose(1, 0, 2).reshape(-1, BLOCK)  # rows (i, k)
+        for k, product in _blocked_products(x.samples, starts, factor, band, y.size):
+            samples = product.reshape(-1)[: y.size - k]
+            y[k : k + samples.size] += samples
     return AudioBuffer(y, x.sample_rate // factor)
 
 

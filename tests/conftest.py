@@ -6,7 +6,9 @@ criterion.
 perfbench/ goes on the import path, so tests use its exact oracles
 (`import oracles`), written apart from the package they check, and read the
 tracer's layer list (`import tracer`). zero_interlace is the direct-form
-reference of the polyphase upsampling paths.
+reference of the polyphase upsampling paths, and convolve_interpolate and
+convolve_decimate the per-phase np.convolve references of the resampling
+filters' blocked products.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pytest
 from aliasbench import cli
 from aliasbench.audio import AudioBuffer
 from aliasbench.bench import UpsamplerSummaryRow, evaluate, upsampler_table, wav_name, write_bench_csv
+from aliasbench.filters import FirKernel
 from aliasbench.metrics import AhrReport
 from aliasbench.signals import TestSignalSpec, benchmark_specs, gen_bandlimited
 from aliasbench.wavio import wav_write
@@ -57,6 +60,44 @@ def zero_interlace(x: AudioBuffer, factor: int) -> AudioBuffer:
     y = np.zeros(len(x) * factor)
     y[::factor] = x.samples
     return AudioBuffer(y, x.sample_rate * factor)
+
+
+def convolve_interpolate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
+    """filters.interpolate with each tap phase on its own np.convolve: the
+    reference of its blocked products. They agree up to the order of the
+    sums, and bit for bit where no phase reaches BLOCKED_MIN_TAPS."""
+    full = np.zeros(factor * (len(x) + -(-len(h) // factor)))
+    for p in range(min(factor, len(h))):
+        taps = h.taps[p::factor]
+        nonzero = np.flatnonzero(taps)
+        if nonzero.size == 1:
+            j = nonzero[0]
+            np.multiply(x.samples, taps[j], out=full[p::factor][j : j + len(x)])
+        elif nonzero.size:
+            branch = np.convolve(x.samples, taps)
+            full[p::factor][: branch.size] = branch
+    return AudioBuffer(full[h.center : h.center + factor * len(x)], x.sample_rate * factor)
+
+
+def convolve_decimate(x: AudioBuffer, h: FirKernel, factor: int) -> AudioBuffer:
+    """filters.decimate with each tap phase on its own np.convolve, summed
+    into the kept outputs phase by phase: the reference of its blocked
+    products, as convolve_interpolate is of interpolate's."""
+    y = np.zeros(-(-len(x) // factor))
+    for p in range(min(factor, len(h))):
+        shift, phase = divmod(h.center - p, factor)
+        taps, xs = h.taps[p::factor], x.samples[phase::factor]
+        nonzero = np.flatnonzero(taps)
+        if nonzero.size == 1:
+            j = nonzero[0]
+            lo, hi = max(0, j - shift), min(y.size, xs.size + j - shift)
+            if lo < hi:
+                y[lo:hi] += taps[j] * xs[lo + shift - j : hi + shift - j]
+        elif nonzero.size:
+            branch = np.convolve(xs, taps)
+            lo, hi = max(0, -shift), min(y.size, branch.size - shift)
+            y[lo:hi] += branch[lo + shift : hi + shift]
+    return AudioBuffer(y, x.sample_rate // factor)
 
 
 def make_bench_dir(root, notes=(60, 107), duration_s=1.0, sample_rate=44100):

@@ -358,13 +358,12 @@ class TestApplyActivation:
         assert_allclose(y.samples[0], adaa_snakebeta(0.8, 0.0))
         assert_allclose(y.samples[1], adaa_snakebeta(-0.3, 0.8))
 
-    def test_oversampled_adaa_peak_memory(self):
-        """AdaaSnakeBeta c2 on the sweep's 4 s signal (1.35 MiB) peaks at
-        most 14.5 MiB under tracemalloc, its output included: the sinc
-        divides in place and builds no where(small, 1, u) copy (16.6 MiB when
-        it did). This transient sets sweep's own peak."""
+    @staticmethod
+    def adaa_peak_in_signals(oversample):
+        """AdaaSnakeBeta's traced peak on the sweep's 4 s signal (1.35 MiB),
+        its output included, in multiples of the signal's size."""
         x = gen_sweep(20.0, 20000.0, 4.0, 44100)
-        spec = ActivationSpec("adaa_snakebeta", oversample=2)
+        spec = ActivationSpec("adaa_snakebeta", oversample=oversample)
         apply_activation(x, spec)  # build the cached resampling kernels first
         tracemalloc.start()
         try:
@@ -372,7 +371,34 @@ class TestApplyActivation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 14.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        return peak / x.samples.nbytes
+
+    def test_oversampled_adaa_peak_memory(self):
+        """c2 peaks at most 9 signals (12.1 MiB): x_{t-1} is read as a view
+        of x, the cosine term reuses x_t - x_{t-1}'s array once the sinc is
+        taken, and the sinc divides in place. With a delayed copy of x and a
+        fresh cosine array it peaked at 10.5 (14.1 MiB). This transient sets
+        sweep's own peak."""
+        peak = self.adaa_peak_in_signals(2)
+        assert peak <= 9.0, f"peak {peak:.2f} signals"
+
+    def test_adaa_peak_memory(self):
+        """c1 peaks at most 3.5 signals, its output included (4.25 with a
+        delayed copy of x)."""
+        peak = self.adaa_peak_in_signals(1)
+        assert peak <= 3.5, f"peak {peak:.2f} signals"
+
+    def test_adaa_reads_the_delayed_input_bit_for_bit(self):
+        """Over a whole buffer, ADAA equals adaa_snakebeta on an explicit
+        delayed copy with 0 first, in every bit. Every other step is
+        1e-12 .. 1e-3, on both sides of the Taylor cutoff."""
+        x_t = np.repeat(TestInPlaceKernels.grid()[0], 2)
+        x_t[1::2] += np.logspace(-12, -3, x_t.size // 2) * np.resize([1.0, -1.0], x_t.size // 2)
+        x_t[0] = -0.0
+        x_prev = np.concatenate(([0.0], x_t[:-1]))
+        spec = ActivationSpec("adaa_snakebeta", alpha=1.7, beta=2.3)
+        got = apply_activation(AudioBuffer(x_t, 8000), spec).samples
+        assert got.tobytes() == _old_adaa_snakebeta(x_t, x_prev, 1.7, 2.3).tobytes()
 
     def test_generic_adaa_kind_runs(self):
         x = AudioBuffer(np.linspace(-1, 1, 100), 8000)

@@ -11,19 +11,22 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_bench_dir
+from conftest import convolve_decimate, convolve_interpolate, make_bench_dir
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aliasbench import cli
+from aliasbench import cli, filters
 from aliasbench.activations import ADAA_BASES, OVERSAMPLE_FACTORS, ActivationSpec
 from aliasbench.audio import AudioBuffer
 from aliasbench.bench import BENCH_COLUMNS, DEFAULT_ACTIVATIONS, evaluate, ordered_map, wav_name
@@ -991,6 +994,65 @@ class TestSweep:
         errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
         assert errors == ["numeric error: non-finite spectrogram magnitude: the spectrum overflowed"]
         assert not out.exists()
+
+
+SWEEP_PANELS = """\
+kind = snakebeta
+oversample = 4
+name = snake_c4
+
+kind = adaa_snakebeta
+oversample = 2
+name = adaa_c2
+"""
+
+
+def output_files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+class TestResamplingFilterOutputs:
+    """The resampling filters' blocked products (np.matmul, an OpenBLAS
+    dgemm) leave every written byte as it was."""
+
+    @pytest.mark.parametrize("command", [("run-activations",), ("run-upsamplers", "--factor", "2", "--seeds", "2")],
+                             ids=["run-activations", "run-upsamplers"])
+    def test_blas_thread_count_does_not_change_outputs(self, tiny_bench, tmp_path, command):
+        """OpenBLAS threads dgemm. A command run in a fresh interpreter with
+        OPENBLAS_NUM_THREADS=1 and with =2 writes the same files."""
+        root, _ = tiny_bench
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outs = {}
+        for blas_threads in ("1", "2"):
+            out = tmp_path / blas_threads / "out.csv"
+            argv = [*command, "--bench", str(root), "--out", str(out)]
+            script = f"import sys\nsys.path.insert(0, {src!r})\nfrom aliasbench.cli import main\nsys.exit(main({argv!r}))"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads}
+            subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True)
+            outs[blas_threads] = output_files(out.parent)
+        assert outs["1"] and outs["1"] == outs["2"]
+
+    def test_blocked_products_write_the_per_phase_convolve_bytes(self, tiny_bench, tmp_path, monkeypatch):
+        """run-activations (the built-in configs, c2 and c4 among them) and
+        two oversampled sweep panels on a 1 s sweep write the same bytes as
+        runs whose resampling filters convolve each tap phase on its own
+        (conftest's convolve_interpolate and convolve_decimate)."""
+        root, _ = tiny_bench
+        cfg = tmp_path / "panels.cfg"
+        cfg.write_text(SWEEP_PANELS, encoding="utf-8")
+        monkeypatch.setattr(cli, "SWEEP_DURATION_S", 1.0)
+        outs = {}
+        for path in ("blocked", "convolve"):
+            with monkeypatch.context() as mp:
+                if path == "convolve":
+                    mp.setattr(filters, "interpolate", convolve_interpolate)
+                    mp.setattr(filters, "decimate", convolve_decimate)
+                act = tmp_path / path / "act" / "act.csv"
+                assert run("run-activations", "--bench", str(root), "--out", str(act)) == EXIT_OK
+                assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / path / "sweep")) == EXIT_OK
+            outs[path] = output_files(act.parent) | output_files(tmp_path / path / "sweep")
+        assert len(outs["blocked"]) == 8
+        assert outs["blocked"] == outs["convolve"]
 
 
 class TestGenBench:

@@ -1,16 +1,20 @@
 """Tests for FIR design and integer-factor resampling."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from conftest import zero_interlace
+from conftest import convolve_decimate, convolve_interpolate, zero_interlace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from aliasbench import filters
 from aliasbench.audio import AudioBuffer, NumericError
 from aliasbench.filters import (
+    BLOCK,
+    BLOCKED_MIN_TAPS,
     STOPBAND_DB,
     TRANSITION,
     FirKernel,
@@ -262,12 +266,20 @@ POLYPHASE_RATE = 40320
 @st.composite
 def interpolation_cases(draw):
     """A factor, a random kernel with any centre, and an input shorter or
-    longer than the kernel. Some kernels have one phase cut to a single
-    nonzero tap, as the resampling filter's centre phase is, or to no
-    nonzero tap at all."""
+    longer than the kernel's phases, rarely a multiple of BLOCK. The
+    kernel's phases are short (np.convolve), long (the blocked product, up
+    to 160 taps, past the resampling filter's 130) or straddle
+    BLOCKED_MIN_TAPS, so one kernel can run both. Some kernels have one
+    phase cut to a single nonzero tap, as the resampling filter's centre
+    phase is, or to no nonzero tap at all."""
     factor = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    taps = rng.uniform(-1.0, 1.0, draw(st.integers(1, 40)))
+    n_taps = draw(st.sampled_from([
+        st.integers(1, 40),
+        st.integers(factor * (BLOCKED_MIN_TAPS - 1), factor * (BLOCKED_MIN_TAPS + 1)),
+        st.integers(factor * BLOCKED_MIN_TAPS, factor * 160),
+    ]))
+    taps = rng.uniform(-1.0, 1.0, draw(n_taps))
     phase_taps = draw(st.sampled_from(["all", "one", "none"]))
     if phase_taps != "all":
         branch = taps[draw(st.integers(0, min(factor, taps.size) - 1)) :: factor]  # a view
@@ -277,37 +289,69 @@ def interpolation_cases(draw):
         if phase_taps == "one":
             branch[j] = kept
     center = draw(st.integers(0, taps.size - 1))
-    x = rng.uniform(-1.0, 1.0, draw(st.integers(1, 60)))
+    n = draw(st.one_of(st.integers(1, 60), st.integers(1, 100 * BLOCK)))
+    x = rng.uniform(-1.0, 1.0, n)
     return factor, FirKernel(taps, center), AudioBuffer(x, POLYPHASE_RATE)
+
+
+#: Multiply-adds per np.matmul call that give one row per call, a few rows,
+#: and the module's own, so that the inputs span one call or many.
+product_sizes = st.sampled_from([1, 50_000, filters.PRODUCT_MACS])
+
+
+@contextlib.contextmanager
+def product_macs_of(macs):
+    """filters.PRODUCT_MACS set to macs for the block, then restored."""
+    kept = filters.PRODUCT_MACS
+    filters.PRODUCT_MACS = macs
+    try:
+        yield
+    finally:
+        filters.PRODUCT_MACS = kept
+
+
+def assert_matches_reference(y, reference, h, factor):
+    """The blocked products equal the full-rate convolution within 1e-12 of
+    its peak, and a kernel with no phase of BLOCKED_MIN_TAPS taps gives the
+    per-phase np.convolve reference's bits."""
+    if -(-len(h) // factor) < BLOCKED_MIN_TAPS:
+        assert np.array_equal(y, reference)
+    else:
+        assert_allclose(y, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
 
 
 class TestPolyphase:
     """The polyphase resamplers equal the full-rate convolution they replace."""
 
     @settings(deadline=None)
-    @given(interpolation_cases())
-    def test_interpolate_matches_interlaced_convolution(self, case):
+    @given(interpolation_cases(), product_sizes)
+    def test_interpolate_matches_interlaced_convolution(self, case, product_macs):
         factor, h, x = case
         up = np.zeros(factor * len(x))
         up[::factor] = x.samples
         want = np.convolve(up, h.taps)[h.center : h.center + up.size]
-        y = interpolate(x, h, factor)
+        with product_macs_of(product_macs):
+            y = interpolate(x, h, factor)
         assert y.sample_rate == factor * x.sample_rate
-        assert_allclose(y.samples, want, rtol=0, atol=1e-12)
+        assert_allclose(y.samples, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert_matches_reference(y.samples, convolve_interpolate(x, h, factor).samples, h, factor)
 
     @settings(deadline=None)
-    @given(interpolation_cases())
+    @given(interpolation_cases(), product_sizes)
     # A single-tap phase whose tap lies past every kept output.
     @example(
-        (2, FirKernel(np.array([0, 1, 0, 0, 0, 0, 0, 0, 0.5, 0, 0, 0]), 0), AudioBuffer(np.arange(1.0, 7.0), POLYPHASE_RATE))
+        (2, FirKernel(np.array([0, 1, 0, 0, 0, 0, 0, 0, 0.5, 0, 0, 0]), 0), AudioBuffer(np.arange(1.0, 7.0), POLYPHASE_RATE)),
+        filters.PRODUCT_MACS,
     )
-    def test_decimate_matches_decimated_convolution(self, case):
+    def test_decimate_matches_decimated_convolution(self, case, product_macs):
         factor, h, x = case
         x = AudioBuffer(np.resize(x.samples, max(len(x), factor)), x.sample_rate)
         want = np.convolve(x.samples, h.taps)[h.center : h.center + len(x)][::factor]
-        y = decimate(x, h, factor)
+        with product_macs_of(product_macs):
+            y = decimate(x, h, factor)
         assert y.sample_rate == POLYPHASE_RATE // factor
-        assert_allclose(y.samples, want, rtol=0, atol=1e-12)
+        assert_allclose(y.samples, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert_matches_reference(y.samples, convolve_decimate(x, h, factor).samples, h, factor)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
